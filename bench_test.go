@@ -20,6 +20,7 @@ import (
 	"litegpu/internal/hw"
 	"litegpu/internal/inference"
 	"litegpu/internal/kv"
+	"litegpu/internal/mathx"
 	"litegpu/internal/netsim"
 	"litegpu/internal/sim"
 )
@@ -1019,6 +1020,24 @@ func BenchmarkServingSimObserved(b *testing.B) {
 		}
 		if len(rec.Probes()) == 0 {
 			b.Fatal("observed benchmark probed nothing")
+		}
+	}
+}
+
+// BenchmarkSummarize1M measures one end-of-run latency summary over
+// 10⁶ lognormal samples — the size a 10⁶-request streamed run hands
+// mathx.Summarize three times (TTFT, TBT, E2E).
+func BenchmarkSummarize1M(b *testing.B) {
+	r := mathx.NewRNG(1)
+	xs := make([]float64, 1_000_000)
+	for i := range xs {
+		xs[i] = r.LogNormal(0, 1)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if s := mathx.Summarize(xs); s.N != len(xs) {
+			b.Fatalf("Summarize counted %d samples, want %d", s.N, len(xs))
 		}
 	}
 }

@@ -18,8 +18,8 @@ type Summary struct {
 	P999   float64
 }
 
-// Summarize computes summary statistics over xs. An empty sample yields a
-// zero Summary.
+// Summarize computes summary statistics over xs, which it leaves
+// untouched. An empty sample yields a zero Summary.
 func Summarize(xs []float64) Summary {
 	if len(xs) == 0 {
 		return Summary{}
@@ -42,45 +42,24 @@ func Summarize(xs []float64) Summary {
 	if variance > 0 {
 		s.Stddev = math.Sqrt(variance)
 	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	s.P50 = quantileSorted(sorted, 0.50)
-	s.P90 = quantileSorted(sorted, 0.90)
-	s.P99 = quantileSorted(sorted, 0.99)
-	s.P999 = quantileSorted(sorted, 0.999)
+	// Ascending q order: each selection narrows the next one's search.
+	qs := newQuantiles(xs)
+	s.P50 = qs.quantile(0.50)
+	s.P90 = qs.quantile(0.90)
+	s.P99 = qs.quantile(0.99)
+	s.P999 = qs.quantile(0.999)
 	return s
 }
 
 // Percentile returns the q-quantile (0 <= q <= 1) of xs using linear
-// interpolation between closest ranks. It copies and sorts xs.
+// interpolation between closest ranks. It selects the ranks it needs in
+// a copy of xs, so xs and its order are left untouched.
 func Percentile(xs []float64, q float64) float64 {
 	if len(xs) == 0 {
 		return math.NaN()
 	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return quantileSorted(sorted, q)
-}
-
-// quantileSorted returns the q-quantile of an already sorted sample.
-func quantileSorted(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return math.NaN()
-	}
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	qs := newQuantiles(xs)
+	return qs.quantile(q)
 }
 
 // Mean returns the arithmetic mean of xs, or NaN for an empty sample.
