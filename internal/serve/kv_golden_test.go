@@ -57,6 +57,22 @@ func kvGoldenScenarios() []goldenScenario {
 	failCluster := clusterOf(pressed)
 	failCluster.Failures = acceleratedFailures(0)
 
+	// The colocated counterparts: continuous batching swapping over the
+	// same fabric, and chunked prefill under scarce swap memory with
+	// frequent, quickly repaired failures and a slow fabric path, so dead
+	// instances reset their HBM while swaps are still in flight.
+	contSwapFab := swapFab
+	contSwapFab.Scheduler = ContinuousBatching
+	chunkSwap := chunk
+	chunkSwap.KV = kv.Config{Policy: kv.Swap, Blocks: 600}
+	chunkSwap.Network = pluggablePacket()
+	chunkSwap.Network.LatencyScale = 1e5
+	chunkFail := clusterOf(chunkSwap)
+	chunkFail.Failures = acceleratedFailures(1)
+	chunkFail.Failures.TimeScale = 8e7
+	chunkFail.Failures.Params.MTTR = 10
+	chunkFail.Failures.Params.RecoveryTime = 1
+
 	return []goldenScenario{
 		{name: "kv-small-ample", cluster: clusterOf(small), rate: 1.0, seed: 7, arrive: 200, horizon: 400},
 		{name: "kv-static-scarce-conv", cluster: clusterOf(pressed), rate: 8.0, seed: 3, conv: true, arrive: 120, horizon: 240},
@@ -65,6 +81,8 @@ func kvGoldenScenarios() []goldenScenario {
 		{name: "kv-prefix-agent-nodrain", cluster: clusterOf(agent), rate: 8.0, seed: 42, agent: true, arrive: 150, horizon: 150},
 		{name: "kv-swap-fabric-conv", cluster: clusterOf(swapFab), rate: 4.0, seed: 11, conv: true, arrive: 120, horizon: 240},
 		{name: "kv-scarce-fail-nodrain", cluster: failCluster, rate: 8.0, seed: 11, conv: true, arrive: 150, horizon: 150},
+		{name: "kv-continuous-swap-fabric-conv", cluster: clusterOf(contSwapFab), rate: 4.0, seed: 11, conv: true, arrive: 120, horizon: 240},
+		{name: "kv-chunked256-swap-fail-nodrain", cluster: chunkFail, rate: 8.0, seed: 11, conv: true, arrive: 150, horizon: 150},
 	}
 }
 

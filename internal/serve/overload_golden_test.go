@@ -65,6 +65,13 @@ func overloadScenarios(t *testing.T) []overloadScenario {
 		Seed:    7,
 	}
 
+	// The same clients against continuous batching with a small batch
+	// cap, so a backlog builds: cancellations are purged from the
+	// admission queue, the pending prefills, and the running batch.
+	closedCont := closed
+	closedCont.Scheduler = ContinuousBatching
+	closedCont.MaxDecodeBatch = 16
+
 	tenants := twoTenantTrace(t, 10.0, 30.0, 150)
 
 	// Static two-tier gate: the free tier sheds at the queue limit, the
@@ -133,6 +140,7 @@ func overloadScenarios(t *testing.T) []overloadScenario {
 		{name: "ol-autoscale-flash", cluster: single(scale), reqs: gen(trace.CodingWorkload(24, 13), 120), horizon: 300},
 		{name: "ol-straggler", cluster: single(slow), reqs: gen(trace.CodingWorkload(2, 11), 150), horizon: 240},
 		{name: "ol-chaos", cluster: chaosCluster, reqs: tenants, horizon: 240},
+		{name: "ol-continuous-closed-loop-conv", cluster: single(closedCont), reqs: gen(trace.ConversationWorkload(60, 7), 120), horizon: 240},
 	}
 }
 
