@@ -2,9 +2,11 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"litegpu/internal/hw"
+	"litegpu/internal/inference"
 	"litegpu/internal/kv"
 	"litegpu/internal/trace"
 	"litegpu/internal/units"
@@ -114,6 +116,45 @@ func TestKVEqualSiliconLitePreemptsMore(t *testing.T) {
 	if lm.KVPreemptions <= hm.KVPreemptions {
 		t.Errorf("equal-silicon claim failed: Lite preemptions %d, H100 preemptions %d (want strictly more on Lite)",
 			lm.KVPreemptions, hm.KVPreemptions)
+	}
+}
+
+// TestKVDecodeBatchStaysPriceable pins the decode batch cap with paged
+// KV on. Free blocks gate admission, but a decode step is still priced
+// at the whole DecodeContext, so a batch above the whole-context
+// MaxFeasibleBatch has no price. MaxDecodeBatch asks for four times
+// that cap, and the block budget is large enough that preemption never
+// shrinks the batch back under it: the cap alone must keep every step
+// priceable, so every request completes within the long drain and both
+// utilizations stay finite fractions.
+func TestKVDecodeBatchStaysPriceable(t *testing.T) {
+	reqs := convTrace(t, 100.0, 7, 30)
+	for _, pol := range SchedulerPolicies() {
+		t.Run(pol.String(), func(t *testing.T) {
+			cfg := smallConfig()
+			cfg.GPU = hw.Lite()
+			cfg.PrefillInstances = 4
+			cfg.DecodeInstances = 4
+			cfg.Scheduler = pol
+			cfg.PrefillChunk = 2048
+			cfg.KV = kv.Config{Policy: kv.Recompute, Blocks: 1 << 15}
+			whole := inference.MaxFeasibleBatch(cfg.GPU, cfg.Model, inference.Decode, cfg.DecodeGPUs, cfg.Opts)
+			if whole < 1 {
+				t.Fatalf("premise: whole-context decode cap %d", whole)
+			}
+			cfg.MaxDecodeBatch = 4 * whole
+			m := mustRun(t, cfg, reqs, 3000)
+			if m.Completed+m.Dropped != m.Arrived {
+				t.Errorf("completed %d + dropped %d != arrived %d: requests stranded behind unpriceable decode steps",
+					m.Completed, m.Dropped, m.Arrived)
+			}
+			for _, u := range []float64{m.PrefillUtilization, m.DecodeUtilization} {
+				if math.IsNaN(u) || math.IsInf(u, 0) || u < 0 || u > 1 {
+					t.Errorf("utilizations (%v, %v), want fractions in [0, 1]", m.PrefillUtilization, m.DecodeUtilization)
+					break
+				}
+			}
+		})
 	}
 }
 

@@ -31,7 +31,6 @@ package serve
 
 import (
 	"fmt"
-	"math"
 
 	"litegpu/internal/hw"
 	"litegpu/internal/inference"
@@ -455,61 +454,4 @@ func kvBlocksPerInstance(cfg Config, gpus int) (int, error) {
 			gpus, cfg.GPU.Name, cfg.Model.Name)
 	}
 	return blocks, nil
-}
-
-// newPrefillTimer returns a memoized batch-prefill duration function at
-// the given tensor-parallel degree. Durations come from the analytical
-// model at the batch's mean prompt length (stage costs are near-linear
-// in total tokens), quantized to 64-token buckets for cache efficiency.
-func newPrefillTimer(cfg Config, opts inference.Options, gpus int) func([]trace.Request) float64 {
-	type key struct{ b, lenBucket int }
-	cache := make(map[key]float64)
-	return func(batch []trace.Request) float64 {
-		if len(batch) == 0 {
-			return 0
-		}
-		var total int
-		for _, r := range batch {
-			total += r.PromptTokens
-		}
-		mean := total / len(batch)
-		if mean < 1 {
-			mean = 1
-		}
-		k := key{len(batch), (mean + 63) / 64}
-		if v, ok := cache[k]; ok {
-			return v
-		}
-		o := opts
-		o.PromptLen = k.lenBucket * 64
-		est, err := inference.Run(cfg.GPU, cfg.Model, inference.Prefill, gpus, len(batch), o)
-		v := math.Inf(1)
-		if err == nil {
-			v = float64(est.Latency)
-		}
-		cache[k] = v
-		return v
-	}
-}
-
-// newDecodeTimer returns a memoized decode-step duration function keyed
-// by batch size, evaluated at the configured decode context length and
-// the given tensor-parallel degree.
-func newDecodeTimer(cfg Config, opts inference.Options, gpus int) func(int) float64 {
-	cache := make(map[int]float64)
-	return func(b int) float64 {
-		if b <= 0 {
-			return 0
-		}
-		if v, ok := cache[b]; ok {
-			return v
-		}
-		est, err := inference.Run(cfg.GPU, cfg.Model, inference.Decode, gpus, b, opts)
-		v := math.Inf(1)
-		if err == nil {
-			v = float64(est.Latency)
-		}
-		cache[b] = v
-		return v
-	}
 }

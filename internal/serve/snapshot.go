@@ -61,12 +61,69 @@ func (s *instSnap) restore(st *instanceState) {
 	}
 }
 
-// staticSnap freezes a staticSched.
+// batchSnap freezes a batchCore. The step-cost tables are deliberately
+// excluded: their prices are pure functions of their inputs, so a table
+// filled further than at capture prices every later step identically.
+type batchSnap struct {
+	engines []engineSnap
+	q       []*activeReq
+}
+
+type engineSnap struct {
+	inst         instSnap
+	step         stepState
+	active       []*activeReq
+	pending      []*activeReq
+	pBusy, dBusy float64
+	al           *kv.Snap
+}
+
+func (c *batchCore) snapshot(reqs []savedReq) (any, []savedReq) {
+	sn := &batchSnap{engines: make([]engineSnap, len(c.engines)), q: c.q.save(nil)}
+	for j := range c.engines {
+		e := &c.engines[j]
+		s := &sn.engines[j]
+		*s = engineSnap{
+			inst:    snapInstance(&e.instanceState),
+			step:    e.stepState,
+			active:  append([]*activeReq(nil), e.active...),
+			pending: e.pending.save(nil),
+			pBusy:   e.pBusy,
+			dBusy:   e.dBusy,
+		}
+		if e.al != nil {
+			s.al = e.al.Snapshot()
+		}
+		reqs = saveReqs(reqs, s.active)
+		reqs = saveReqs(reqs, s.pending)
+	}
+	return sn, saveReqs(reqs, sn.q)
+}
+
+func (c *batchCore) restore(snap any) {
+	sn := snap.(*batchSnap)
+	for j := range c.engines {
+		e := &c.engines[j]
+		s := &sn.engines[j]
+		s.inst.restore(&e.instanceState)
+		e.stepState = s.step
+		clearTail(e.active, 0)
+		e.active = append(e.active[:0], s.active...)
+		e.pending.load(s.pending)
+		e.pBusy, e.dBusy = s.pBusy, s.dBusy
+		if e.al != nil {
+			e.al.Restore(s.al)
+		}
+	}
+	c.q.load(sn.q)
+}
+
+// staticSnap freezes a staticSched: its batch core (the decode engines)
+// plus the prefill side.
 type staticSnap struct {
+	core       any
 	prefills   []prefillEngSnap
-	decodes    []decodeEngSnap
 	prefillQ   []trace.Request
-	decodeQ    []*activeReq
 	reprefillQ []*activeReq
 	decodeRR   int
 }
@@ -79,23 +136,14 @@ type prefillEngSnap struct {
 	re     *activeReq
 }
 
-type decodeEngSnap struct {
-	inst    instSnap
-	active  []*activeReq
-	stepEnd float64
-	busy    float64
-	al      *kv.Snap
-}
-
 func (sc *staticSched) snapshot(reqs []savedReq) (any, []savedReq) {
 	sn := &staticSnap{
 		prefills:   make([]prefillEngSnap, len(sc.prefills)),
-		decodes:    make([]decodeEngSnap, len(sc.decodes)),
 		prefillQ:   sc.prefillQ.save(nil),
-		decodeQ:    sc.decodeQ.save(nil),
 		reprefillQ: sc.reprefillQ.save(nil),
 		decodeRR:   sc.decodeRR,
 	}
+	sn.core, reqs = sc.batchCore.snapshot(reqs)
 	for i := range sc.prefills {
 		e := &sc.prefills[i]
 		sn.prefills[i] = prefillEngSnap{
@@ -109,26 +157,12 @@ func (sc *staticSched) snapshot(reqs []savedReq) (any, []savedReq) {
 			reqs = append(reqs, savedReq{a: e.re, val: *e.re})
 		}
 	}
-	for j := range sc.decodes {
-		e := &sc.decodes[j]
-		sn.decodes[j] = decodeEngSnap{
-			inst:    snapInstance(&e.instanceState),
-			active:  append([]*activeReq(nil), e.active...),
-			stepEnd: e.stepEnd,
-			busy:    e.busy,
-		}
-		if e.al != nil {
-			sn.decodes[j].al = e.al.Snapshot()
-		}
-		reqs = saveReqs(reqs, e.active)
-	}
-	reqs = saveReqs(reqs, sn.decodeQ)
-	reqs = saveReqs(reqs, sn.reprefillQ)
-	return sn, reqs
+	return sn, saveReqs(reqs, sn.reprefillQ)
 }
 
 func (sc *staticSched) restore(snap any) {
 	sn := snap.(*staticSnap)
+	sc.batchCore.restore(sn.core)
 	for i := range sc.prefills {
 		e := &sc.prefills[i]
 		s := &sn.prefills[i]
@@ -137,91 +171,9 @@ func (sc *staticSched) restore(snap any) {
 		e.batch = append(e.batch[:0], s.batch...)
 		e.re = s.re
 	}
-	for j := range sc.decodes {
-		e := &sc.decodes[j]
-		s := &sn.decodes[j]
-		s.inst.restore(&e.instanceState)
-		clearTail(e.active, 0)
-		e.active = append(e.active[:0], s.active...)
-		e.stepEnd, e.busy = s.stepEnd, s.busy
-		if e.al != nil {
-			e.al.Restore(s.al)
-		}
-	}
 	sc.prefillQ.load(sn.prefillQ)
-	sc.decodeQ.load(sn.decodeQ)
 	sc.reprefillQ.load(sn.reprefillQ)
 	sc.decodeRR = sn.decodeRR
-}
-
-// colocSnap freezes a colocSched. The timer memo caches and the
-// per-call scratch buffers are deliberately excluded: caches are pure
-// functions of their inputs and scratch holds no state across events.
-type colocSnap struct {
-	engines []colocEngSnap
-	q       []*activeReq
-}
-
-type colocEngSnap struct {
-	inst        instSnap
-	active      []*activeReq
-	pending     []*activeReq
-	stepEnd     float64
-	stepPfx     float64
-	stepDec     float64
-	stepPrefill int
-	stepChunk   int
-	pBusy       float64
-	dBusy       float64
-	al          *kv.Snap
-}
-
-func (c *colocSched) snapshot(reqs []savedReq) (any, []savedReq) {
-	sn := &colocSnap{
-		engines: make([]colocEngSnap, len(c.engines)),
-		q:       c.q.save(nil),
-	}
-	for i := range c.engines {
-		e := &c.engines[i]
-		sn.engines[i] = colocEngSnap{
-			inst:        snapInstance(&e.instanceState),
-			active:      append([]*activeReq(nil), e.active...),
-			pending:     e.pending.save(nil),
-			stepEnd:     e.stepEnd,
-			stepPfx:     e.stepPfx,
-			stepDec:     e.stepDec,
-			stepPrefill: e.stepPrefill,
-			stepChunk:   e.stepChunk,
-			pBusy:       e.pBusy,
-			dBusy:       e.dBusy,
-		}
-		if e.al != nil {
-			sn.engines[i].al = e.al.Snapshot()
-		}
-		reqs = saveReqs(reqs, sn.engines[i].active)
-		reqs = saveReqs(reqs, sn.engines[i].pending)
-	}
-	reqs = saveReqs(reqs, sn.q)
-	return sn, reqs
-}
-
-func (c *colocSched) restore(snap any) {
-	sn := snap.(*colocSnap)
-	for i := range c.engines {
-		e := &c.engines[i]
-		s := &sn.engines[i]
-		s.inst.restore(&e.instanceState)
-		clearTail(e.active, 0)
-		e.active = append(e.active[:0], s.active...)
-		e.pending.load(s.pending)
-		e.stepEnd, e.stepPfx, e.stepDec = s.stepEnd, s.stepPfx, s.stepDec
-		e.stepPrefill, e.stepChunk = s.stepPrefill, s.stepChunk
-		e.pBusy, e.dBusy = s.pBusy, s.dBusy
-		if e.al != nil {
-			e.al.Restore(s.al)
-		}
-	}
-	c.q.load(sn.q)
 }
 
 // saveReqs appends (pointer, value) pairs for every activeReq in list.
