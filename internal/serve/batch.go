@@ -151,12 +151,12 @@ func (c *batchCore) swapReturn(a *activeReq, now float64) {
 	c.q.PushFront(a)
 }
 
-// passTokens is the prompt length a's next prefill pass covers: with
-// paged KV a recompute victim rebuilds its whole context, prompt plus
-// generated tokens.
+// passTokens is the prompt length a's next prefill pass on e covers:
+// with paged KV a recompute victim rebuilds its whole context, prompt
+// plus generated tokens.
 //
 //litegpu:hotpath
-func passTokens(e *batchEngine, a *activeReq) int {
+func (e *batchEngine) passTokens(a *activeReq) int {
 	if e.al != nil {
 		return a.promptLeft
 	}
@@ -183,7 +183,7 @@ func (c *batchCore) admit(e *batchEngine, now float64) {
 			continue
 		}
 		if a.promptLeft > 0 {
-			if _, ok := c.cost.prefill(1, passTokens(e, a)); !ok {
+			if _, ok := c.cost.prefill(1, e.passTokens(a)); !ok {
 				c.q.PopFront()
 				if p.rec != nil {
 					p.rec.Request(obs.Drop, now, int32(p.idx), -1, int64(a.req.ID), float64(a.req.PromptTokens))
@@ -307,13 +307,13 @@ func (c *batchCore) prefillPass(e *batchEngine) (float64, int) {
 	n := min(c.pool.cfg.MaxPrefillBatch, e.pending.Len())
 	tokens := 0
 	for i := 0; i < n; i++ {
-		tokens += passTokens(e, e.pending.At(i))
+		tokens += e.passTokens(e.pending.At(i))
 	}
 	for ; n >= 1; n-- {
 		if dt, ok := c.cost.prefill(n, tokens); ok {
 			return dt, n
 		}
-		tokens -= passTokens(e, e.pending.At(n-1))
+		tokens -= e.passTokens(e.pending.At(n - 1))
 	}
 	return 0, 0
 }
