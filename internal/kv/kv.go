@@ -18,15 +18,24 @@
 // historical infinite-memory behavior, byte-identical to every golden
 // corpus captured before this package existed.
 //
+// The allocator's bookkeeping grows with use, not with the budget:
+// per-block arrays, the prefix index and the sequence table grow to
+// the high-water mark of blocks and sequences actually handed out, so
+// an allocator built over an HBM-derived budget of tens of thousands
+// of blocks costs only what its working set touches.
+//
 // Determinism and allocation discipline follow the repo invariants
 // (docs/correctness.md): no maps (the prefix index is an open-addressed
 // table with backward-shift deletion), no wall clock, no global rand,
 // and the steady-state operations (Alloc, Grow, Free) are
-// //litegpu:hotpath-annotated and AllocsPerRun-pinned at zero.
+// //litegpu:hotpath-annotated and AllocsPerRun-pinned at zero once
+// warm-up has grown the arrays to the working set's high-water mark.
 package kv
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 )
 
@@ -94,6 +103,9 @@ func (c Config) Validate() error {
 	}
 	if c.Blocks < 0 {
 		return fmt.Errorf("kv: negative Blocks %d", c.Blocks)
+	}
+	if c.Blocks > math.MaxInt32 {
+		return fmt.Errorf("kv: Blocks %d overflows int32 block ids (max %d)", c.Blocks, math.MaxInt32)
 	}
 	if !c.Enabled() && (c.BlockTokens != 0 || c.PrefixCache || c.Blocks != 0) {
 		return fmt.Errorf("kv: block parameters set but Policy is off")
@@ -178,105 +190,106 @@ type seqState struct {
 	live   bool
 }
 
-// Allocator is one instance's paged KV block pool. All state lives in
-// preallocated arrays indexed by block number; the prefix index is an
-// open-addressed hash table (linear probing, backward-shift deletion)
-// so steady-state operation performs zero heap allocations and is
-// deterministic — no Go map is ever iterated or probed.
+// Allocator is one instance's paged KV block pool. Per-block state
+// lives in arrays indexed by block number that grow to the high-water
+// mark — the count of blocks ever handed out — rather than to the
+// budget: like PagedAttention mapping physical blocks on demand, a
+// block costs bookkeeping only once a sequence first claims it. The
+// prefix index is an open-addressed hash table (linear probing,
+// backward-shift deletion) and no Go map is ever iterated or probed,
+// so operation is deterministic; once the arrays have reached the
+// working set's high-water mark, operation performs zero heap
+// allocations.
+//
+// Blocks are handed out in a fixed order: reclaimed blocks (LIFO)
+// first, then the never-used block numbered at the high-water mark,
+// then the oldest idle cached block.
 //
 // Block accounting invariant, checked by the property tests after
-// every operation: free + idle + in-use == total, where idle blocks
-// are cached prefix blocks with refcount zero (reclaimable, LRU) and
-// in-use blocks have refcount ≥ 1 (possibly shared across sequences).
+// every operation: free + idle + in-use == total, where free blocks
+// are reclaimed or never used, idle blocks are cached prefix blocks
+// with refcount zero (reclaimable, LRU) and in-use blocks have
+// refcount ≥ 1 (possibly shared across sequences).
 type Allocator struct {
 	blockTokens int
 	prefix      bool
 	total       int
 
+	// Per-block state for blocks [0, high-water mark); every array has
+	// the mark as its length.
 	refs    []int32  // per-block reference count
 	hashes  []uint64 // per-block content key (0 = uncached)
 	inCache []bool   // per-block: key present in the prefix index
 	next    []int32  // idle-LRU forward links (toward tail)
 	prev    []int32  // idle-LRU backward links (toward head)
 
-	free      []int32 // never-cached reclaimed blocks, LIFO
+	free      []int32 // reclaimed never-cached blocks, LIFO
 	idleHead  int32   // oldest idle cached block (evicted first)
 	idleTail  int32   // most recently idled cached block
 	idleCount int
 
-	// Open-addressed prefix index: key → block. Power-of-two sized at
-	// ≥2× total so load factor stays below one half.
+	// Open-addressed prefix index: key → block, present only with
+	// prefix caching on. Power-of-two sized at ≥2× the high-water mark
+	// so load factor stays at most one half.
 	tabKeys []uint64
 	tabVals []int32
 	tabMask uint64
 
+	// Sequence slots grow to their own high-water mark the same way;
+	// freeSeqs holds only released slots.
 	seqs     []seqState
 	freeSeqs []int32
 }
 
+// minIndex is the prefix index's initial size.
+const minIndex = 8
+
 // NewAllocator builds an allocator over `blocks` blocks of
 // `blockTokens` tokens each. prefixCache enables the content-addressed
-// prefix index. Panics on a non-positive budget or page size —
-// internal/serve validates sizing before construction.
+// prefix index. Panics on a non-positive budget or page size, or a
+// budget beyond int32 block ids — internal/serve validates sizing
+// before construction.
 func NewAllocator(blocks, blockTokens int, prefixCache bool) *Allocator {
 	if blocks <= 0 || blockTokens <= 0 {
 		panic("kv: NewAllocator needs positive blocks and blockTokens")
 	}
-	tabSize := 8
-	for tabSize < 2*blocks {
-		tabSize *= 2
+	if blocks > math.MaxInt32 {
+		panic("kv: NewAllocator budget overflows int32 block ids")
 	}
 	a := &Allocator{
 		blockTokens: blockTokens,
 		prefix:      prefixCache,
 		total:       blocks,
-		refs:        make([]int32, blocks),
-		hashes:      make([]uint64, blocks),
-		inCache:     make([]bool, blocks),
-		next:        make([]int32, blocks),
-		prev:        make([]int32, blocks),
-		free:        make([]int32, 0, blocks),
 		idleHead:    nilBlock,
 		idleTail:    nilBlock,
-		tabKeys:     make([]uint64, tabSize),
-		tabVals:     make([]int32, tabSize),
-		tabMask:     uint64(tabSize - 1),
-		// A sequence holds ≥1 block, so `blocks` sequence slots suffice.
-		seqs:     make([]seqState, blocks),
-		freeSeqs: make([]int32, 0, blocks),
 	}
-	a.Reset()
+	if prefixCache {
+		a.tabKeys = make([]uint64, minIndex)
+		a.tabVals = make([]int32, minIndex)
+		a.tabMask = minIndex - 1
+	}
 	return a
 }
 
-// Reset returns every block to the free stack and kills every
-// sequence — the instance-failure path (a dead instance's HBM content
-// is gone). Block lists inside recycled sequence slots are retained so
-// post-reset operation stays allocation-free.
+// Reset returns every block to the pool and kills every sequence — the
+// instance-failure path (a dead instance's HBM content is gone). It
+// rewinds both high-water marks to zero, so the next block handed out
+// is block 0 and the next handle is 0: allocation order is part of the
+// deterministic contract. Backing arrays, including the block lists
+// inside sequence slots, are retained so post-reset operation stays
+// allocation-free.
 func (a *Allocator) Reset() {
+	a.refs = a.refs[:0]
+	a.hashes = a.hashes[:0]
+	a.inCache = a.inCache[:0]
+	a.next = a.next[:0]
+	a.prev = a.prev[:0]
 	a.free = a.free[:0]
-	// Reverse push order so the first post-reset pop yields block 0:
-	// allocation order is part of the deterministic contract.
-	for i := a.total - 1; i >= 0; i-- {
-		a.refs[i] = 0
-		a.hashes[i] = 0
-		a.inCache[i] = false
-		a.next[i] = nilBlock
-		a.prev[i] = nilBlock
-		a.free = append(a.free, int32(i))
-	}
 	a.idleHead, a.idleTail, a.idleCount = nilBlock, nilBlock, 0
-	for i := range a.tabKeys {
-		a.tabKeys[i] = 0
-		a.tabVals[i] = 0
-	}
+	clear(a.tabKeys)
+	clear(a.tabVals)
+	a.seqs = a.seqs[:0]
 	a.freeSeqs = a.freeSeqs[:0]
-	for i := len(a.seqs) - 1; i >= 0; i-- {
-		a.seqs[i].tokens = 0
-		a.seqs[i].live = false
-		a.seqs[i].blocks = a.seqs[i].blocks[:0]
-		a.freeSeqs = append(a.freeSeqs, int32(i))
-	}
 }
 
 // Accessors ------------------------------------------------------------------
@@ -287,8 +300,15 @@ func (a *Allocator) Total() int { return a.total }
 // BlockTokens returns the page size in tokens.
 func (a *Allocator) BlockTokens() int { return a.blockTokens }
 
-// FreeBlocks returns the count of never-cached reclaimable blocks.
-func (a *Allocator) FreeBlocks() int { return len(a.free) }
+// FreeBlocks returns the count of uncached reclaimable blocks: the
+// reclaimed ones plus those never handed out.
+func (a *Allocator) FreeBlocks() int { return len(a.free) + a.unused() }
+
+// unused returns the count of blocks never handed out since
+// construction or the last Reset.
+//
+//litegpu:hotpath
+func (a *Allocator) unused() int { return a.total - len(a.refs) }
 
 // IdleBlocks returns the count of cached blocks with refcount zero
 // (reclaimable by LRU eviction).
@@ -298,7 +318,7 @@ func (a *Allocator) IdleBlocks() int { return a.idleCount }
 // sequence.
 //
 //litegpu:hotpath
-func (a *Allocator) InUse() int { return a.total - len(a.free) - a.idleCount }
+func (a *Allocator) InUse() int { return len(a.refs) - len(a.free) - a.idleCount }
 
 // SeqTokens returns a live sequence's token count.
 func (a *Allocator) SeqTokens(id SeqID) int {
@@ -359,8 +379,8 @@ func (a *Allocator) lookup(key uint64) int32 {
 	}
 }
 
-// insert records key → block. The table is sized at 2× the block
-// budget and every cached block holds exactly one key, so it never
+// insert records key → block. The table is sized at ≥2× the blocks
+// handed out and every cached block holds exactly one key, so it never
 // fills.
 //
 //litegpu:hotpath
@@ -442,7 +462,8 @@ func (a *Allocator) unlinkIdle(b int32) {
 	a.idleCount--
 }
 
-// obtain claims a reclaimable block: the free stack first, then the
+// obtain claims a reclaimable block: the most recently reclaimed one
+// first, then the never-used block at the high-water mark, then the
 // oldest idle cached block (evicting its cache entry). Returns
 // nilBlock when nothing is reclaimable.
 //
@@ -453,6 +474,9 @@ func (a *Allocator) obtain() int32 {
 		a.free = a.free[:n-1]
 		return b
 	}
+	if a.unused() > 0 {
+		return a.handOut()
+	}
 	b := a.idleHead
 	if b == nilBlock {
 		return nilBlock
@@ -462,6 +486,83 @@ func (a *Allocator) obtain() int32 {
 	a.hashes[b] = 0
 	a.inCache[b] = false
 	return b
+}
+
+// handOut raises the high-water mark by one block and returns the
+// block it uncovers, doubling the prefix index first if the new mark
+// would push its load factor past one half.
+//
+//litegpu:hotpath
+func (a *Allocator) handOut() int32 {
+	b := int32(len(a.refs))
+	if len(a.refs) == cap(a.refs) {
+		a.reserve()
+	}
+	a.refs = append(a.refs, 0)
+	a.hashes = append(a.hashes, 0)
+	a.inCache = append(a.inCache, false)
+	a.next = append(a.next, nilBlock)
+	a.prev = append(a.prev, nilBlock)
+	if a.prefix && 2*len(a.refs) > len(a.tabKeys) {
+		a.growIndex()
+	}
+	return b
+}
+
+// minReserve is the per-block arrays' first capacity.
+const minReserve = 16
+
+// reserve doubles the per-block arrays' capacity, capped at the
+// budget. Explicit doubling keeps warm-up to a logarithmic number of
+// allocations, where append's gentler growth past 256 elements would
+// take several times more.
+func (a *Allocator) reserve() {
+	n := min(a.total, max(2*cap(a.refs), minReserve)) - len(a.refs)
+	a.refs = slices.Grow(a.refs, n)
+	a.hashes = slices.Grow(a.hashes, n)
+	a.inCache = slices.Grow(a.inCache, n)
+	a.next = slices.Grow(a.next, n)
+	a.prev = slices.Grow(a.prev, n)
+}
+
+// growIndex doubles the prefix index, reinserting its entries in slot
+// order. Lookups depend only on which keys are present, never on where
+// they sit, so growth changes no result.
+func (a *Allocator) growIndex() {
+	keys, vals := a.tabKeys, a.tabVals
+	size := 2 * len(keys)
+	a.tabKeys = make([]uint64, size)
+	a.tabVals = make([]int32, size)
+	a.tabMask = uint64(size - 1)
+	for i, k := range keys {
+		if k != 0 {
+			a.insert(k, vals[i])
+		}
+	}
+}
+
+// newSeq claims a sequence slot: the most recently released one
+// first, then a never-used one at the slot high-water mark (keeping
+// the block list a slot held before a Reset). Returns false when every
+// one of the `total` slots is live.
+//
+//litegpu:hotpath
+func (a *Allocator) newSeq() (SeqID, bool) {
+	if n := len(a.freeSeqs); n > 0 {
+		id := a.freeSeqs[n-1]
+		a.freeSeqs = a.freeSeqs[:n-1]
+		return SeqID(id), true
+	}
+	n := len(a.seqs)
+	switch {
+	case n == a.total:
+		return 0, false
+	case n < cap(a.seqs):
+		a.seqs = a.seqs[:n+1]
+	default:
+		a.seqs = append(a.seqs, seqState{})
+	}
+	return SeqID(n), true
 }
 
 // Operations -----------------------------------------------------------------
@@ -510,19 +611,17 @@ func (a *Allocator) Alloc(tokens int, prefixKey uint64, prefixTokens int) (id Se
 		}
 	}
 	lookups = cacheable
-	if nb-hits > len(a.free)+(a.idleCount-idleHits) {
+	if nb-hits > len(a.free)+a.unused()+(a.idleCount-idleHits) {
 		return 0, hits, lookups, false
 	}
 
-	n := len(a.freeSeqs)
-	if n == 0 {
+	id, ok = a.newSeq()
+	if !ok {
 		// Prefix sharing can pack more live sequences than blocks (many
 		// one-block sequences on one shared block); a full sequence table
 		// is memory pressure like any other, so admission fails cleanly.
 		return 0, hits, lookups, false
 	}
-	id = SeqID(a.freeSeqs[n-1])
-	a.freeSeqs = a.freeSeqs[:n-1]
 	s := &a.seqs[id]
 	s.blocks = s.blocks[:0]
 	s.tokens = tokens
@@ -646,8 +745,10 @@ type Snap struct {
 	freeSeqs []int32
 }
 
-// Snapshot deep-copies the allocator's mutable state. It allocates —
-// snapshotting is a planner-fork operation, not a hot path.
+// Snapshot deep-copies the allocator's mutable state — only the blocks
+// and sequence slots below the high-water marks, since nothing above
+// them holds state. It allocates — snapshotting is a planner-fork
+// operation, not a hot path.
 func (a *Allocator) Snapshot() *Snap {
 	s := &Snap{
 		refs:     append([]int32(nil), a.refs...),
@@ -675,20 +776,31 @@ func (a *Allocator) Snapshot() *Snap {
 }
 
 // Restore rewinds the allocator, in place, to a snapshot it produced
-// earlier. Existing backing arrays are reused; the snapshot's storage
-// is never adopted, so one snapshot supports any number of restores.
+// earlier — including its high-water marks and prefix-index size, so
+// it works whether the allocator has since grown or been Reset.
+// Existing backing arrays are reused; the snapshot's storage is never
+// adopted, so one snapshot supports any number of restores.
 func (a *Allocator) Restore(s *Snap) {
-	copy(a.refs, s.refs)
-	copy(a.hashes, s.hashes)
-	copy(a.inCache, s.inCache)
-	copy(a.next, s.next)
-	copy(a.prev, s.prev)
+	a.refs = append(a.refs[:0], s.refs...)
+	a.hashes = append(a.hashes[:0], s.hashes...)
+	a.inCache = append(a.inCache[:0], s.inCache...)
+	a.next = append(a.next[:0], s.next...)
+	a.prev = append(a.prev[:0], s.prev...)
 	a.free = append(a.free[:0], s.free...)
 	a.idleHead = s.idleHead
 	a.idleTail = s.idleTail
 	a.idleCount = s.idleCnt
-	copy(a.tabKeys, s.tabKeys)
-	copy(a.tabVals, s.tabVals)
+	a.tabKeys = append(a.tabKeys[:0], s.tabKeys...)
+	a.tabVals = append(a.tabVals[:0], s.tabVals...)
+	if a.prefix {
+		a.tabMask = uint64(len(a.tabKeys) - 1)
+	}
+	// Reslice within capacity so slots above the current mark keep
+	// their block lists.
+	if n := len(s.seqs); n > cap(a.seqs) {
+		a.seqs = append(a.seqs[:cap(a.seqs)], make([]seqState, n-cap(a.seqs))...)
+	}
+	a.seqs = a.seqs[:len(s.seqs)]
 	for i := range a.seqs {
 		a.seqs[i].blocks = append(a.seqs[i].blocks[:0], s.seqs[i].blocks...)
 		a.seqs[i].tokens = s.seqs[i].tokens

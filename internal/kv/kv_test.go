@@ -1,6 +1,9 @@
 package kv
 
 import (
+	"math"
+	"runtime"
+	"slices"
 	"testing"
 
 	"litegpu/internal/mathx"
@@ -43,6 +46,9 @@ func TestConfigParseStringRoundTrip(t *testing.T) {
 }
 
 func TestConfigValidate(t *testing.T) {
+	// Computed at run time so the row also builds where int is 32 bits
+	// (the conversion then wraps negative, which is rejected too).
+	overInt32 := int64(math.MaxInt32) + 1
 	cases := []struct {
 		c  Config
 		ok bool
@@ -56,6 +62,9 @@ func TestConfigValidate(t *testing.T) {
 		{Config{Policy: Recompute, Blocks: -5}, false},
 		{Config{BlockTokens: 16}, false}, // parameters without a policy
 		{Config{PrefixCache: true}, false},
+		// Block ids are int32.
+		{Config{Policy: Recompute, Blocks: math.MaxInt32}, true},
+		{Config{Policy: Recompute, Blocks: int(overInt32)}, false},
 	}
 	for _, tc := range cases {
 		if err := tc.c.Validate(); (err == nil) != tc.ok {
@@ -406,5 +415,162 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state allocator allocated %.1f times per cycle, want 0", allocs)
+	}
+}
+
+// TestHandOutOrder pins which block and which handle each claim gets:
+// block 0 first, reclaimed blocks reused LIFO before any never-used
+// one, and the same for sequence slots — the order a stack pre-filled
+// with every block would give — and the same again after Reset.
+func TestHandOutOrder(t *testing.T) {
+	a := NewAllocator(8, 4, false)
+	for round := 0; round < 2; round++ {
+		id0, _, _, _ := a.Alloc(12, 0, 0) // blocks 0, 1, 2
+		id1, _, _, _ := a.Alloc(4, 0, 0)  // block 3
+		if id0 != 0 || id1 != 1 {
+			t.Fatalf("round %d: handles %d, %d; want 0, 1", round, id0, id1)
+		}
+		a.Free(id0) // pushes 0, 1, 2
+		id2, _, _, _ := a.Alloc(16, 0, 0)
+		if id2 != 0 {
+			t.Fatalf("round %d: reused handle %d, want 0", round, id2)
+		}
+		if got, want := a.seqs[id2].blocks, []int32{2, 1, 0, 4}; !slices.Equal(got, want) {
+			t.Fatalf("round %d: blocks %v, want %v", round, got, want)
+		}
+		id3, _, _, _ := a.Alloc(4, 0, 0)
+		if id3 != 2 || a.seqs[id3].blocks[0] != 5 {
+			t.Fatalf("round %d: handle %d block %d, want handle 2 block 5", round, id3, a.seqs[id3].blocks[0])
+		}
+		a.Reset()
+	}
+}
+
+// hwScript drives a fixed op sequence — prefix-sharing admissions that
+// run the pool dry, grows across block boundaries, frees, evictions of
+// idle cached blocks — and records every return value and the block
+// accounting after each op.
+func hwScript(a *Allocator, live []SeqID) []int {
+	var out []int
+	rec := func(v ...int) {
+		out = append(out, v...)
+		out = append(out, a.FreeBlocks(), a.IdleBlocks(), a.InUse())
+	}
+	b2i := func(b bool) int {
+		if b {
+			return 1
+		}
+		return 0
+	}
+	live = append([]SeqID(nil), live...)
+	for i := 0; i < 400; i++ {
+		switch {
+		case i%5 == 4 && len(live) > 0:
+			a.Free(live[0])
+			live = live[1:]
+			rec(-1)
+		case i%7 == 3 && len(live) > 0:
+			id := live[len(live)-1]
+			for g := 0; g < 9; g++ {
+				rec(-2, b2i(a.Grow(id)))
+			}
+		default:
+			id, hits, lookups, ok := a.Alloc(40+i%50, uint64(i%23+1), 32+i%40)
+			rec(int(id), hits, lookups, b2i(ok))
+			if ok {
+				live = append(live, id)
+			}
+		}
+	}
+	return out
+}
+
+// TestSnapshotRestoreAcrossHighWater pins Snapshot/Restore against the
+// growing per-block arrays and prefix index: a snapshot taken while few
+// blocks had been handed out must restore — into an allocator that has
+// since grown through several index doublings, and into one that has
+// been Reset — to a state that replays an op script exactly like the
+// allocator that never grew.
+func TestSnapshotRestoreAcrossHighWater(t *testing.T) {
+	setup := func(a *Allocator) []SeqID {
+		id1, _, _, _ := a.Alloc(20, 0x5, 16)
+		id2, _, _, _ := a.Alloc(12, 0x6, 12)
+		id3, _, _, _ := a.Alloc(9, 0x5, 8)
+		a.Free(id2) // parks prefix 0x6's blocks idle
+		a.Grow(id3)
+		return []SeqID{id1, id3}
+	}
+	const blocks, blockTokens = 1000, 4
+	ref := NewAllocator(blocks, blockTokens, true)
+	want := hwScript(ref, setup(ref))
+	if len(ref.refs) != blocks {
+		t.Fatalf("script handed out %d of %d blocks; it must run the pool dry", len(ref.refs), blocks)
+	}
+
+	a := NewAllocator(blocks, blockTokens, true)
+	live := setup(a)
+	snap := a.Snapshot()
+	mark, index := len(a.refs), len(a.tabKeys)
+
+	// Hand out most of the budget under distinct prefixes: the index
+	// must double several times.
+	for i := 0; ; i++ {
+		if _, _, _, ok := a.Alloc(64, uint64(1000+i), 64); !ok {
+			break
+		}
+	}
+	if len(a.refs) <= 16*mark || len(a.tabKeys) < 16*index {
+		t.Fatalf("growth phase too small: mark %d → %d, index %d → %d",
+			mark, len(a.refs), index, len(a.tabKeys))
+	}
+
+	for pass := 0; pass < 2; pass++ {
+		a.Restore(snap)
+		checkConservation(t, a)
+		if len(a.refs) != mark {
+			t.Fatalf("pass %d: restored mark %d, want %d", pass, len(a.refs), mark)
+		}
+		if got := hwScript(a, live); !slices.Equal(got, want) {
+			t.Fatalf("pass %d: replay after restore diverged from the never-grown allocator", pass)
+		}
+	}
+
+	a.Reset()
+	a.Restore(snap)
+	if got := hwScript(a, live); !slices.Equal(got, want) {
+		t.Fatal("replay after Reset+Restore diverged from the never-grown allocator")
+	}
+}
+
+// TestAllocatorMemoryFollowsUse pins that an allocator's memory follows
+// the blocks it hands out, not its budget: a million-block pool that
+// only ever holds a few hundred blocks must cost well under a megabyte.
+func TestAllocatorMemoryFollowsUse(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	a := NewAllocator(1<<20, 16, true)
+	for cycle := 0; cycle < 4; cycle++ {
+		var ids [8]SeqID
+		for j := range ids {
+			id, _, _, ok := a.Alloc(500, uint64(j%3+1), 256)
+			if !ok {
+				t.Fatal("admission failed with ample blocks")
+			}
+			ids[j] = id
+		}
+		for _, id := range ids {
+			for g := 0; g < 40; g++ {
+				a.Grow(id)
+			}
+		}
+		for _, id := range ids {
+			a.Free(id)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(a)
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Fatalf("a %d-block allocator holding ≤%d blocks allocated %d bytes, want < 1 MiB",
+			a.Total(), len(a.refs), d)
 	}
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"litegpu/internal/hw"
@@ -34,6 +35,7 @@ func convTrace(t *testing.T, rate float64, seed uint64, horizon units.Seconds) [
 // parameters: block knobs without a policy are a misconfiguration, not
 // a silent no-op.
 func TestKVConfigValidation(t *testing.T) {
+	overInt32 := int64(math.MaxInt32) + 1 // wraps negative where int is 32 bits: still rejected
 	bad := []kv.Config{
 		{Policy: kv.Policy(7)},
 		{BlockTokens: 16},   // knobs without a policy
@@ -41,6 +43,7 @@ func TestKVConfigValidation(t *testing.T) {
 		{Blocks: 100},       // ditto
 		{Policy: kv.Recompute, BlockTokens: -1},
 		{Policy: kv.Recompute, Blocks: -1},
+		{Policy: kv.Recompute, Blocks: int(overInt32)}, // block ids are int32
 	}
 	for i, kc := range bad {
 		cfg := smallConfig()
@@ -53,6 +56,32 @@ func TestKVConfigValidation(t *testing.T) {
 	good.KV = kv.Config{Policy: kv.Swap, BlockTokens: 32, PrefixCache: true, Blocks: 500}
 	if err := good.Validate(); err != nil {
 		t.Errorf("good kv config rejected: %v", err)
+	}
+}
+
+// TestKVBlockBudgetOverflowIsAnError pins that a block budget beyond
+// int32 block ids — explicit (the CLI's -kv-blocks) or derived from a
+// huge HBM capacity — is a configuration error returned before any
+// allocator is built, never a panic or an attempt to size one.
+func TestKVBlockBudgetOverflowIsAnError(t *testing.T) {
+	huge := int64(3_000_000_000)
+	explicit := smallConfig()
+	explicit.KV = kv.Config{Policy: kv.Recompute, Blocks: int(huge)}
+	if err := explicit.Validate(); err == nil {
+		t.Fatal("Validate accepted a 3e9-block budget")
+	}
+	if _, err := Run(explicit, oneRequest(64, 8), 10); err == nil {
+		t.Fatal("Run accepted a 3e9-block budget")
+	}
+
+	derived := smallConfig()
+	derived.KV = kv.Config{Policy: kv.Recompute}
+	derived.GPU.Capacity *= 1e5 // ~6.9e9 blocks of Llama3-8B KV
+	if err := derived.Validate(); err != nil {
+		t.Fatalf("Validate rejected the huge-HBM config itself: %v", err)
+	}
+	if _, err := Run(derived, oneRequest(64, 8), 10); err == nil || !strings.Contains(err.Error(), "int32") {
+		t.Fatalf("Run with a derived budget beyond int32 block ids: err %v", err)
 	}
 }
 

@@ -31,6 +31,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 
 	"litegpu/internal/hw"
 	"litegpu/internal/inference"
@@ -429,7 +430,9 @@ func pickSLO(v units.Seconds, def units.Seconds) units.Seconds {
 // allocator at tensor-parallel degree gpus: HBM capacity net of the
 // instance's weight shard, divided by the per-block KV footprint. An
 // explicit Config.KV.Blocks overrides the derivation (tests and studies
-// use it to force memory pressure independent of the hardware).
+// use it to force memory pressure independent of the hardware). A
+// derived budget beyond int32 block ids is an error, like an explicit
+// one (kv.Config.Validate).
 func kvBlocksPerInstance(cfg Config, gpus int) (int, error) {
 	if cfg.KV.Blocks > 0 {
 		return cfg.KV.Blocks, nil
@@ -447,7 +450,12 @@ func kvBlocksPerInstance(cfg Config, gpus int) (int, error) {
 	perBlock := float64(cfg.KV.BlockTokensOrDefault()) * float64(cfg.Model.ShardKVBytesPerToken(shard))
 	blocks := 0
 	if free > 0 && perBlock > 0 {
-		blocks = int(free / perBlock)
+		n := free / perBlock
+		if n > math.MaxInt32 {
+			return 0, fmt.Errorf("serve: %.0f KV blocks on a %d-GPU %s instance overflow int32 block ids",
+				n, gpus, cfg.GPU.Name)
+		}
+		blocks = int(n)
 	}
 	if blocks <= 0 {
 		return 0, fmt.Errorf("serve: no KV blocks fit on a %d-GPU %s instance after %s weights",
