@@ -900,6 +900,35 @@ func BenchmarkKVAllocator(b *testing.B) {
 	}
 }
 
+// BenchmarkKVAllocatorBuild measures an allocator's set-up cost at a
+// real HBM-derived budget — 68,635 blocks, one H100 running Llama3-8B —
+// with the prefix cache on, plus one short admit/grow/free lifecycle.
+// A sweep builds one allocator per instance per cell, so B/op here is
+// what per-cell set-up pays for KV bookkeeping; it should follow the
+// blocks the lifecycle touches, not the budget.
+func BenchmarkKVAllocatorBuild(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		a := kv.NewAllocator(68635, 16, true)
+		var ids [8]kv.SeqID
+		for j := range ids {
+			id, _, _, ok := a.Alloc(700, uint64(j%3+1), 512)
+			if !ok {
+				b.Fatal("admission failed with ample blocks")
+			}
+			ids[j] = id
+		}
+		for _, id := range ids {
+			for g := 0; g < 32; g++ {
+				if !a.Grow(id) {
+					b.Fatal("grow failed with ample blocks")
+				}
+			}
+			a.Free(id)
+		}
+	}
+}
+
 // benchPagedConfig is the memory-scarce deployment the paged serving
 // benchmark runs: a single H100 prefill + decode pair on Llama3-8B with
 // a 600-block budget — the regime where admission gating, prefix
