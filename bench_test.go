@@ -812,17 +812,16 @@ func BenchmarkClusterShardedSequentialBaseline(b *testing.B) {
 	}
 }
 
-// benchFailurePlanRequest is the availability-aware capacity search the
-// snapshot-reuse benchmarks run: a five-nines target makes the planner
-// re-evaluate the winning deployment with spares, so the fork either
-// resumes from the first failure or skips the replay outright when the
-// sizing window saw none.
-func benchFailurePlanRequest(b *testing.B) CapacityRequest {
+// BenchmarkPlanCapacityFailures measures the availability-aware planner
+// at paper AFRs, where no failure fires inside the horizon: the winning
+// sizing run's FailureEvents is 0, so its metrics are kept and the
+// five-nines spare count costs no re-simulation.
+func BenchmarkPlanCapacityFailures(b *testing.B) {
 	m, ok := ModelByName("Llama3-8B")
 	if !ok {
 		b.Fatal("model catalog missing Llama3-8B")
 	}
-	return CapacityRequest{
+	req := CapacityRequest{
 		GPU:      H100(),
 		Model:    m,
 		Opts:     DefaultOptions(),
@@ -831,31 +830,6 @@ func benchFailurePlanRequest(b *testing.B) CapacityRequest {
 		Drain:    60,
 		Failures: ServeFailureConfig{Enabled: true, Seed: 5},
 	}
-}
-
-// BenchmarkPlanCapacityFailures measures the availability-aware planner
-// with snapshot reuse (the default): sizing runs freeze the simulation
-// at their first failure, and each spare count resumes from that fork
-// instead of replaying from t=0.
-func BenchmarkPlanCapacityFailures(b *testing.B) {
-	req := benchFailurePlanRequest(b)
-	slo := CapacitySLO{MinAvailability: 0.99999}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := PlanCapacityRequest(req, slo); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPlanCapacityFailuresNoReuse is the same search with
-// NoSnapshotReuse set: every spare count replays its full run from
-// t=0. The two return byte-identical plans (see
-// TestPlanSnapshotReuseInvariance); the ratio is the snapshot win.
-func BenchmarkPlanCapacityFailuresNoReuse(b *testing.B) {
-	req := benchFailurePlanRequest(b)
-	req.NoSnapshotReuse = true
 	slo := CapacitySLO{MinAvailability: 0.99999}
 	b.ReportAllocs()
 	b.ResetTimer()

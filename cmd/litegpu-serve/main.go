@@ -277,6 +277,15 @@ func main() {
 		if *dropOnFailure {
 			failures.Policy = litegpu.DropOnFailure
 		}
+	} else {
+		// The failure knobs only shape an injected failure process:
+		// reject explicit settings rather than silently ignore them.
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "spares", "failure-timescale", "drop-on-failure":
+				fatalf("-%s requires -afr", f.Name)
+			}
+		})
 	}
 	var schedPolicies []litegpu.SchedulerPolicy
 	if *scheduler == "auto" {

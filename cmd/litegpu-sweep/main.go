@@ -231,6 +231,14 @@ func main() {
 				TimeScale: *timescale,
 			}},
 		}
+	} else {
+		// Without a failure axis these knobs have nothing to shape.
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "spares", "failure-timescale":
+				fatalf("-%s requires -afr", f.Name)
+			}
+		})
 	}
 
 	if *probeOut != "" && *probeInterval <= 0 {

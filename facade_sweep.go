@@ -322,9 +322,9 @@ type CapacityPlan = serve.Plan
 // CapacityRequest is the full capacity-search parameterization (GPU,
 // model, workload, horizon, per-instance TP degrees, batch caps, search
 // ceiling); see serve.PlanRequest for field semantics and defaults.
-// Availability-aware searches reuse a first-failure snapshot across
-// spare counts by default; NoSnapshotReuse restores the full-replay
-// path (the chosen plan is byte-identical either way).
+// Availability-aware searches re-simulate the chosen deployment at its
+// spare count only when its sizing run saw a failure; otherwise the
+// sizing run already is that run and is reported as is.
 type CapacityRequest = serve.PlanRequest
 
 // PlanCapacityRequest runs the capacity planner with full control over

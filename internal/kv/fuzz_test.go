@@ -35,24 +35,6 @@ func newRef(blocks, blockTokens int, prefix bool) *refAllocator {
 
 func (r *refAllocator) inUse() int { return r.total - r.free - len(r.idle) }
 
-// clone deep-copies the reference, so a saved copy survives any number
-// of later restores.
-func (r *refAllocator) clone() *refAllocator {
-	c := *r
-	c.idle = append([]uint64(nil), r.idle...)
-	c.cache = make(map[uint64]int, len(r.cache))
-	for k, v := range r.cache {
-		c.cache[k] = v
-	}
-	c.seqs = make(map[int]*refSeq, len(r.seqs))
-	for id, s := range r.seqs {
-		cs := *s
-		cs.shared = append([]uint64(nil), s.shared...)
-		c.seqs[id] = &cs
-	}
-	return &c
-}
-
 // obtain takes one reclaimable block: free stack first, then evict the
 // oldest idle cached block.
 func (r *refAllocator) obtain() bool {
@@ -165,16 +147,15 @@ func (r *refAllocator) freeSeq(id int) {
 	delete(r.seqs, id)
 }
 
-// FuzzKVAllocator drives random alloc/grow/free/reset/snapshot/restore
-// sequences through the real allocator and the naive reference in
-// lockstep, comparing every return value and the full block accounting
-// after every operation.
+// FuzzKVAllocator drives random alloc/grow/free/reset sequences through
+// the real allocator and the naive reference in lockstep, comparing
+// every return value and the full block accounting after every
+// operation.
 func FuzzKVAllocator(f *testing.F) {
 	f.Add([]byte{0, 0, 40, 1, 60, 0, 0, 10, 2, 8, 1, 0, 2, 5, 3, 0})
 	f.Add([]byte{1, 0, 255, 1, 255, 0, 100, 3, 200, 1, 1, 2, 30, 1, 0})
 	f.Add([]byte{1, 0, 17, 2, 16, 0, 17, 2, 16, 1, 0, 0, 17, 2, 16})
-	// Snapshot with few blocks handed out, grow past the arrays' first
-	// capacity, restore, diverge, restore again.
+	// Hand out a few blocks, then grow past the arrays' first capacity.
 	f.Add([]byte{1, 0, 17, 2, 16, 7, 1, 0, 0, 0, 120, 3, 120, 1, 90, 4, 64,
 		4, 0, 31, 0, 7, 2, 0, 0, 2, 40, 3, 40, 6, 0, 0, 0, 7, 2, 0, 0, 0, 17, 2, 16})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -191,11 +172,6 @@ func FuzzKVAllocator(f *testing.F) {
 			ref  int
 		}
 		var live []pair
-		var (
-			snap     *Snap
-			refSnap  *refAllocator
-			liveSnap []pair
-		)
 		check := func() {
 			t.Helper()
 			if a.FreeBlocks() != r.free || a.IdleBlocks() != len(r.idle) || a.InUse() != r.inUse() {
@@ -247,14 +223,6 @@ func FuzzKVAllocator(f *testing.F) {
 				a.Reset()
 				r = newRef(blocks, blockTokens, prefix)
 				live = live[:0]
-			case op == 7 && data[1] == 1: // snapshot
-				snap = a.Snapshot()
-				refSnap = r.clone()
-				liveSnap = append(liveSnap[:0], live...)
-			case op == 7 && data[1] == 2 && snap != nil: // restore
-				a.Restore(snap)
-				r = refSnap.clone()
-				live = append(live[:0], liveSnap...)
 			}
 			check()
 			data = data[4:]

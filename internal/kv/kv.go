@@ -724,87 +724,3 @@ func (a *Allocator) Free(id SeqID) {
 	s.live = false
 	a.freeSeqs = append(a.freeSeqs, int32(id))
 }
-
-// Snapshot / Restore ---------------------------------------------------------
-
-// Snap is a deep copy of an Allocator's mutable state, opaque to
-// callers; see Snapshot.
-type Snap struct {
-	refs     []int32
-	hashes   []uint64
-	inCache  []bool
-	next     []int32
-	prev     []int32
-	free     []int32
-	idleHead int32
-	idleTail int32
-	idleCnt  int
-	tabKeys  []uint64
-	tabVals  []int32
-	seqs     []seqState
-	freeSeqs []int32
-}
-
-// Snapshot deep-copies the allocator's mutable state — only the blocks
-// and sequence slots below the high-water marks, since nothing above
-// them holds state. It allocates — snapshotting is a planner-fork
-// operation, not a hot path.
-func (a *Allocator) Snapshot() *Snap {
-	s := &Snap{
-		refs:     append([]int32(nil), a.refs...),
-		hashes:   append([]uint64(nil), a.hashes...),
-		inCache:  append([]bool(nil), a.inCache...),
-		next:     append([]int32(nil), a.next...),
-		prev:     append([]int32(nil), a.prev...),
-		free:     append([]int32(nil), a.free...),
-		idleHead: a.idleHead,
-		idleTail: a.idleTail,
-		idleCnt:  a.idleCount,
-		tabKeys:  append([]uint64(nil), a.tabKeys...),
-		tabVals:  append([]int32(nil), a.tabVals...),
-		seqs:     make([]seqState, len(a.seqs)),
-		freeSeqs: append([]int32(nil), a.freeSeqs...),
-	}
-	for i := range a.seqs {
-		s.seqs[i] = seqState{
-			blocks: append([]int32(nil), a.seqs[i].blocks...),
-			tokens: a.seqs[i].tokens,
-			live:   a.seqs[i].live,
-		}
-	}
-	return s
-}
-
-// Restore rewinds the allocator, in place, to a snapshot it produced
-// earlier — including its high-water marks and prefix-index size, so
-// it works whether the allocator has since grown or been Reset.
-// Existing backing arrays are reused; the snapshot's storage is never
-// adopted, so one snapshot supports any number of restores.
-func (a *Allocator) Restore(s *Snap) {
-	a.refs = append(a.refs[:0], s.refs...)
-	a.hashes = append(a.hashes[:0], s.hashes...)
-	a.inCache = append(a.inCache[:0], s.inCache...)
-	a.next = append(a.next[:0], s.next...)
-	a.prev = append(a.prev[:0], s.prev...)
-	a.free = append(a.free[:0], s.free...)
-	a.idleHead = s.idleHead
-	a.idleTail = s.idleTail
-	a.idleCount = s.idleCnt
-	a.tabKeys = append(a.tabKeys[:0], s.tabKeys...)
-	a.tabVals = append(a.tabVals[:0], s.tabVals...)
-	if a.prefix {
-		a.tabMask = uint64(len(a.tabKeys) - 1)
-	}
-	// Reslice within capacity so slots above the current mark keep
-	// their block lists.
-	if n := len(s.seqs); n > cap(a.seqs) {
-		a.seqs = append(a.seqs[:cap(a.seqs)], make([]seqState, n-cap(a.seqs))...)
-	}
-	a.seqs = a.seqs[:len(s.seqs)]
-	for i := range a.seqs {
-		a.seqs[i].blocks = append(a.seqs[i].blocks[:0], s.seqs[i].blocks...)
-		a.seqs[i].tokens = s.seqs[i].tokens
-		a.seqs[i].live = s.seqs[i].live
-	}
-	a.freeSeqs = append(a.freeSeqs[:0], s.freeSeqs...)
-}

@@ -285,44 +285,6 @@ func TestResetReturnsEverything(t *testing.T) {
 	checkConservation(t, a)
 }
 
-func TestSnapshotRestoreRoundTrip(t *testing.T) {
-	a := NewAllocator(8, 4, true)
-	id1, _, _, _ := a.Alloc(12, 0x7, 8)
-	id2, _, _, _ := a.Alloc(8, 0x7, 8)
-	a.Free(id1)
-	snap := a.Snapshot()
-	free, idle, inuse := a.FreeBlocks(), a.IdleBlocks(), a.InUse()
-	tok2 := a.SeqTokens(id2)
-
-	// Diverge: grow, free, allocate something else.
-	a.Grow(id2)
-	a.Free(id2)
-	a.Alloc(32, 0, 0)
-
-	a.Restore(snap)
-	if a.FreeBlocks() != free || a.IdleBlocks() != idle || a.InUse() != inuse {
-		t.Fatalf("restore mismatch: %d/%d/%d want %d/%d/%d",
-			a.FreeBlocks(), a.IdleBlocks(), a.InUse(), free, idle, inuse)
-	}
-	if a.SeqTokens(id2) != tok2 {
-		t.Fatalf("seq tokens %d want %d", a.SeqTokens(id2), tok2)
-	}
-	checkConservation(t, a)
-
-	// The same snapshot restores again after further divergence.
-	a.Free(id2)
-	a.Restore(snap)
-	if a.SeqTokens(id2) != tok2 {
-		t.Fatal("second restore from one snapshot failed")
-	}
-	// And the restored state behaves: free id2, everything reclaimable.
-	a.Free(id2)
-	if a.InUse() != 0 {
-		t.Fatalf("inuse %d after restored free", a.InUse())
-	}
-	checkConservation(t, a)
-}
-
 // TestRandomOpsConservation drives long random op sequences, checking
 // the conservation invariant after every single operation. Run under
 // -count=2 -race -shuffle=on in CI, where any hidden global state or
@@ -443,102 +405,6 @@ func TestHandOutOrder(t *testing.T) {
 			t.Fatalf("round %d: handle %d block %d, want handle 2 block 5", round, id3, a.seqs[id3].blocks[0])
 		}
 		a.Reset()
-	}
-}
-
-// hwScript drives a fixed op sequence — prefix-sharing admissions that
-// run the pool dry, grows across block boundaries, frees, evictions of
-// idle cached blocks — and records every return value and the block
-// accounting after each op.
-func hwScript(a *Allocator, live []SeqID) []int {
-	var out []int
-	rec := func(v ...int) {
-		out = append(out, v...)
-		out = append(out, a.FreeBlocks(), a.IdleBlocks(), a.InUse())
-	}
-	b2i := func(b bool) int {
-		if b {
-			return 1
-		}
-		return 0
-	}
-	live = append([]SeqID(nil), live...)
-	for i := 0; i < 400; i++ {
-		switch {
-		case i%5 == 4 && len(live) > 0:
-			a.Free(live[0])
-			live = live[1:]
-			rec(-1)
-		case i%7 == 3 && len(live) > 0:
-			id := live[len(live)-1]
-			for g := 0; g < 9; g++ {
-				rec(-2, b2i(a.Grow(id)))
-			}
-		default:
-			id, hits, lookups, ok := a.Alloc(40+i%50, uint64(i%23+1), 32+i%40)
-			rec(int(id), hits, lookups, b2i(ok))
-			if ok {
-				live = append(live, id)
-			}
-		}
-	}
-	return out
-}
-
-// TestSnapshotRestoreAcrossHighWater pins Snapshot/Restore against the
-// growing per-block arrays and prefix index: a snapshot taken while few
-// blocks had been handed out must restore — into an allocator that has
-// since grown through several index doublings, and into one that has
-// been Reset — to a state that replays an op script exactly like the
-// allocator that never grew.
-func TestSnapshotRestoreAcrossHighWater(t *testing.T) {
-	setup := func(a *Allocator) []SeqID {
-		id1, _, _, _ := a.Alloc(20, 0x5, 16)
-		id2, _, _, _ := a.Alloc(12, 0x6, 12)
-		id3, _, _, _ := a.Alloc(9, 0x5, 8)
-		a.Free(id2) // parks prefix 0x6's blocks idle
-		a.Grow(id3)
-		return []SeqID{id1, id3}
-	}
-	const blocks, blockTokens = 1000, 4
-	ref := NewAllocator(blocks, blockTokens, true)
-	want := hwScript(ref, setup(ref))
-	if len(ref.refs) != blocks {
-		t.Fatalf("script handed out %d of %d blocks; it must run the pool dry", len(ref.refs), blocks)
-	}
-
-	a := NewAllocator(blocks, blockTokens, true)
-	live := setup(a)
-	snap := a.Snapshot()
-	mark, index := len(a.refs), len(a.tabKeys)
-
-	// Hand out most of the budget under distinct prefixes: the index
-	// must double several times.
-	for i := 0; ; i++ {
-		if _, _, _, ok := a.Alloc(64, uint64(1000+i), 64); !ok {
-			break
-		}
-	}
-	if len(a.refs) <= 16*mark || len(a.tabKeys) < 16*index {
-		t.Fatalf("growth phase too small: mark %d → %d, index %d → %d",
-			mark, len(a.refs), index, len(a.tabKeys))
-	}
-
-	for pass := 0; pass < 2; pass++ {
-		a.Restore(snap)
-		checkConservation(t, a)
-		if len(a.refs) != mark {
-			t.Fatalf("pass %d: restored mark %d, want %d", pass, len(a.refs), mark)
-		}
-		if got := hwScript(a, live); !slices.Equal(got, want) {
-			t.Fatalf("pass %d: replay after restore diverged from the never-grown allocator", pass)
-		}
-	}
-
-	a.Reset()
-	a.Restore(snap)
-	if got := hwScript(a, live); !slices.Equal(got, want) {
-		t.Fatal("replay after Reset+Restore diverged from the never-grown allocator")
 	}
 }
 

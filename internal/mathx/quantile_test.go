@@ -168,9 +168,8 @@ func TestSelectRankDepthLimit(t *testing.T) {
 }
 
 // Summarize must leave its input's order alone: serve sums the same
-// E2E slice after summarizing it, and the planner's fork path assembles
-// the same pools twice, so a reordered input would change later
-// floating-point sums.
+// E2E slice after summarizing it, so a reordered input would change
+// later floating-point sums.
 func TestSummarizeDoesNotMutate(t *testing.T) {
 	r := NewRNG(11)
 	for _, in := range quantileInputs {

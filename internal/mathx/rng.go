@@ -47,16 +47,6 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// State returns the generator's internal state word. Together with
-// SetState it lets simulators snapshot and later restore a stream
-// mid-run (sim.Engine.Snapshot/Restore): SplitMix64's entire state is
-// one uint64, so a saved state replays the exact remaining sequence.
-func (r *RNG) State() uint64 { return r.state }
-
-// SetState rewinds (or fast-forwards) the generator to a state
-// previously obtained from State.
-func (r *RNG) SetState(state uint64) { r.state = state }
-
 // Split returns a new generator whose stream is independent of r's
 // continued output. It is used to give each simulated component its own
 // stream so that adding draws in one component does not perturb another.

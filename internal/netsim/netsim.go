@@ -295,51 +295,6 @@ func (f *Fabric) onDeliver(now float64, arg uint64) {
 	h(now, userArg)
 }
 
-// Snapshot is a frozen copy of a Fabric's transfer state, taken by
-// Fabric.Snapshot and replayed by Fabric.Restore. Like sim.Snapshot it
-// is only meaningful for in-place restore (same Fabric, same Engine,
-// same handler receivers), and it must be restored together with the
-// engine snapshot captured at the same instant — flow progress and the
-// delivery events booked for it describe one moment in simulated time.
-type Snapshot struct {
-	flows          []flow
-	free           []int32
-	active         []int32
-	pending        []int32
-	egBusy, inBusy []bool
-	delivered      int
-	bytesDelivered float64
-}
-
-// Snapshot returns a deep copy of the fabric's current transfer state.
-// Waterfill scratch buffers are excluded: they carry no state between
-// recomputations.
-func (f *Fabric) Snapshot() *Snapshot {
-	return &Snapshot{
-		flows:          append([]flow(nil), f.flows...),
-		free:           append([]int32(nil), f.free...),
-		active:         append([]int32(nil), f.active...),
-		pending:        append([]int32(nil), f.pending...),
-		egBusy:         append([]bool(nil), f.egBusy...),
-		inBusy:         append([]bool(nil), f.inBusy...),
-		delivered:      f.Delivered,
-		bytesDelivered: f.BytesDelivered,
-	}
-}
-
-// Restore rewinds the fabric to a snapshot taken from it earlier. The
-// snapshot is untouched and may be restored again.
-func (f *Fabric) Restore(s *Snapshot) {
-	f.flows = append(f.flows[:0], s.flows...)
-	f.free = append(f.free[:0], s.free...)
-	f.active = append(f.active[:0], s.active...)
-	f.pending = append(f.pending[:0], s.pending...)
-	copy(f.egBusy, s.egBusy)
-	copy(f.inBusy, s.inBusy)
-	f.Delivered = s.delivered
-	f.BytesDelivered = s.bytesDelivered
-}
-
 // schedule (re)books a flow's delivery event at its projected delivery
 // time: remaining serialization at the current rate, then the overhead
 // tail.

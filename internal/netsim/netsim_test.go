@@ -320,45 +320,3 @@ func TestSteadyStateAllocations(t *testing.T) {
 		})
 	}
 }
-
-// TestSnapshotRestoreReplay pins the fabric half of the simulation
-// fork: a snapshot taken with flows mid-flight (and contending, so
-// shares are non-trivial) must replay the exact delivery schedule when
-// the paired engine snapshot is restored — repeatedly, because the
-// snapshot is immutable.
-func TestSnapshotRestoreReplay(t *testing.T) {
-	eng := sim.New(7)
-	f := newFabric(t, eng, Params{Ports: []float64{100, 100, 100}, PathLatency: 1e-6})
-	var rec recorder
-	// Two flows share egress port 2; a third joins after the snapshot.
-	f.Start(0, 2, 1e6, 0, rec.handle, 1)
-	f.Start(1, 2, 2e6, 0, rec.handle, 2)
-	eng.RunBefore(5e3) // advance partway: both flows still in flight
-	if len(rec.at) != 0 {
-		t.Fatalf("flows finished before the snapshot; test is vacuous")
-	}
-
-	esnap := eng.Snapshot()
-	fsnap := f.Snapshot()
-	f.Start(0, 1, 5e5, 0, rec.handle, 3)
-	eng.Run(math.Inf(1))
-	wantAt := append([]float64(nil), rec.at...)
-	wantArgs := append([]uint64(nil), rec.args...)
-
-	for i := 0; i < 2; i++ {
-		eng.Restore(esnap)
-		f.Restore(fsnap)
-		rec.at, rec.args = nil, nil
-		f.Start(0, 1, 5e5, 0, rec.handle, 3)
-		eng.Run(math.Inf(1))
-		if len(rec.at) != len(wantAt) {
-			t.Fatalf("replay %d delivered %d flows, want %d", i, len(rec.at), len(wantAt))
-		}
-		for j := range wantAt {
-			if rec.at[j] != wantAt[j] || rec.args[j] != wantArgs[j] {
-				t.Fatalf("replay %d delivery %d = (%v, %d), want (%v, %d)",
-					i, j, rec.at[j], rec.args[j], wantAt[j], wantArgs[j])
-			}
-		}
-	}
-}

@@ -529,16 +529,6 @@ type clusterSim struct {
 	// network is off, and every fabric-charging site gates on that.
 	net NetworkConfig
 	fab *netsim.Fabric
-
-	// snapOnFail arms the planner's fork hook: the first failure event
-	// to fire captures the whole simulation state into snap (see
-	// snapshot.go) before any spare-shelf decision is made. Everything
-	// before that moment is byte-identical at any spare count — the
-	// spare shelf is only ever read inside failInstance — so the
-	// availability leg can fork from the snapshot instead of replaying
-	// the run from t=0.
-	snapOnFail bool
-	snap       *clusterSnap
 }
 
 // packArg encodes a (pool, instance) pair into a ScheduleCall arg word.
@@ -1138,14 +1128,6 @@ func (s *clusterSim) onRecover(now float64, arg uint64) {
 //
 //litegpu:hotpath
 func (s *clusterSim) failInstance(p *poolSim, id int, now float64) {
-	if s.snapOnFail && s.snap == nil {
-		// First failure: freeze the whole simulation before any
-		// spare-shelf state is consulted. The engine has already popped
-		// this event, so the snapshot pairs the post-pop calendar with
-		// the (pool, instance, time) needed to re-run this handler on
-		// restore. See snapshot.go.
-		s.takeSnapshot(p, id, now)
-	}
 	st := p.sched.state(id)
 	if !st.up {
 		return // stale event; down instances carry no failure clock
@@ -1269,8 +1251,7 @@ func assemblePools(pools []*poolSim, h float64) ClusterMetrics {
 			m.NetworkBoundFraction = p.netSec / poolE2E
 		}
 		// KV occupancy: close the time-weighted integral at the horizon
-		// without mutating the accumulators — the planner's fork path
-		// assembles the same pools twice.
+		// without mutating the accumulators.
 		m.KVPreemptions = p.kvPreempt
 		m.KVRecomputeTokens = p.kvRecompute
 		m.KVPeakBlocks = p.kvPeak
@@ -1292,7 +1273,7 @@ func assemblePools(pools []*poolSim, h float64) ClusterMetrics {
 		// above deliberately stay provisioned-fleet based — parked
 		// capacity is still paid for; MeanLiveInstances reports what was
 		// actually serving. Classes is rebuilt from the raw accumulators
-		// on every assemble (the planner's fork path assembles twice).
+		// on every assemble.
 		if p.scaleOn && h > 0 {
 			parked := 0.0
 			for id := p.scaleLo; id < p.scaleHi; id++ {

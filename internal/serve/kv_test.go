@@ -284,39 +284,6 @@ func TestKVSwapPricedOnFabric(t *testing.T) {
 	}
 }
 
-// TestKVSnapshotForkInvariance extends the snapshot contract to the
-// memory model: forking a failure run at its first failure with KV
-// pressure live (allocator state, reprefill queues, swap transfers in
-// flight) must be byte-identical to simulating the whole run from t=0.
-func TestKVSnapshotForkInvariance(t *testing.T) {
-	cfg := smallConfig()
-	cfg.KV = kv.Config{Policy: kv.Recompute, PrefixCache: true, Blocks: 500}
-	reqs := convTrace(t, 8.0, 3, 200)
-	f := acceleratedFailures(0)
-	m0, fork, err := runForkable(cfg, f, reqs, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fork.sim.snap == nil {
-		t.Fatal("accelerated failures fired no failure; fork test is vacuous")
-	}
-	if m0.KVPreemptions == 0 {
-		t.Fatal("fork scenario saw no KV pressure; test is vacuous")
-	}
-	for spares := 0; spares <= 2; spares++ {
-		fs := f
-		fs.Spares = spares
-		want, err := RunWithFailures(cfg, fs, reqs, 300)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := fork.runWithSpares(spares)
-		if fmt.Sprintf("%x", got) != fmt.Sprintf("%x", want) {
-			t.Errorf("spares=%d: fork resume diverges from full run\ngot:  %x\nwant: %x", spares, got, want)
-		}
-	}
-}
-
 // TestKVPlanPolicyAxis pins the planner's memory axis: a KVPolicies
 // list sizes every candidate independently and the winning plan
 // carries its kv config, exactly as the fabric axis does.

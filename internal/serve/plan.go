@@ -170,15 +170,6 @@ type PlanRequest struct {
 	// MaxSpares caps the spare search (default 16).
 	MaxSpares int
 
-	// NoSnapshotReuse disables the planner's snapshot/fork reuse: with
-	// failure injection enabled, the availability leg normally replays
-	// only the post-first-failure suffix of the winning candidate's
-	// sizing run at the chosen spare count (or skips the re-simulation
-	// entirely when no failure fired), instead of re-running it from
-	// t=0. The chosen plan and its metrics are byte-identical either
-	// way — this switch exists for A/B verification and benchmarking.
-	NoSnapshotReuse bool
-
 	// Workers caps the planner's worker pool (0 = GOMAXPROCS, 1 =
 	// sequential). Candidate policies are sized concurrently, and within
 	// each policy the doubling phase probes up to Workers ladder points
@@ -465,14 +456,7 @@ func planPolicy(req PlanRequest, slo SLO, pol SchedulerPolicy, nc NetworkConfig,
 	type attemptResult struct {
 		m  Metrics
 		ok bool
-		// fork is the sizing run's snapshot/fork handle, kept when
-		// failure injection is on and reuse is enabled: if this point
-		// wins the search, the availability leg replays its post-failure
-		// suffix at the chosen spare count instead of re-simulating from
-		// t=0 (see snapshot.go).
-		fork *failureFork
 	}
-	forkable := req.Failures.Enabled && !req.NoSnapshotReuse
 	evalPoint := func(p, d int) (attemptResult, error) {
 		cfg := baseCfg
 		if pol.Colocated() {
@@ -480,16 +464,7 @@ func planPolicy(req PlanRequest, slo SLO, pol SchedulerPolicy, nc NetworkConfig,
 		} else {
 			cfg.PrefillInstances, cfg.DecodeInstances = p, d
 		}
-		var m Metrics
-		var fork *failureFork
-		var err error
-		if forkable {
-			f := req.Failures
-			f.Spares = 0
-			m, fork, err = runForkable(cfg, f, reqs, simHorizon)
-		} else {
-			m, err = planSim(cfg, req, 0, reqs, simHorizon)
-		}
+		m, err := planSim(cfg, req, 0, reqs, simHorizon)
 		if err != nil {
 			return attemptResult{}, err
 		}
@@ -498,7 +473,7 @@ func planPolicy(req PlanRequest, slo SLO, pol SchedulerPolicy, nc NetworkConfig,
 			m.TBTAttainment >= slo.TBTAttainment &&
 			m.Arrived > 0 &&
 			float64(m.Completed) >= slo.MinCompletion*float64(m.Arrived)
-		return attemptResult{m: m, ok: ok, fork: fork}, nil
+		return attemptResult{m: m, ok: ok}, nil
 	}
 
 	// rung records one sizing decision in the candidate's trace.
@@ -685,14 +660,11 @@ func planPolicy(req PlanRequest, slo SLO, pol SchedulerPolicy, nc NetworkConfig,
 		plan.Availability = availAt(spares)
 		plan.TotalGPUs += spares
 		// Re-simulate the final deployment with its spare shelf so the
-		// reported metrics include the takeover dynamics. With reuse
-		// enabled the winning sizing run already simulated everything up
-		// to its first failure, so only the suffix replays (and a run
-		// that saw no failure is reused outright) — byte-identical to
-		// the full re-simulation either way.
-		if fk := tried[[2]int{pMin, dMin}].fork; fk != nil {
-			plan.Metrics = fk.runWithSpares(spares)
-		} else {
+		// reported metrics include the takeover dynamics. The shelf is
+		// only read inside failInstance and repairDone, so when the
+		// zero-spare sizing run saw no failure it already is the run at
+		// any spare count and is kept as is.
+		if m.FailureEvents > 0 {
 			plan.Metrics, err = planSim(plan.Config, req, spares, reqs, simHorizon)
 			if err != nil {
 				return Plan{}, err

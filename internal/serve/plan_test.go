@@ -1,12 +1,14 @@
 package serve
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"litegpu/internal/hw"
 	"litegpu/internal/inference"
+	"litegpu/internal/kv"
 	"litegpu/internal/model"
 	"litegpu/internal/straggler"
 	"litegpu/internal/trace"
@@ -178,6 +180,61 @@ func TestPlanCapacityAvailabilityAware(t *testing.T) {
 	// available but the field must be populated.
 	if plan.Metrics.Availability <= 0 {
 		t.Error("availability-aware plan metrics missing Availability")
+	}
+}
+
+// TestPlanMetricsMatchDirectRun is the availability leg's contract: a
+// plan's metrics are exactly those of simulating its deployment from
+// t=0 with its chosen spare shelf, whether the planner kept a
+// failure-free sizing run or re-simulated after a failure.
+func TestPlanMetricsMatchDirectRun(t *testing.T) {
+	paper := planRequest(20)
+	paper.Failures = FailureConfig{Enabled: true, Seed: 5}
+	accel := planRequest(20)
+	accel.Failures = acceleratedFailures(0)
+	accel.Failures.TimeScale = 3e6
+	accelKV := accel
+	accelKV.KV = kv.Config{Policy: kv.Recompute, PrefixCache: true, Blocks: 1500}
+	rows := []struct {
+		name     string
+		req      PlanRequest
+		slo      SLO
+		failures bool // whether the winning sizing run saw a failure
+		kv       bool // whether the run must see KV preemptions
+	}{
+		{"reuse", paper, SLO{MinAvailability: 0.99999}, false, false},
+		{"resimulate", accel, SLO{MinAvailability: 0.99}, true, false},
+		{"resimulate-kv", accelKV, SLO{MinAvailability: 0.99}, true, true},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			plan, err := PlanCapacity(row.req, row.slo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := plan.Metrics.FailureEvents > 0; got != row.failures {
+				t.Fatalf("FailureEvents = %d; row expects failures=%v, so the branch under test was not taken",
+					plan.Metrics.FailureEvents, row.failures)
+			}
+			if row.kv && plan.Metrics.KVPreemptions == 0 {
+				t.Fatal("no KV preemptions; the memory model is not under pressure")
+			}
+			reqs, err := row.req.Workload.Generate(row.req.Horizon)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := row.req.Failures
+			f.Spares = plan.Spares
+			want, err := RunWithFailures(plan.Config, f, reqs, row.req.Horizon+row.req.Drain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", plan.Metrics); got != fmt.Sprintf("%x", want) {
+				t.Errorf("plan metrics (spares=%d) differ from a direct run:\nplan:   %s\ndirect: %x", plan.Spares, got, want)
+			}
+			t.Logf("spares=%d failures=%d gpus=%d preemptions=%d",
+				plan.Spares, plan.Metrics.FailureEvents, plan.TotalGPUs, plan.Metrics.KVPreemptions)
+		})
 	}
 }
 

@@ -136,13 +136,4 @@ type scheduler interface {
 	// busy returns accumulated (prefill, decode) busy-seconds, summed in
 	// stable instance order so metric assembly stays byte-deterministic.
 	busy() (prefill, decode float64)
-	// snapshot deep-copies the scheduler's mutable state, appending the
-	// (pointer, value) pair of every live activeReq it owns to reqs; the
-	// returned value is opaque to the caller and only meaningful to this
-	// scheduler's restore. See snapshot.go.
-	snapshot(reqs []savedReq) (snap any, out []savedReq)
-	// restore rewinds the scheduler, in place, to a snapshot it produced
-	// earlier. activeReq and failRNG pointer identity is preserved;
-	// restore never adopts the snapshot's backing storage.
-	restore(snap any)
 }

@@ -11,11 +11,10 @@ import (
 // stepCost prices an instance's prefill passes and decode steps at one
 // tensor-parallel degree from the analytical stage model
 // (internal/inference). Prices are pure functions of their inputs, so
-// they are memoized in slice-indexed tables on first use and excluded
-// from snapshots. A pass that cannot fit the instance's memory is
-// reported as infeasible, not priced. This is the one seam between the
-// schedulers and step timing: a batch-composition-aware roofline would
-// replace the prices here.
+// they are memoized in slice-indexed tables on first use. A pass that
+// cannot fit the instance's memory is reported as infeasible, not
+// priced. This is the one seam between the schedulers and step timing:
+// a batch-composition-aware roofline would replace the prices here.
 type stepCost struct {
 	gpu  hw.GPU
 	mdl  model.Transformer

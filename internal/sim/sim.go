@@ -239,58 +239,6 @@ func (e *Engine) fireTop() {
 	h(top.at, arg)
 }
 
-// Snapshot is a frozen copy of an Engine's complete state — clock,
-// insertion counter, calendar (heap, slab with slot generations, free
-// list), and RNG stream — taken by Engine.Snapshot and replayed by
-// Engine.Restore. It is immutable after capture: restoring never
-// mutates the snapshot, so one snapshot supports any number of forks.
-//
-// Handler values are copied as-is. A snapshot is therefore only
-// meaningful for in-place restore — Restore on the same Engine whose
-// simulator objects (the handler receivers) still exist. That is
-// exactly the planner's fork pattern: run, snapshot at the divergence
-// point, finish the run, restore, perturb one input, run again.
-type Snapshot struct {
-	now   float64
-	seq   uint64
-	fired uint64
-	heap  []heapEnt
-	slab  []event
-	free  []int32
-	rng   uint64
-}
-
-// Now returns the snapshot's frozen clock.
-func (s *Snapshot) Now() float64 { return s.now }
-
-// Snapshot returns a deep copy of the engine's current state. Slot
-// generations are included, so EventIDs held by the simulator remain
-// valid (or correctly stale) after a Restore.
-func (e *Engine) Snapshot() *Snapshot {
-	return &Snapshot{
-		now:   e.now,
-		seq:   e.seq,
-		fired: e.fired,
-		heap:  append([]heapEnt(nil), e.heap...),
-		slab:  append([]event(nil), e.slab...),
-		free:  append([]int32(nil), e.free...),
-		rng:   e.rng.State(),
-	}
-}
-
-// Restore rewinds the engine to a snapshot taken from it earlier,
-// reusing the engine's existing backing storage where capacity allows.
-// The snapshot itself is untouched and may be restored again.
-func (e *Engine) Restore(s *Snapshot) {
-	e.now = s.now
-	e.seq = s.seq
-	e.fired = s.fired
-	e.heap = append(e.heap[:0], s.heap...)
-	e.slab = append(e.slab[:0], s.slab...)
-	e.free = append(e.free[:0], s.free...)
-	e.rng.SetState(s.rng)
-}
-
 // less orders the calendar: earlier time, then lower priority, then
 // earlier scheduling.
 //
