@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -23,22 +24,20 @@ import (
 // equality — the repo's determinism contract for simulator refactors.
 const goldenFile = "testdata/static_goldens.txt"
 
-// goldenScenario is one (deployment, trace) pair of the golden corpus.
-// The scenarios cover both workload shapes, single- and multi-instance
-// pools, both GPU types, a decode-heavy no-drain regime, and a
-// heterogeneous two-pool cluster behind each router.
+// goldenScenario is one (deployment, materialized trace) pair of a
+// golden corpus. It carries its requests directly, so single-workload
+// and multi-tenant traces go through the same report.
 type goldenScenario struct {
 	name    string
 	cluster ClusterConfig
-	rate    float64
-	seed    uint64
-	conv    bool // conversation workload instead of coding
-	agent   bool // shared-prefix agent workload (overrides conv)
-	arrive  units.Seconds
+	reqs    []trace.Request
 	horizon units.Seconds
 }
 
-func goldenScenarios() []goldenScenario {
+// goldenScenarios covers both workload shapes, single- and
+// multi-instance pools, both GPU types, a decode-heavy no-drain regime,
+// and a heterogeneous two-pool cluster behind each router.
+func goldenScenarios(t *testing.T) []goldenScenario {
 	small := Config{
 		GPU:              hw.H100(),
 		Model:            model.Llama3_8B(),
@@ -77,13 +76,13 @@ func goldenScenarios() []goldenScenario {
 	jsq := clusterOf(small, lite4)
 	jsq.Router = JoinShortestQueue
 	return []goldenScenario{
-		{name: "small-coding", cluster: clusterOf(small), rate: 1.0, seed: 7, arrive: 200, horizon: 400},
-		{name: "h100-70b-coding", cluster: clusterOf(h70), rate: 1.2, seed: 42, arrive: 300, horizon: 420},
-		{name: "lite-70b-coding", cluster: clusterOf(l70), rate: 1.2, seed: 42, arrive: 300, horizon: 420},
-		{name: "small-conv-nodrain", cluster: clusterOf(small), rate: 4.0, seed: 11, conv: true, arrive: 300, horizon: 300},
-		{name: "wide-coding", cluster: clusterOf(wide), rate: 4.0, seed: 13, arrive: 200, horizon: 400},
-		{name: "hetero-rr", cluster: clusterOf(small, lite4), rate: 2.0, seed: 17, arrive: 300, horizon: 500},
-		{name: "hetero-jsq", cluster: jsq, rate: 2.0, seed: 17, arrive: 300, horizon: 500},
+		{name: "small-coding", cluster: clusterOf(small), reqs: codingTrace(t, 1.0, 7, 200), horizon: 400},
+		{name: "h100-70b-coding", cluster: clusterOf(h70), reqs: codingTrace(t, 1.2, 42, 300), horizon: 420},
+		{name: "lite-70b-coding", cluster: clusterOf(l70), reqs: codingTrace(t, 1.2, 42, 300), horizon: 420},
+		{name: "small-conv-nodrain", cluster: clusterOf(small), reqs: convTrace(t, 4.0, 11, 300), horizon: 300},
+		{name: "wide-coding", cluster: clusterOf(wide), reqs: codingTrace(t, 4.0, 13, 200), horizon: 400},
+		{name: "hetero-rr", cluster: clusterOf(small, lite4), reqs: codingTrace(t, 2.0, 17, 300), horizon: 500},
+		{name: "hetero-jsq", cluster: jsq, reqs: codingTrace(t, 2.0, 17, 300), horizon: 500},
 	}
 }
 
@@ -373,48 +372,185 @@ const (
 	viewFull                          // entire Metrics struct (future corpora)
 )
 
+// viewOf returns the slice of m that view pins.
+func viewOf(view goldenView, m Metrics) any {
+	switch view {
+	case viewLegacy:
+		return legacyView(m)
+	case viewPreKV:
+		return preKVView(m)
+	case viewPreOverload:
+		return preOverloadView(m)
+	case viewPreObs:
+		return preObsView(m)
+	}
+	return m
+}
+
 // goldenReport renders every scenario's ClusterMetrics in hex-float
 // form: one block per scenario, one line per pool plus the aggregate,
 // fields selected by the view.
 func goldenReport(t *testing.T, scenarios []goldenScenario, view goldenView) string {
 	t.Helper()
 	var b strings.Builder
-	render := func(m Metrics) string {
-		switch view {
-		case viewLegacy:
-			return fmt.Sprintf("%x", legacyView(m))
-		case viewPreKV:
-			return fmt.Sprintf("%x", preKVView(m))
-		case viewPreOverload:
-			return fmt.Sprintf("%x", preOverloadView(m))
-		case viewPreObs:
-			return fmt.Sprintf("%x", preObsView(m))
-		}
-		return fmt.Sprintf("%x", m)
-	}
 	for _, sc := range scenarios {
-		gen := trace.CodingWorkload(sc.rate, sc.seed)
-		if sc.conv {
-			gen = trace.ConversationWorkload(sc.rate, sc.seed)
-		}
-		if sc.agent {
-			gen = trace.AgentWorkload(sc.rate, sc.seed)
-		}
-		reqs, err := gen.Generate(sc.arrive)
-		if err != nil {
-			t.Fatalf("%s: %v", sc.name, err)
-		}
-		cm, err := RunCluster(sc.cluster, reqs, sc.horizon)
+		cm, err := RunCluster(sc.cluster, sc.reqs, sc.horizon)
 		if err != nil {
 			t.Fatalf("%s: %v", sc.name, err)
 		}
 		fmt.Fprintf(&b, "== %s\n", sc.name)
 		for _, pm := range cm.Pools {
-			fmt.Fprintf(&b, "pool %s: %s\n", pm.Name, render(pm.Metrics))
+			fmt.Fprintf(&b, "pool %s: %x\n", pm.Name, viewOf(view, pm.Metrics))
 		}
-		fmt.Fprintf(&b, "total: %s\n", render(cm.Total))
+		fmt.Fprintf(&b, "total: %x\n", viewOf(view, cm.Total))
 	}
 	return b.String()
+}
+
+// renderKeyed writes one "key=%x" line per numeric leaf of v. A key is
+// prefix plus the leaf's path: a struct field appends ".Name", a slice
+// appends ".len" (its length) and "[i]" per element. Only struct,
+// slice, int and float64 are rendered; any other kind is an error, so
+// a new Metrics field either shows up as added keys or breaks the
+// corpus build — it is never silently dropped.
+func renderKeyed(b *strings.Builder, prefix string, v reflect.Value) error {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if err := renderKeyed(b, prefix+"."+v.Type().Field(i).Name, v.Field(i)); err != nil {
+				return err
+			}
+		}
+	case reflect.Slice:
+		fmt.Fprintf(b, "%s.len=%x\n", prefix, v.Len())
+		for i := 0; i < v.Len(); i++ {
+			if err := renderKeyed(b, fmt.Sprintf("%s[%d]", prefix, i), v.Index(i)); err != nil {
+				return err
+			}
+		}
+	case reflect.Int:
+		fmt.Fprintf(b, "%s=%x\n", prefix, v.Int())
+	case reflect.Float64:
+		fmt.Fprintf(b, "%s=%x\n", prefix, v.Float())
+	default:
+		return fmt.Errorf("%s: cannot render a %s leaf", prefix, v.Kind())
+	}
+	return nil
+}
+
+// keyed renders v under prefix (see renderKeyed), failing the test on a
+// leaf the format cannot hold.
+func keyed(t *testing.T, prefix string, v any) string {
+	t.Helper()
+	var b strings.Builder
+	if err := renderKeyed(&b, prefix, reflect.ValueOf(v)); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// TestGoldenRenderCoversEveryLeaf pins the keyed renderer on a Metrics
+// whose every numeric leaf holds a distinct value: one line per leaf
+// plus one per slice length, no key or value repeated, and a leaf kind
+// the format cannot hold fails instead of vanishing.
+func TestGoldenRenderCoversEveryLeaf(t *testing.T) {
+	m := Metrics{Classes: make([]ClassMetrics, 2)}
+	leaves, slices := 0, 0
+	var fill func(v reflect.Value)
+	fill = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				fill(v.Field(i))
+			}
+		case reflect.Slice:
+			slices++
+			for i := 0; i < v.Len(); i++ {
+				fill(v.Index(i))
+			}
+		case reflect.Int:
+			leaves++
+			v.SetInt(int64(1000 + leaves))
+		case reflect.Float64:
+			leaves++
+			v.SetFloat(float64(leaves) + 0.5)
+		default:
+			t.Fatalf("Metrics has a %s leaf", v.Kind())
+		}
+	}
+	fill(reflect.ValueOf(&m).Elem())
+
+	lines := strings.Split(strings.TrimSuffix(keyed(t, "x", m), "\n"), "\n")
+	if len(lines) != leaves+slices {
+		t.Errorf("rendered %d lines for %d leaves and %d slices", len(lines), leaves, slices)
+	}
+	keys, values := map[string]bool{}, map[string]bool{}
+	for _, line := range lines {
+		k, v, ok := strings.Cut(line, "=")
+		if !ok || keys[k] || values[v] {
+			t.Errorf("line %q: malformed, or its key or value repeats", line)
+		}
+		keys[k], values[v] = true, true
+	}
+	for _, k := range []string{"x.Arrived", "x.TTFT.P999", "x.Classes.len", "x.Classes[1].Goodput"} {
+		if !keys[k] {
+			t.Errorf("no %s line", k)
+		}
+	}
+
+	type withMap struct {
+		N int
+		M map[string]int
+	}
+	if err := renderKeyed(&strings.Builder{}, "x", reflect.ValueOf(withMap{})); err == nil || !strings.Contains(err.Error(), "x.M") {
+		t.Errorf("rendering a map field: err %v, want an error naming x.M", err)
+	}
+}
+
+// TestKeyedRenderCoversViews proves the keyed format loses nothing a
+// frozen view pins: for every scenario of every corpus, each line of
+// the view rendered keyed appears verbatim in the full Metrics rendered
+// keyed.
+func TestKeyedRenderCoversViews(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		scenarios []goldenScenario
+		view      goldenView
+	}{
+		{"static", goldenScenarios(t), viewLegacy},
+		{"scheduler", schedulerGoldenScenarios(t), viewLegacy},
+		{"network", networkGoldenScenarios(t), viewPreKV},
+		{"kv", kvGoldenScenarios(t), viewPreOverload},
+		{"overload", overloadGoldenScenarios(t), viewPreObs},
+	} {
+		var viewLines, fullLines int
+		for _, sc := range c.scenarios {
+			cm, err := RunCluster(sc.cluster, sc.reqs, sc.horizon)
+			if err != nil {
+				t.Fatalf("%s: %v", sc.name, err)
+			}
+			check := func(prefix string, m Metrics) {
+				full := strings.Split(keyed(t, prefix, m), "\n")
+				have := make(map[string]bool, len(full))
+				for _, line := range full {
+					have[line] = true
+				}
+				view := strings.Split(keyed(t, prefix, viewOf(c.view, m)), "\n")
+				for _, line := range view {
+					if !have[line] {
+						t.Errorf("%s corpus: view line %q missing from the full render", c.name, line)
+					}
+				}
+				viewLines += len(view) - 1
+				fullLines += len(full) - 1
+			}
+			for _, pm := range cm.Pools {
+				check(sc.name+"/pool "+pm.Name, pm.Metrics)
+			}
+			check(sc.name+"/total", cm.Total)
+		}
+		t.Logf("%s corpus: %d view lines, %d full lines", c.name, viewLines, fullLines)
+	}
 }
 
 // TestStaticSchedulerMatchesPreRefactorGoldens proves the extracted
@@ -425,7 +561,7 @@ func goldenReport(t *testing.T, scenarios []goldenScenario, view goldenView) str
 //
 //	LITEGPU_UPDATE_GOLDENS=1 go test ./internal/serve -run Golden
 func TestStaticSchedulerMatchesPreRefactorGoldens(t *testing.T) {
-	compareGoldens(t, goldenFile, goldenReport(t, goldenScenarios(), viewLegacy))
+	compareGoldens(t, goldenFile, goldenReport(t, goldenScenarios(t), viewLegacy))
 }
 
 // compareGoldens checks (or, under LITEGPU_UPDATE_GOLDENS, rewrites) one
@@ -447,14 +583,24 @@ func compareGoldens(t *testing.T, file, got string) {
 		t.Fatalf("missing golden corpus (run with LITEGPU_UPDATE_GOLDENS=1 to capture): %v", err)
 	}
 	if got != string(want) {
-		gotLines := strings.Split(got, "\n")
-		wantLines := strings.Split(string(want), "\n")
-		for i := range gotLines {
-			if i >= len(wantLines) || gotLines[i] != wantLines[i] {
-				t.Fatalf("simulator diverged from %s at line %d:\n got: %s\nwant: %s",
-					file, i+1, gotLines[i], wantLines[min(i, len(wantLines)-1)])
-			}
-		}
-		t.Fatalf("simulator diverged from %s (length %d vs %d)", file, len(got), len(want))
+		t.Fatalf("simulator diverged from %s at %s", file, firstDiff(got, string(want)))
 	}
+}
+
+// firstDiff names the first line at which got and want differ.
+func firstDiff(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(g) || i < len(w); i++ {
+		var gl, wl string
+		if i < len(g) {
+			gl = g[i]
+		}
+		if i < len(w) {
+			wl = w[i]
+		}
+		if gl != wl {
+			return fmt.Sprintf("line %d:\n got: %s\nwant: %s", i+1, gl, wl)
+		}
+	}
+	return "no line"
 }

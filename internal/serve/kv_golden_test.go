@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"litegpu/internal/kv"
+	"litegpu/internal/trace"
 )
 
 // kvGoldenFile extends the byte-identity corpus to memory-enabled runs.
@@ -20,7 +21,7 @@ const kvGoldenFile = "testdata/kv_goldens.txt"
 // shared-prefix agent workload, swap priced over an in-loop fabric,
 // and the accelerated failure regime with allocator state dying and
 // resetting mid-run.
-func kvGoldenScenarios() []goldenScenario {
+func kvGoldenScenarios(t *testing.T) []goldenScenario {
 	recompute := kv.Config{Policy: kv.Recompute}
 	scarce := kv.Config{Policy: kv.Recompute, Blocks: 600}
 	scarcePrefix := kv.Config{Policy: kv.Recompute, PrefixCache: true, Blocks: 600}
@@ -43,6 +44,10 @@ func kvGoldenScenarios() []goldenScenario {
 
 	agent := smallConfig()
 	agent.KV = scarcePrefix
+	agentReqs, err := trace.AgentWorkload(8.0, 42).Generate(150)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Swap preemptions round-tripping a real fabric: the l70 shape puts
 	// every instance on its own scale-up node, so swap traffic contends
@@ -74,15 +79,15 @@ func kvGoldenScenarios() []goldenScenario {
 	chunkFail.Failures.Params.RecoveryTime = 1
 
 	return []goldenScenario{
-		{name: "kv-small-ample", cluster: clusterOf(small), rate: 1.0, seed: 7, arrive: 200, horizon: 400},
-		{name: "kv-static-scarce-conv", cluster: clusterOf(pressed), rate: 8.0, seed: 3, conv: true, arrive: 120, horizon: 240},
-		{name: "kv-continuous-scarce-conv", cluster: clusterOf(cont), rate: 8.0, seed: 3, conv: true, arrive: 120, horizon: 240},
-		{name: "kv-chunked256-scarce-conv", cluster: clusterOf(chunk), rate: 8.0, seed: 3, conv: true, arrive: 120, horizon: 240},
-		{name: "kv-prefix-agent-nodrain", cluster: clusterOf(agent), rate: 8.0, seed: 42, agent: true, arrive: 150, horizon: 150},
-		{name: "kv-swap-fabric-conv", cluster: clusterOf(swapFab), rate: 4.0, seed: 11, conv: true, arrive: 120, horizon: 240},
-		{name: "kv-scarce-fail-nodrain", cluster: failCluster, rate: 8.0, seed: 11, conv: true, arrive: 150, horizon: 150},
-		{name: "kv-continuous-swap-fabric-conv", cluster: clusterOf(contSwapFab), rate: 4.0, seed: 11, conv: true, arrive: 120, horizon: 240},
-		{name: "kv-chunked256-swap-fail-nodrain", cluster: chunkFail, rate: 8.0, seed: 11, conv: true, arrive: 150, horizon: 150},
+		{name: "kv-small-ample", cluster: clusterOf(small), reqs: codingTrace(t, 1.0, 7, 200), horizon: 400},
+		{name: "kv-static-scarce-conv", cluster: clusterOf(pressed), reqs: convTrace(t, 8.0, 3, 120), horizon: 240},
+		{name: "kv-continuous-scarce-conv", cluster: clusterOf(cont), reqs: convTrace(t, 8.0, 3, 120), horizon: 240},
+		{name: "kv-chunked256-scarce-conv", cluster: clusterOf(chunk), reqs: convTrace(t, 8.0, 3, 120), horizon: 240},
+		{name: "kv-prefix-agent-nodrain", cluster: clusterOf(agent), reqs: agentReqs, horizon: 150},
+		{name: "kv-swap-fabric-conv", cluster: clusterOf(swapFab), reqs: convTrace(t, 4.0, 11, 120), horizon: 240},
+		{name: "kv-scarce-fail-nodrain", cluster: failCluster, reqs: convTrace(t, 8.0, 11, 150), horizon: 150},
+		{name: "kv-continuous-swap-fabric-conv", cluster: clusterOf(contSwapFab), reqs: convTrace(t, 4.0, 11, 120), horizon: 240},
+		{name: "kv-chunked256-swap-fail-nodrain", cluster: chunkFail, reqs: convTrace(t, 8.0, 11, 150), horizon: 150},
 	}
 }
 
@@ -91,5 +96,5 @@ func kvGoldenScenarios() []goldenScenario {
 //
 //	LITEGPU_UPDATE_GOLDENS=1 go test ./internal/serve -run Golden
 func TestKVGoldens(t *testing.T) {
-	compareGoldens(t, kvGoldenFile, goldenReport(t, kvGoldenScenarios(), viewPreOverload))
+	compareGoldens(t, kvGoldenFile, goldenReport(t, kvGoldenScenarios(t), viewPreOverload))
 }

@@ -15,7 +15,7 @@ import (
 // knowingly regenerate.
 const networkGoldenFile = "testdata/network_goldens.txt"
 
-func networkGoldenScenarios() []goldenScenario {
+func networkGoldenScenarios(t *testing.T) []goldenScenario {
 	lite := l70Config()
 	lite.PrefillInstances = 2
 
@@ -52,11 +52,11 @@ func networkGoldenScenarios() []goldenScenario {
 	}
 
 	return []goldenScenario{
-		{name: "lite70-clos-pluggable-packet", cluster: clusterOf(packet), rate: 1.2, seed: 42, arrive: 300, horizon: 420},
-		{name: "lite70-flatcircuit-cpo", cluster: clusterOf(circuit), rate: 1.2, seed: 42, arrive: 300, horizon: 420},
-		{name: "lite70-latency-x1e4", cluster: clusterOf(stressed), rate: 1.2, seed: 42, arrive: 300, horizon: 420},
-		{name: "hetero-jsq-fabric", cluster: hetero, rate: 2.0, seed: 17, arrive: 300, horizon: 500},
-		{name: "lite70-fabric-fail-nodrain", cluster: failCluster, rate: 1.2, seed: 11, conv: true, arrive: 300, horizon: 300},
+		{name: "lite70-clos-pluggable-packet", cluster: clusterOf(packet), reqs: codingTrace(t, 1.2, 42, 300), horizon: 420},
+		{name: "lite70-flatcircuit-cpo", cluster: clusterOf(circuit), reqs: codingTrace(t, 1.2, 42, 300), horizon: 420},
+		{name: "lite70-latency-x1e4", cluster: clusterOf(stressed), reqs: codingTrace(t, 1.2, 42, 300), horizon: 420},
+		{name: "hetero-jsq-fabric", cluster: hetero, reqs: codingTrace(t, 2.0, 17, 300), horizon: 500},
+		{name: "lite70-fabric-fail-nodrain", cluster: failCluster, reqs: convTrace(t, 1.2, 11, 300), horizon: 300},
 	}
 }
 
@@ -65,5 +65,5 @@ func networkGoldenScenarios() []goldenScenario {
 //
 //	LITEGPU_UPDATE_GOLDENS=1 go test ./internal/serve -run Golden
 func TestNetworkGoldens(t *testing.T) {
-	compareGoldens(t, networkGoldenFile, goldenReport(t, networkGoldenScenarios(), viewPreKV))
+	compareGoldens(t, networkGoldenFile, goldenReport(t, networkGoldenScenarios(t), viewPreKV))
 }

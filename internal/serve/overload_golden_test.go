@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"fmt"
-	"strings"
 	"testing"
 
 	"litegpu/internal/kv"
@@ -19,17 +17,6 @@ import (
 // rework of deadlines, retry backoff, shedding, or the autoscaler must
 // reproduce these runs bit-for-bit or knowingly regenerate.
 const overloadGoldenFile = "testdata/overload_goldens.txt"
-
-// overloadScenario is one (deployment, materialized trace) pair: unlike
-// goldenScenario it carries its requests directly, because several
-// scenarios use multi-tenant traces that trace.Generator cannot
-// express.
-type overloadScenario struct {
-	name    string
-	cluster ClusterConfig
-	reqs    []trace.Request
-	horizon units.Seconds
-}
 
 // twoTenantTrace is the corpus's shared multi-tenant overload trace: a
 // paid tier (priority 1) and a heavier free tier (priority 0), with a
@@ -54,7 +41,7 @@ func twoTenantTrace(t *testing.T, paidRate, freeRate float64, horizon units.Seco
 	return reqs
 }
 
-func overloadScenarios(t *testing.T) []overloadScenario {
+func overloadGoldenScenarios(t *testing.T) []goldenScenario {
 	t.Helper()
 
 	// Closed-loop clients on a single-tenant overload: deadlines fire,
@@ -124,23 +111,14 @@ func overloadScenarios(t *testing.T) []overloadScenario {
 	chaosCluster := clusterOf(chaos)
 	chaosCluster.Failures = acceleratedFailures(0)
 
-	single := func(cfg Config) ClusterConfig { return clusterOf(cfg) }
-	gen := func(g trace.Generator, span units.Seconds) []trace.Request {
-		reqs, err := g.Generate(span)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return reqs
-	}
-
-	return []overloadScenario{
-		{name: "ol-closed-loop-conv", cluster: single(closed), reqs: gen(trace.ConversationWorkload(90, 7), 120), horizon: 240},
-		{name: "ol-shed-priority", cluster: single(shedPrio), reqs: tenants, horizon: 240},
-		{name: "ol-shed-adaptive", cluster: single(shedAdpt), reqs: tenants, horizon: 240},
-		{name: "ol-autoscale-flash", cluster: single(scale), reqs: gen(trace.CodingWorkload(24, 13), 120), horizon: 300},
-		{name: "ol-straggler", cluster: single(slow), reqs: gen(trace.CodingWorkload(2, 11), 150), horizon: 240},
+	return []goldenScenario{
+		{name: "ol-closed-loop-conv", cluster: clusterOf(closed), reqs: convTrace(t, 90, 7, 120), horizon: 240},
+		{name: "ol-shed-priority", cluster: clusterOf(shedPrio), reqs: tenants, horizon: 240},
+		{name: "ol-shed-adaptive", cluster: clusterOf(shedAdpt), reqs: tenants, horizon: 240},
+		{name: "ol-autoscale-flash", cluster: clusterOf(scale), reqs: codingTrace(t, 24, 13, 120), horizon: 300},
+		{name: "ol-straggler", cluster: clusterOf(slow), reqs: codingTrace(t, 2, 11, 150), horizon: 240},
 		{name: "ol-chaos", cluster: chaosCluster, reqs: tenants, horizon: 240},
-		{name: "ol-continuous-closed-loop-conv", cluster: single(closedCont), reqs: gen(trace.ConversationWorkload(60, 7), 120), horizon: 240},
+		{name: "ol-continuous-closed-loop-conv", cluster: clusterOf(closedCont), reqs: convTrace(t, 60, 7, 120), horizon: 240},
 	}
 }
 
@@ -149,17 +127,5 @@ func overloadScenarios(t *testing.T) []overloadScenario {
 //
 //	LITEGPU_UPDATE_GOLDENS=1 go test ./internal/serve -run Golden
 func TestOverloadGoldens(t *testing.T) {
-	var b strings.Builder
-	for _, sc := range overloadScenarios(t) {
-		cm, err := RunCluster(sc.cluster, sc.reqs, sc.horizon)
-		if err != nil {
-			t.Fatalf("%s: %v", sc.name, err)
-		}
-		fmt.Fprintf(&b, "== %s\n", sc.name)
-		for _, pm := range cm.Pools {
-			fmt.Fprintf(&b, "pool %s: %x\n", pm.Name, preObsView(pm.Metrics))
-		}
-		fmt.Fprintf(&b, "total: %x\n", preObsView(cm.Total))
-	}
-	compareGoldens(t, overloadGoldenFile, b.String())
+	compareGoldens(t, overloadGoldenFile, goldenReport(t, overloadGoldenScenarios(t), viewPreObs))
 }

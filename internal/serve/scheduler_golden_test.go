@@ -24,7 +24,7 @@ const schedulerGoldenFile = "testdata/scheduler_goldens.txt"
 // TimeScale 8e6 failure regime (the only parameterization in which
 // failures demonstrably bite mid-window) under each policy, with both
 // the requeue and drop in-flight policies and a spared variant.
-func schedulerGoldenScenarios() []goldenScenario {
+func schedulerGoldenScenarios(t *testing.T) []goldenScenario {
 	smallAt := func(pol SchedulerPolicy) Config {
 		cfg := Config{
 			GPU:              hw.H100(),
@@ -78,17 +78,17 @@ func schedulerGoldenScenarios() []goldenScenario {
 		return cc
 	}
 	return []goldenScenario{
-		{name: "continuous-small-coding", cluster: clusterOf(cont), rate: 1.0, seed: 7, arrive: 200, horizon: 400},
-		{name: "chunked256-small-coding", cluster: clusterOf(chunk), rate: 1.0, seed: 7, arrive: 200, horizon: 400},
-		{name: "continuous-lite-70b", cluster: clusterOf(l70c), rate: 1.2, seed: 42, arrive: 300, horizon: 420},
-		{name: "chunked-lite-70b", cluster: clusterOf(l70k), rate: 1.2, seed: 42, arrive: 300, horizon: 420},
-		{name: "continuous-small-conv-nodrain", cluster: clusterOf(cont), rate: 4.0, seed: 11, conv: true, arrive: 300, horizon: 300},
-		{name: "static-fail-requeue", cluster: fail(smallAt(StaticDisaggregated), 0, RequeueOnFailure), rate: 4.0, seed: 11, conv: true, arrive: 300, horizon: 300},
-		{name: "static-fail-drop", cluster: fail(smallAt(StaticDisaggregated), 0, DropOnFailure), rate: 4.0, seed: 11, conv: true, arrive: 300, horizon: 300},
-		{name: "continuous-fail-requeue", cluster: fail(cont, 0, RequeueOnFailure), rate: 4.0, seed: 11, conv: true, arrive: 300, horizon: 300},
-		{name: "continuous-fail-spared", cluster: fail(cont, 1, RequeueOnFailure), rate: 4.0, seed: 11, conv: true, arrive: 300, horizon: 300},
-		{name: "chunked-fail-requeue", cluster: fail(chunk, 0, RequeueOnFailure), rate: 4.0, seed: 11, conv: true, arrive: 300, horizon: 300},
-		{name: "chunked-fail-drop", cluster: fail(chunk, 1, DropOnFailure), rate: 4.0, seed: 11, conv: true, arrive: 300, horizon: 300},
+		{name: "continuous-small-coding", cluster: clusterOf(cont), reqs: codingTrace(t, 1.0, 7, 200), horizon: 400},
+		{name: "chunked256-small-coding", cluster: clusterOf(chunk), reqs: codingTrace(t, 1.0, 7, 200), horizon: 400},
+		{name: "continuous-lite-70b", cluster: clusterOf(l70c), reqs: codingTrace(t, 1.2, 42, 300), horizon: 420},
+		{name: "chunked-lite-70b", cluster: clusterOf(l70k), reqs: codingTrace(t, 1.2, 42, 300), horizon: 420},
+		{name: "continuous-small-conv-nodrain", cluster: clusterOf(cont), reqs: convTrace(t, 4.0, 11, 300), horizon: 300},
+		{name: "static-fail-requeue", cluster: fail(smallAt(StaticDisaggregated), 0, RequeueOnFailure), reqs: convTrace(t, 4.0, 11, 300), horizon: 300},
+		{name: "static-fail-drop", cluster: fail(smallAt(StaticDisaggregated), 0, DropOnFailure), reqs: convTrace(t, 4.0, 11, 300), horizon: 300},
+		{name: "continuous-fail-requeue", cluster: fail(cont, 0, RequeueOnFailure), reqs: convTrace(t, 4.0, 11, 300), horizon: 300},
+		{name: "continuous-fail-spared", cluster: fail(cont, 1, RequeueOnFailure), reqs: convTrace(t, 4.0, 11, 300), horizon: 300},
+		{name: "chunked-fail-requeue", cluster: fail(chunk, 0, RequeueOnFailure), reqs: convTrace(t, 4.0, 11, 300), horizon: 300},
+		{name: "chunked-fail-drop", cluster: fail(chunk, 1, DropOnFailure), reqs: convTrace(t, 4.0, 11, 300), horizon: 300},
 	}
 }
 
@@ -102,5 +102,5 @@ func schedulerGoldenScenarios() []goldenScenario {
 //
 //	LITEGPU_UPDATE_GOLDENS=1 go test ./internal/serve -run Golden
 func TestSchedulerGoldens(t *testing.T) {
-	compareGoldens(t, schedulerGoldenFile, goldenReport(t, schedulerGoldenScenarios(), viewLegacy))
+	compareGoldens(t, schedulerGoldenFile, goldenReport(t, schedulerGoldenScenarios(t), viewLegacy))
 }
