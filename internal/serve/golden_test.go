@@ -10,18 +10,19 @@ import (
 
 	"litegpu/internal/hw"
 	"litegpu/internal/inference"
-	"litegpu/internal/mathx"
 	"litegpu/internal/model"
 	"litegpu/internal/trace"
 	"litegpu/internal/units"
 )
 
 // goldenFile pins the static scheduler to the exact Metrics the
-// pre-scheduler-interface engine produced. The file was captured at the
-// commit before the Scheduler extraction (PR 3) with
-// LITEGPU_UPDATE_GOLDENS=1; every float is rendered with %x (hex float,
-// full precision), so a match is byte-identity, not approximate
-// equality — the repo's determinism contract for simulator refactors.
+// pre-scheduler-interface engine produced: it was first captured at the
+// commit before the Scheduler extraction (PR 3). Every corpus is in the
+// keyed format of renderKeyed — one "key=%x" line per Metrics leaf,
+// floats in hex (full precision) — so a match is byte-identity, not
+// approximate equality: the repo's determinism contract for simulator
+// refactors. A new Metrics field shows up as added keys on
+// regeneration; a changed value is a behaviour change.
 const goldenFile = "testdata/static_goldens.txt"
 
 // goldenScenario is one (deployment, materialized trace) pair of a
@@ -86,311 +87,10 @@ func goldenScenarios(t *testing.T) []goldenScenario {
 	}
 }
 
-// legacySummary is the exact pre-PR-10 mathx.Summary field set, in
-// order. Every golden corpus below predates the P999 quantile, and %x
-// renders every Summary field — so the frozen views embed this struct,
-// verbatim, and new corpora pin the full Summary.
-type legacySummary struct {
-	N      int
-	Mean   float64
-	Stddev float64
-	Min    float64
-	Max    float64
-	P50    float64
-	P90    float64
-	P99    float64
-}
-
-func legacySum(s mathx.Summary) legacySummary {
-	return legacySummary{
-		N: s.N, Mean: s.Mean, Stddev: s.Stddev,
-		Min: s.Min, Max: s.Max,
-		P50: s.P50, P90: s.P90, P99: s.P99,
-	}
-}
-
-// legacyMetrics is the exact pre-PR-5 Metrics field set, in order.
-// The static and scheduler golden corpora were captured before Metrics
-// gained the network-transfer fields, and %x renders every field — so
-// the corpora pin this view, verbatim, and a separate corpus
-// (network_goldens.txt) pins the full struct for fabric-enabled runs.
-// With Config.Network zeroed the new fields are all zero, so this view
-// loses nothing the legacy corpus could have checked.
-type legacyMetrics struct {
-	Arrived                 int
-	Completed               int
-	Dropped                 int
-	TTFT                    legacySummary
-	TBT                     legacySummary
-	E2E                     legacySummary
-	TTFTAttainment          float64
-	TTFTAttainmentCompleted float64
-	TBTAttainment           float64
-	PrefillUtilization      float64
-	DecodeUtilization       float64
-	TokensGenerated         int
-	FailureEvents           int
-	Requeued                int
-	DroppedOnFailure        int
-	Availability            float64
-	Goodput                 float64
-	BlastRadius             float64
-}
-
-func legacyView(m Metrics) legacyMetrics {
-	return legacyMetrics{
-		Arrived: m.Arrived, Completed: m.Completed, Dropped: m.Dropped,
-		TTFT: legacySum(m.TTFT), TBT: legacySum(m.TBT), E2E: legacySum(m.E2E),
-		TTFTAttainment:          m.TTFTAttainment,
-		TTFTAttainmentCompleted: m.TTFTAttainmentCompleted,
-		TBTAttainment:           m.TBTAttainment,
-		PrefillUtilization:      m.PrefillUtilization,
-		DecodeUtilization:       m.DecodeUtilization,
-		TokensGenerated:         m.TokensGenerated,
-		FailureEvents:           m.FailureEvents,
-		Requeued:                m.Requeued,
-		DroppedOnFailure:        m.DroppedOnFailure,
-		Availability:            m.Availability,
-		Goodput:                 m.Goodput,
-		BlastRadius:             m.BlastRadius,
-	}
-}
-
-// preKVMetrics is the exact pre-PR-8 Metrics field set, in order:
-// the legacy fields plus the PR-5 network-transfer fields. The network
-// golden corpus was captured before Metrics gained the KV-memory
-// fields, so it pins this view verbatim; a separate corpus
-// (kv_goldens.txt) pins the full struct for memory-enabled runs. With
-// Config.KV zeroed the KV fields are all zero, so this view loses
-// nothing the network corpus could have checked.
-type preKVMetrics struct {
-	Arrived                 int
-	Completed               int
-	Dropped                 int
-	TTFT                    legacySummary
-	TBT                     legacySummary
-	E2E                     legacySummary
-	TTFTAttainment          float64
-	TTFTAttainmentCompleted float64
-	TBTAttainment           float64
-	PrefillUtilization      float64
-	DecodeUtilization       float64
-	TokensGenerated         int
-	FailureEvents           int
-	Requeued                int
-	DroppedOnFailure        int
-	Availability            float64
-	Goodput                 float64
-	BlastRadius             float64
-	NetTransfers            int
-	TransferBytes           legacySummary
-	TransferTime            legacySummary
-	NetworkBoundFraction    float64
-}
-
-func preKVView(m Metrics) preKVMetrics {
-	return preKVMetrics{
-		Arrived: m.Arrived, Completed: m.Completed, Dropped: m.Dropped,
-		TTFT: legacySum(m.TTFT), TBT: legacySum(m.TBT), E2E: legacySum(m.E2E),
-		TTFTAttainment:          m.TTFTAttainment,
-		TTFTAttainmentCompleted: m.TTFTAttainmentCompleted,
-		TBTAttainment:           m.TBTAttainment,
-		PrefillUtilization:      m.PrefillUtilization,
-		DecodeUtilization:       m.DecodeUtilization,
-		TokensGenerated:         m.TokensGenerated,
-		FailureEvents:           m.FailureEvents,
-		Requeued:                m.Requeued,
-		DroppedOnFailure:        m.DroppedOnFailure,
-		Availability:            m.Availability,
-		Goodput:                 m.Goodput,
-		BlastRadius:             m.BlastRadius,
-		NetTransfers:            m.NetTransfers,
-		TransferBytes:           legacySum(m.TransferBytes),
-		TransferTime:            legacySum(m.TransferTime),
-		NetworkBoundFraction:    m.NetworkBoundFraction,
-	}
-}
-
-// preOverloadMetrics is the exact pre-PR-9 Metrics field set, in
-// order: the preKV fields plus the PR-8 KV-memory fields. The KV golden
-// corpus was captured before Metrics gained the closed-loop overload
-// fields, so it pins this view verbatim; a separate corpus
-// (overload_goldens.txt) pins the full struct for client-loop-enabled
-// runs. With Config.Client, Admission, Autoscale, and Straggler zeroed
-// the overload fields are all zero, so this view loses nothing the KV
-// corpus could have checked.
-type preOverloadMetrics struct {
-	Arrived                 int
-	Completed               int
-	Dropped                 int
-	TTFT                    legacySummary
-	TBT                     legacySummary
-	E2E                     legacySummary
-	TTFTAttainment          float64
-	TTFTAttainmentCompleted float64
-	TBTAttainment           float64
-	PrefillUtilization      float64
-	DecodeUtilization       float64
-	TokensGenerated         int
-	FailureEvents           int
-	Requeued                int
-	DroppedOnFailure        int
-	Availability            float64
-	Goodput                 float64
-	BlastRadius             float64
-	NetTransfers            int
-	TransferBytes           legacySummary
-	TransferTime            legacySummary
-	NetworkBoundFraction    float64
-	KVPreemptions           int
-	KVCacheHitRate          float64
-	KVPeakBlocks            int
-	KVMeanBlocks            float64
-	KVRecomputeTokens       int
-}
-
-func preOverloadView(m Metrics) preOverloadMetrics {
-	return preOverloadMetrics{
-		Arrived: m.Arrived, Completed: m.Completed, Dropped: m.Dropped,
-		TTFT: legacySum(m.TTFT), TBT: legacySum(m.TBT), E2E: legacySum(m.E2E),
-		TTFTAttainment:          m.TTFTAttainment,
-		TTFTAttainmentCompleted: m.TTFTAttainmentCompleted,
-		TBTAttainment:           m.TBTAttainment,
-		PrefillUtilization:      m.PrefillUtilization,
-		DecodeUtilization:       m.DecodeUtilization,
-		TokensGenerated:         m.TokensGenerated,
-		FailureEvents:           m.FailureEvents,
-		Requeued:                m.Requeued,
-		DroppedOnFailure:        m.DroppedOnFailure,
-		Availability:            m.Availability,
-		Goodput:                 m.Goodput,
-		BlastRadius:             m.BlastRadius,
-		NetTransfers:            m.NetTransfers,
-		TransferBytes:           legacySum(m.TransferBytes),
-		TransferTime:            legacySum(m.TransferTime),
-		NetworkBoundFraction:    m.NetworkBoundFraction,
-		KVPreemptions:           m.KVPreemptions,
-		KVCacheHitRate:          m.KVCacheHitRate,
-		KVPeakBlocks:            m.KVPeakBlocks,
-		KVMeanBlocks:            m.KVMeanBlocks,
-		KVRecomputeTokens:       m.KVRecomputeTokens,
-	}
-}
-
-// preObsMetrics is the exact pre-PR-10 Metrics field set, in order:
-// the preOverload fields plus the PR-9 closed-loop overload fields,
-// with every Summary rendered through the pre-P999 legacySummary. The
-// overload golden corpus was captured before mathx.Summary gained
-// P999, so it pins this view verbatim; P999 is itself pinned by the
-// deterministic-export corpus the observability tests add.
-type preObsMetrics struct {
-	Arrived                 int
-	Completed               int
-	Dropped                 int
-	TTFT                    legacySummary
-	TBT                     legacySummary
-	E2E                     legacySummary
-	TTFTAttainment          float64
-	TTFTAttainmentCompleted float64
-	TBTAttainment           float64
-	PrefillUtilization      float64
-	DecodeUtilization       float64
-	TokensGenerated         int
-	FailureEvents           int
-	Requeued                int
-	DroppedOnFailure        int
-	Availability            float64
-	Goodput                 float64
-	BlastRadius             float64
-	NetTransfers            int
-	TransferBytes           legacySummary
-	TransferTime            legacySummary
-	NetworkBoundFraction    float64
-	KVPreemptions           int
-	KVCacheHitRate          float64
-	KVPeakBlocks            int
-	KVMeanBlocks            float64
-	KVRecomputeTokens       int
-	ClientTimeouts          int
-	ClientRetries           int
-	Abandoned               int
-	Shed                    int
-	ScaleUps                int
-	ScaleDowns              int
-	MeanLiveInstances       float64
-	UsefulGoodput           float64
-	Classes                 []ClassMetrics
-}
-
-func preObsView(m Metrics) preObsMetrics {
-	return preObsMetrics{
-		Arrived: m.Arrived, Completed: m.Completed, Dropped: m.Dropped,
-		TTFT: legacySum(m.TTFT), TBT: legacySum(m.TBT), E2E: legacySum(m.E2E),
-		TTFTAttainment:          m.TTFTAttainment,
-		TTFTAttainmentCompleted: m.TTFTAttainmentCompleted,
-		TBTAttainment:           m.TBTAttainment,
-		PrefillUtilization:      m.PrefillUtilization,
-		DecodeUtilization:       m.DecodeUtilization,
-		TokensGenerated:         m.TokensGenerated,
-		FailureEvents:           m.FailureEvents,
-		Requeued:                m.Requeued,
-		DroppedOnFailure:        m.DroppedOnFailure,
-		Availability:            m.Availability,
-		Goodput:                 m.Goodput,
-		BlastRadius:             m.BlastRadius,
-		NetTransfers:            m.NetTransfers,
-		TransferBytes:           legacySum(m.TransferBytes),
-		TransferTime:            legacySum(m.TransferTime),
-		NetworkBoundFraction:    m.NetworkBoundFraction,
-		KVPreemptions:           m.KVPreemptions,
-		KVCacheHitRate:          m.KVCacheHitRate,
-		KVPeakBlocks:            m.KVPeakBlocks,
-		KVMeanBlocks:            m.KVMeanBlocks,
-		KVRecomputeTokens:       m.KVRecomputeTokens,
-		ClientTimeouts:          m.ClientTimeouts,
-		ClientRetries:           m.ClientRetries,
-		Abandoned:               m.Abandoned,
-		Shed:                    m.Shed,
-		ScaleUps:                m.ScaleUps,
-		ScaleDowns:              m.ScaleDowns,
-		MeanLiveInstances:       m.MeanLiveInstances,
-		UsefulGoodput:           m.UsefulGoodput,
-		Classes:                 m.Classes,
-	}
-}
-
-// goldenView selects which slice of Metrics a corpus pins: each corpus
-// renders exactly the field set that existed when it was captured, so
-// later PRs can append Metrics fields without invalidating it.
-type goldenView int
-
-const (
-	viewLegacy      goldenView = iota // pre-PR-5 fields (static, scheduler corpora)
-	viewPreKV                         // pre-PR-8 fields (network corpus)
-	viewPreOverload                   // pre-PR-9 fields (kv corpus)
-	viewPreObs                        // pre-PR-10 fields (overload corpus)
-	viewFull                          // entire Metrics struct (future corpora)
-)
-
-// viewOf returns the slice of m that view pins.
-func viewOf(view goldenView, m Metrics) any {
-	switch view {
-	case viewLegacy:
-		return legacyView(m)
-	case viewPreKV:
-		return preKVView(m)
-	case viewPreOverload:
-		return preOverloadView(m)
-	case viewPreObs:
-		return preObsView(m)
-	}
-	return m
-}
-
-// goldenReport renders every scenario's ClusterMetrics in hex-float
-// form: one block per scenario, one line per pool plus the aggregate,
-// fields selected by the view.
-func goldenReport(t *testing.T, scenarios []goldenScenario, view goldenView) string {
+// goldenReport runs every scenario and renders its ClusterMetrics
+// keyed (see renderKeyed): each pool's Metrics under
+// "<scenario>/pool <name>", the aggregate under "<scenario>/total".
+func goldenReport(t *testing.T, scenarios []goldenScenario) string {
 	t.Helper()
 	var b strings.Builder
 	for _, sc := range scenarios {
@@ -398,12 +98,20 @@ func goldenReport(t *testing.T, scenarios []goldenScenario, view goldenView) str
 		if err != nil {
 			t.Fatalf("%s: %v", sc.name, err)
 		}
-		fmt.Fprintf(&b, "== %s\n", sc.name)
-		for _, pm := range cm.Pools {
-			fmt.Fprintf(&b, "pool %s: %x\n", pm.Name, viewOf(view, pm.Metrics))
-		}
-		fmt.Fprintf(&b, "total: %x\n", viewOf(view, cm.Total))
+		b.WriteString(keyedCluster(t, sc.name, cm))
 	}
+	return b.String()
+}
+
+// keyedCluster renders one run's per-pool and aggregate Metrics under
+// prefix, as goldenReport does for a scenario.
+func keyedCluster(t *testing.T, prefix string, cm ClusterMetrics) string {
+	t.Helper()
+	var b strings.Builder
+	for _, pm := range cm.Pools {
+		b.WriteString(keyed(t, prefix+"/pool "+pm.Name, pm.Metrics))
+	}
+	b.WriteString(keyed(t, prefix+"/total", cm.Total))
 	return b.String()
 }
 
@@ -507,61 +215,15 @@ func TestGoldenRenderCoversEveryLeaf(t *testing.T) {
 	}
 }
 
-// TestKeyedRenderCoversViews proves the keyed format loses nothing a
-// frozen view pins: for every scenario of every corpus, each line of
-// the view rendered keyed appears verbatim in the full Metrics rendered
-// keyed.
-func TestKeyedRenderCoversViews(t *testing.T) {
-	for _, c := range []struct {
-		name      string
-		scenarios []goldenScenario
-		view      goldenView
-	}{
-		{"static", goldenScenarios(t), viewLegacy},
-		{"scheduler", schedulerGoldenScenarios(t), viewLegacy},
-		{"network", networkGoldenScenarios(t), viewPreKV},
-		{"kv", kvGoldenScenarios(t), viewPreOverload},
-		{"overload", overloadGoldenScenarios(t), viewPreObs},
-	} {
-		var viewLines, fullLines int
-		for _, sc := range c.scenarios {
-			cm, err := RunCluster(sc.cluster, sc.reqs, sc.horizon)
-			if err != nil {
-				t.Fatalf("%s: %v", sc.name, err)
-			}
-			check := func(prefix string, m Metrics) {
-				full := strings.Split(keyed(t, prefix, m), "\n")
-				have := make(map[string]bool, len(full))
-				for _, line := range full {
-					have[line] = true
-				}
-				view := strings.Split(keyed(t, prefix, viewOf(c.view, m)), "\n")
-				for _, line := range view {
-					if !have[line] {
-						t.Errorf("%s corpus: view line %q missing from the full render", c.name, line)
-					}
-				}
-				viewLines += len(view) - 1
-				fullLines += len(full) - 1
-			}
-			for _, pm := range cm.Pools {
-				check(sc.name+"/pool "+pm.Name, pm.Metrics)
-			}
-			check(sc.name+"/total", cm.Total)
-		}
-		t.Logf("%s corpus: %d view lines, %d full lines", c.name, viewLines, fullLines)
-	}
-}
-
 // TestStaticSchedulerMatchesPreRefactorGoldens proves the extracted
 // StaticDisaggregated policy is byte-identical to the engine it was
-// extracted from: the golden file predates the Scheduler interface, and
-// %x leaves no room for float drift. Regenerate (only when knowingly
+// extracted from: the golden values predate the Scheduler interface,
+// and hex floats leave no room for float drift. Regenerate (only when knowingly
 // changing simulator semantics) with:
 //
 //	LITEGPU_UPDATE_GOLDENS=1 go test ./internal/serve -run Golden
 func TestStaticSchedulerMatchesPreRefactorGoldens(t *testing.T) {
-	compareGoldens(t, goldenFile, goldenReport(t, goldenScenarios(t), viewLegacy))
+	compareGoldens(t, goldenFile, goldenReport(t, goldenScenarios(t)))
 }
 
 // compareGoldens checks (or, under LITEGPU_UPDATE_GOLDENS, rewrites) one

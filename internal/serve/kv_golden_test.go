@@ -9,8 +9,7 @@ import (
 
 // kvGoldenFile extends the byte-identity corpus to memory-enabled runs.
 // Like network_goldens.txt it pins the KV memory model from its first
-// commit: the FULL Metrics struct — KV fields included — in %x, so any
-// future rework of the allocator, the admission gate, preemption, or
+// commit: every Metrics leaf, KV fields included, so any future rework of the allocator, the admission gate, preemption, or
 // prefix caching must reproduce these runs bit-for-bit or knowingly
 // regenerate.
 const kvGoldenFile = "testdata/kv_goldens.txt"
@@ -96,5 +95,5 @@ func kvGoldenScenarios(t *testing.T) []goldenScenario {
 //
 //	LITEGPU_UPDATE_GOLDENS=1 go test ./internal/serve -run Golden
 func TestKVGoldens(t *testing.T) {
-	compareGoldens(t, kvGoldenFile, goldenReport(t, kvGoldenScenarios(t), viewPreOverload))
+	compareGoldens(t, kvGoldenFile, goldenReport(t, kvGoldenScenarios(t)))
 }

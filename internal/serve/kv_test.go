@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -88,9 +87,10 @@ func TestKVBlockBudgetOverflowIsAnError(t *testing.T) {
 // TestKVAmpleMemoryMatchesLegacy is the backward-compatibility half of
 // the KV contract: with the memory model ON but the block budget far
 // above any working set, no admission ever blocks, no sequence is ever
-// preempted, and every legacy metric must be byte-identical to the
-// infinite-memory run — under all three scheduling disciplines. The
-// memory model may only change outcomes through genuine scarcity.
+// preempted, and every metric but block occupancy must be
+// byte-identical to the infinite-memory run — under all three
+// scheduling disciplines. The memory model may only change outcomes
+// through genuine scarcity.
 func TestKVAmpleMemoryMatchesLegacy(t *testing.T) {
 	reqs := convTrace(t, 4.0, 11, 120)
 	for _, pol := range SchedulerPolicies() {
@@ -110,9 +110,10 @@ func TestKVAmpleMemoryMatchesLegacy(t *testing.T) {
 			if got.KVPeakBlocks == 0 {
 				t.Fatal("memory model on but no blocks ever in use")
 			}
-			if fmt.Sprintf("%x", legacyView(got)) != fmt.Sprintf("%x", legacyView(base)) {
-				t.Errorf("ample-memory run diverges from infinite-memory run:\ngot:  %x\nwant: %x",
-					legacyView(got), legacyView(base))
+			// Block occupancy is the one thing the memory model adds.
+			got.KVPeakBlocks, got.KVMeanBlocks = 0, 0
+			if g, w := keyed(t, "run", got), keyed(t, "run", base); g != w {
+				t.Errorf("ample-memory run diverges from infinite-memory run at %s", firstDiff(g, w))
 			}
 		})
 	}

@@ -9,10 +9,9 @@ import (
 // networkGoldenFile extends the byte-identity corpus to
 // network-in-the-loop runs. Unlike the static and scheduler corpora
 // (captured at pre-refactor commits), this one pins the fabric
-// simulator from its first commit: the pre-PR-8 Metrics field set —
-// transfer summaries included — in %x, so any future rework of netsim
-// or the handoff wiring must reproduce these runs bit-for-bit or
-// knowingly regenerate.
+// simulator from its first commit: every Metrics leaf, transfer
+// summaries included, so any future rework of netsim or the handoff
+// wiring must reproduce these runs bit-for-bit or knowingly regenerate.
 const networkGoldenFile = "testdata/network_goldens.txt"
 
 func networkGoldenScenarios(t *testing.T) []goldenScenario {
@@ -65,5 +64,5 @@ func networkGoldenScenarios(t *testing.T) []goldenScenario {
 //
 //	LITEGPU_UPDATE_GOLDENS=1 go test ./internal/serve -run Golden
 func TestNetworkGoldens(t *testing.T) {
-	compareGoldens(t, networkGoldenFile, goldenReport(t, networkGoldenScenarios(t), viewPreKV))
+	compareGoldens(t, networkGoldenFile, goldenReport(t, networkGoldenScenarios(t)))
 }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -98,17 +97,10 @@ func TestObservedRunsAreDeterministic(t *testing.T) {
 // TestObserverDoesNotPerturbSimulation is the read-only contract: a
 // live observer must leave every simulated metric byte-identical to the
 // unobserved run, under every scheduler, in the chaos regime. Renders
-// through the same %x hex-float view the golden corpus uses, so any
-// drift the goldens would catch is caught here with the observer live.
+// the full Metrics through the same keyed renderer the golden corpora
+// use, so any drift the goldens would catch is caught here with the
+// observer live.
 func TestObserverDoesNotPerturbSimulation(t *testing.T) {
-	render := func(cm ClusterMetrics) string {
-		var b strings.Builder
-		for _, pm := range cm.Pools {
-			fmt.Fprintf(&b, "pool %s: %x\n", pm.Name, preObsView(pm.Metrics))
-		}
-		fmt.Fprintf(&b, "total: %x\n", preObsView(cm.Total))
-		return b.String()
-	}
 	for _, pol := range SchedulerPolicies() {
 		pol := pol
 		t.Run(pol.String(), func(t *testing.T) {
@@ -118,8 +110,8 @@ func TestObserverDoesNotPerturbSimulation(t *testing.T) {
 				t.Fatal(err)
 			}
 			observed, _, _ := runObserved(t, cc, reqs, horizon)
-			if got, want := render(observed), render(bare); got != want {
-				t.Errorf("observer perturbed the simulation:\nobserved: %swant:     %s", got, want)
+			if got, want := keyedCluster(t, "chaos", observed), keyedCluster(t, "chaos", bare); got != want {
+				t.Errorf("observer perturbed the simulation at %s", firstDiff(got, want))
 			}
 		})
 	}

@@ -11,11 +11,10 @@ import (
 
 // overloadGoldenFile extends the byte-identity corpus to closed-loop
 // runs. Like kv_goldens.txt it pins the overload machinery from its
-// first commit: the full PR-9-era Metrics field set — client-loop,
-// admission, autoscale, and per-class fields included — in %x (see
-// preObsMetrics; the corpus predates Summary.P999), so any future
-// rework of deadlines, retry backoff, shedding, or the autoscaler must
-// reproduce these runs bit-for-bit or knowingly regenerate.
+// first commit: every Metrics leaf — client-loop, admission,
+// autoscale, and per-class fields included — so any future rework of
+// deadlines, retry backoff, shedding, or the autoscaler must reproduce
+// these runs bit-for-bit or knowingly regenerate.
 const overloadGoldenFile = "testdata/overload_goldens.txt"
 
 // twoTenantTrace is the corpus's shared multi-tenant overload trace: a
@@ -127,5 +126,5 @@ func overloadGoldenScenarios(t *testing.T) []goldenScenario {
 //
 //	LITEGPU_UPDATE_GOLDENS=1 go test ./internal/serve -run Golden
 func TestOverloadGoldens(t *testing.T) {
-	compareGoldens(t, overloadGoldenFile, goldenReport(t, overloadGoldenScenarios(t), viewPreObs))
+	compareGoldens(t, overloadGoldenFile, goldenReport(t, overloadGoldenScenarios(t)))
 }

@@ -12,7 +12,7 @@ import (
 // schedulerGoldenFile extends the byte-identity corpus to the colocated
 // policies (ContinuousBatching, ChunkedPrefill) and to failure
 // injection under all three schedulers. Like static_goldens.txt it was
-// captured with LITEGPU_UPDATE_GOLDENS=1 at the commit BEFORE the
+// first captured with LITEGPU_UPDATE_GOLDENS=1 at the commit BEFORE the
 // allocation-free hot-path rework (PR 4), so the whole optimization is
 // provably byte-identical under every scheduling discipline — including
 // mid-run instance failures, requeues, and drops.
@@ -95,12 +95,12 @@ func schedulerGoldenScenarios(t *testing.T) []goldenScenario {
 // TestSchedulerGoldens pins all three scheduling policies — including
 // under failure injection — to the exact Metrics the pre-optimization
 // simulator produced. Together with the static corpus it is the
-// byte-identity contract for the allocation-free hot path: %x rendering
-// leaves no room for float drift, summation reordering, or event-order
-// changes. Regenerate (only when knowingly changing simulator
-// semantics) with:
+// byte-identity contract for the allocation-free hot path: hex-float
+// rendering leaves no room for float drift, summation reordering, or
+// event-order changes. Regenerate (only when knowingly changing
+// simulator semantics) with:
 //
 //	LITEGPU_UPDATE_GOLDENS=1 go test ./internal/serve -run Golden
 func TestSchedulerGoldens(t *testing.T) {
-	compareGoldens(t, schedulerGoldenFile, goldenReport(t, schedulerGoldenScenarios(t), viewLegacy))
+	compareGoldens(t, schedulerGoldenFile, goldenReport(t, schedulerGoldenScenarios(t)))
 }
