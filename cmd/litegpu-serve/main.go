@@ -128,6 +128,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -198,6 +199,18 @@ func main() {
 	explain := flag.Bool("explain", false, "plan mode: print the per-candidate decision trace (every sizing rung, why the winner won)")
 	planTraceOut := flag.String("plan-trace", "", "plan mode: export the decision trace as JSON to this file")
 	flag.Parse()
+
+	// Reject numeric flags that would otherwise silently yield an empty
+	// report or mean "off".
+	if !(*horizon > 0) || math.IsInf(*horizon, 1) {
+		fatalf("-horizon must be finite and > 0, got %v", *horizon)
+	}
+	if !(*clientTimeout >= 0) {
+		fatalf("-client-timeout must be >= 0, got %v", *clientTimeout)
+	}
+	if !(*stragglerCV >= 0) {
+		fatalf("-straggler-cv must be >= 0, got %v", *stragglerCV)
+	}
 
 	gpu, ok := litegpu.GPUByName(*gpuName)
 	if !ok {

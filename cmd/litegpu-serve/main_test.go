@@ -51,3 +51,25 @@ func TestFailureFlagsRequireAFR(t *testing.T) {
 		t.Errorf("failure flags with -afr: err %v, output %q", err, out)
 	}
 }
+
+// TestNumericFlagsRejectBadValues pins that a non-positive or NaN
+// -horizon, and a negative -client-timeout or -straggler-cv, are
+// rejected instead of printing an all-zero report or meaning "off".
+func TestNumericFlagsRejectBadValues(t *testing.T) {
+	for _, tc := range []struct {
+		flag string
+		args []string
+	}{
+		{"horizon", []string{"-horizon", "0"}},
+		{"horizon", []string{"-horizon", "-5"}},
+		{"horizon", []string{"-horizon", "nan"}},
+		{"horizon", []string{"-plan", "-horizon", "0"}},
+		{"client-timeout", []string{"-client-timeout", "-1"}},
+		{"straggler-cv", []string{"-straggler-cv", "-0.2"}},
+	} {
+		out, err := runMain(t, tc.args...)
+		if err == nil || !strings.Contains(out, "-"+tc.flag+" must be") {
+			t.Errorf("%v: err %v, output %q; want a -%s rejection", tc.args, err, out, tc.flag)
+		}
+	}
+}

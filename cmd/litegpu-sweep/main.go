@@ -50,6 +50,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -89,6 +90,18 @@ func main() {
 	probeInterval := flag.Float64("probe-interval", 0, "time-series probe period in simulated seconds for the instrumented cell (required for -probe-out)")
 	probeOut := flag.String("probe-out", "", "export the instrumented cell's time-series probes to this file (CSV, or JSON when the name ends in .json)")
 	flag.Parse()
+
+	// Reject numeric flags that would otherwise silently yield an empty
+	// report or mean "off".
+	if !(*horizon > 0) || math.IsInf(*horizon, 1) {
+		fatalf("-horizon must be finite and > 0, got %v", *horizon)
+	}
+	if !(*clientTimeout >= 0) {
+		fatalf("-client-timeout must be >= 0, got %v", *clientTimeout)
+	}
+	if !(*stragglerCV >= 0) {
+		fatalf("-straggler-cv must be >= 0, got %v", *stragglerCV)
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)

@@ -51,3 +51,26 @@ func TestFailureFlagsRequireAFR(t *testing.T) {
 		t.Errorf("failure flags with -afr: err %v, output %q", err, out)
 	}
 }
+
+// TestNumericFlagsRejectBadValues pins that a non-positive or NaN
+// -horizon, and a negative -client-timeout or -straggler-cv, are
+// rejected instead of printing 0/0 rows or meaning "off".
+func TestNumericFlagsRejectBadValues(t *testing.T) {
+	// One small cell, so a run that wrongly succeeds stays short.
+	grid := []string{"-gpus", "H100", "-models", "Llama3-8B", "-workloads", "coding", "-rates", "0.5"}
+	for _, tc := range []struct {
+		flag string
+		args []string
+	}{
+		{"horizon", []string{"-horizon", "0"}},
+		{"horizon", []string{"-horizon", "-5"}},
+		{"horizon", []string{"-horizon", "nan"}},
+		{"client-timeout", []string{"-horizon", "30", "-client-timeout", "-1"}},
+		{"straggler-cv", []string{"-horizon", "30", "-straggler-cv", "-0.2"}},
+	} {
+		out, err := runMain(t, append(tc.args, grid...)...)
+		if err == nil || !strings.Contains(out, "-"+tc.flag+" must be") {
+			t.Errorf("%v: err %v, output %q; want a -%s rejection", tc.args, err, out, tc.flag)
+		}
+	}
+}
