@@ -37,9 +37,6 @@ func New(gpu hw.GPU, n int) *Cluster {
 	return &Cluster{gpu: gpu, total: n, free: n, allocs: make(map[string]allocation)}
 }
 
-// UnitSMs returns the SM count of one allocatable unit.
-func (c *Cluster) UnitSMs() int { return c.gpu.SMs }
-
 // TotalSMs returns the cluster's aggregate SM count.
 func (c *Cluster) TotalSMs() int { return c.total * c.gpu.SMs }
 

@@ -404,14 +404,8 @@ func RunWithFailures(cfg Config, f FailureConfig, reqs []trace.Request, horizon 
 // held, making horizon×rate products with millions of requests
 // practical in constant memory.
 func RunFrom(cfg Config, src RequestSource, horizon units.Seconds) (Metrics, error) {
-	return RunWithFailuresFrom(cfg, FailureConfig{}, src, horizon)
-}
-
-// RunWithFailuresFrom is RunWithFailures over a lazy request source.
-func RunWithFailuresFrom(cfg Config, f FailureConfig, src RequestSource, horizon units.Seconds) (Metrics, error) {
 	cm, err := RunClusterFrom(ClusterConfig{
-		Pools:    []Pool{{Name: cfg.GPU.Name, Config: cfg}},
-		Failures: f,
+		Pools: []Pool{{Name: cfg.GPU.Name, Config: cfg}},
 	}, src, horizon)
 	if err != nil {
 		return Metrics{}, err

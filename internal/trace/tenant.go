@@ -136,14 +136,6 @@ func (m MultiGenerator) Validate() error {
 	return m.Envelope.Validate()
 }
 
-// ClassName returns the display name of class i.
-func (m MultiGenerator) ClassName(i int) string {
-	if i >= 0 && i < len(m.Classes) && m.Classes[i].Name != "" {
-		return m.Classes[i].Name
-	}
-	return fmt.Sprintf("class%d", i)
-}
-
 // Generate materializes all requests arriving within the horizon, in
 // nondecreasing arrival order. It is implemented on Stream, so the two
 // are byte-identical.
