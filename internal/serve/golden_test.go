@@ -218,8 +218,8 @@ func TestGoldenRenderCoversEveryLeaf(t *testing.T) {
 // TestStaticSchedulerMatchesPreRefactorGoldens proves the extracted
 // StaticDisaggregated policy is byte-identical to the engine it was
 // extracted from: the golden values predate the Scheduler interface,
-// and hex floats leave no room for float drift. Regenerate (only when knowingly
-// changing simulator semantics) with:
+// and hex floats leave no room for float drift. Regenerate (only when
+// knowingly changing simulator semantics) with:
 //
 //	LITEGPU_UPDATE_GOLDENS=1 go test ./internal/serve -run Golden
 func TestStaticSchedulerMatchesPreRefactorGoldens(t *testing.T) {

@@ -9,8 +9,9 @@ import (
 
 // kvGoldenFile extends the byte-identity corpus to memory-enabled runs.
 // Like network_goldens.txt it pins the KV memory model from its first
-// commit: every Metrics leaf, KV fields included, so any future rework of the allocator, the admission gate, preemption, or
-// prefix caching must reproduce these runs bit-for-bit or knowingly
+// commit: every Metrics leaf, KV fields included, so any future
+// rework of the allocator, the admission gate, preemption, or prefix
+// caching must reproduce these runs bit-for-bit or knowingly
 // regenerate.
 const kvGoldenFile = "testdata/kv_goldens.txt"
 

@@ -293,8 +293,8 @@ type Metrics struct {
 	BlastRadius float64
 
 	// The remaining fields are network-in-the-loop metrics (PR 5).
-	// With Config.Network zeroed they hold their zero values, and the
-	// golden corpora pin the legacy fields byte-for-byte.
+	// With Config.Network zeroed they hold their zero values, which the
+	// golden corpora pin.
 
 	// NetTransfers counts delivered fabric transfers: inter-node
 	// KV-cache handoffs plus, in multi-pool clusters, routed-arrival
@@ -315,8 +315,7 @@ type Metrics struct {
 	NetworkBoundFraction float64
 
 	// The remaining fields are KV-memory metrics (PR 8). With Config.KV
-	// zeroed they hold their zero values, and the golden corpora pin
-	// the earlier field sets byte-for-byte.
+	// zeroed they hold their zero values, which the golden corpora pin.
 
 	// KVPreemptions counts sequences evicted from a decode batch because
 	// their instance ran out of KV blocks mid-generation.
@@ -340,8 +339,7 @@ type Metrics struct {
 
 	// The remaining fields are closed-loop overload metrics (PR 9). With
 	// Config.Client, Admission, Autoscale, and Straggler zeroed they hold
-	// their zero values, and the golden corpora pin the earlier field
-	// sets byte-for-byte.
+	// their zero values, which the golden corpora pin.
 
 	// ClientTimeouts counts client deadline expiries; one request can
 	// time out on several attempts.
