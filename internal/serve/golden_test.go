@@ -17,9 +17,9 @@ import (
 
 // goldenFile pins the static scheduler to the exact Metrics the
 // pre-scheduler-interface engine produced: it was first captured at the
-// commit before the Scheduler extraction (PR 3). Every corpus is in the
-// keyed format of renderKeyed — one "key=%x" line per Metrics leaf,
-// floats in hex (full precision) — so a match is byte-identity, not
+// commit before the Scheduler extraction. Every corpus is in the keyed
+// format of renderKeyed — one "key=%x" line per Metrics leaf, floats
+// in hex (full precision) — so a match is byte-identity, not
 // approximate equality: the repo's determinism contract for simulator
 // refactors. A new Metrics field shows up as added keys on
 // regeneration; a changed value is a behaviour change.
