@@ -47,9 +47,12 @@
 // With -plan, the instance-count flags are ignored (they are what the
 // planner searches over) and the capacity planner sizes the cheapest
 // deployment meeting the SLO targets instead; -horizon, the batch caps,
-// and explicitly-set -prefill-gpus/-decode-gpus TP degrees are honored,
-// and -scheduler auto sizes all three policies and keeps the cheapest
-// per Mtoken.
+// and explicitly-set -prefill-gpus/-decode-gpus TP degrees are honored.
+// In plan mode each of -scheduler, -fabric, -kv and -admission is a
+// search axis: it takes a comma-separated candidate list, or "auto" for
+// the default candidates, and the planner sizes every combination and
+// keeps the cheapest per Mtoken (-scheduler auto sizes all three
+// policies). A serving run takes exactly one value per axis.
 // Combined with -afr the plan becomes availability-aware: a hot-spare
 // count joins the search (target -min-availability) and is priced into
 // the TCO:
@@ -57,10 +60,8 @@
 //	litegpu-serve -plan -gpu Lite -model Llama3-8B -rate 20 -ttft-attainment 0.99
 //	litegpu-serve -plan -gpu Lite -model Llama3-8B -rate 20 -afr 0.09 -min-availability 0.99999
 //
-// In plan mode -fabric can also be a comma-separated candidate list or
-// "auto": the fabric joins scheduler and spares as a search axis, each
-// candidate is simulated in the loop and priced at the resulting
-// deployment scale, and the cheapest feasible plan per Mtoken wins:
+// On the fabric axis each candidate is simulated in the loop and priced
+// at the resulting deployment scale:
 //
 //	litegpu-serve -plan -gpu Lite -model Llama3-70B -rate 20 -fabric auto
 //	litegpu-serve -plan -fabric clos:copper,flat-circuit:cpo:circuit
@@ -75,9 +76,7 @@
 //	litegpu-serve -kv recompute
 //	litegpu-serve -kv swap+prefix -workload agent -fabric clos:pluggable
 //
-// In plan mode -kv can also be a comma-separated candidate list or
-// "auto": the memory policy joins scheduler and fabric as a search
-// axis and the cheapest feasible plan per Mtoken wins:
+// In plan mode the memory policy is a search axis too:
 //
 //	litegpu-serve -plan -gpu Lite -model Llama3-8B -rate 20 -kv auto
 //
@@ -93,10 +92,10 @@
 //	    -admission adaptive -queue-limit 48
 //	litegpu-serve -autoscale -decode-instances 4 -flash 60:60:3
 //
-// In plan mode -admission can also be "auto": the gate joins scheduler,
-// fabric, and kv as a search axis and the cheapest feasible plan per
-// Mtoken wins. -straggler-cv gives every instance a persistent slow
-// factor so the plan holds on a fleet with realistic spread:
+// In plan mode the admission gate is the fourth search axis ("auto"
+// tries none, priority and adaptive). -straggler-cv gives every
+// instance a persistent slow factor so the plan holds on a fleet with
+// realistic spread:
 //
 //	litegpu-serve -plan -rate 20 -client-timeout 30 -admission auto -queue-limit 64
 //	litegpu-serve -plan -rate 20 -straggler-cv 0.2 -straggler-tail lognormal
@@ -127,14 +126,14 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
-	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	"litegpu"
+	"litegpu/cmd/internal/cli"
 )
 
 func main() {
@@ -150,7 +149,7 @@ func main() {
 	maxPrefill := flag.Int("max-prefill-batch", 4, "prompts fused per prefill pass")
 	maxDecode := flag.Int("max-decode-batch", 64, "continuous-batching cap")
 	workload := flag.String("workload", "coding", "workload shape: coding | conversation | agent (shared-prefix)")
-	scheduler := flag.String("scheduler", "static", "scheduling policy: static (phase-split) | continuous (batching) | chunked (prefill); plan mode also accepts auto (size all three, keep the cheapest)")
+	scheduler := flag.String("scheduler", "static", "scheduling policy: static (phase-split) | continuous (batching) | chunked (prefill); plan mode also accepts a comma-separated candidate list or auto (size all three, keep the cheapest)")
 	prefillChunk := flag.Int("prefill-chunk", 0, "chunked-prefill chunk size in prompt tokens (0 = default 512)")
 	afr := flag.Float64("afr", 0, "enable failure injection at this reference-package annualized failure rate (e.g. 0.09; 0 = off)")
 	spares := flag.Int("spares", 0, "hot spares per pool under failure injection")
@@ -180,7 +179,7 @@ func main() {
 	clientBackoffCap := flag.Float64("client-backoff-cap", 0, "retry backoff ceiling in seconds (0 = default 30)")
 	clientJitter := flag.Float64("client-jitter", 0, "multiplicative backoff jitter in [0,1)")
 	ttftSLO := flag.Float64("ttft-slo", 0, "per-class TTFT SLO in seconds for closed-loop attainment accounting (0 = the option's TTFT limit)")
-	admission := flag.String("admission", "none", "overload gate: none | priority | adaptive; plan mode also accepts auto (search all three)")
+	admission := flag.String("admission", "none", "overload gate: none | priority | adaptive; plan mode also accepts a comma-separated candidate list or auto (search all three)")
 	queueLimit := flag.Int("queue-limit", 0, "admission outstanding-work threshold (required for -admission priority/adaptive)")
 	minPriority := flag.Int("min-priority", 1, "-admission priority: arrivals below this priority shed at the limit")
 	admissionLevels := flag.Int("admission-levels", 0, "-admission adaptive: priority band count (0 = default 4)")
@@ -200,39 +199,14 @@ func main() {
 	planTraceOut := flag.String("plan-trace", "", "plan mode: export the decision trace as JSON to this file")
 	flag.Parse()
 
-	// Reject numeric flags that would otherwise silently yield an empty
-	// report or mean "off".
-	if !(*horizon > 0) || math.IsInf(*horizon, 1) {
-		fatalf("-horizon must be finite and > 0, got %v", *horizon)
-	}
-	if !(*clientTimeout >= 0) {
-		fatalf("-client-timeout must be >= 0, got %v", *clientTimeout)
-	}
-	if !(*stragglerCV >= 0) {
-		fatalf("-straggler-cv must be >= 0, got %v", *stragglerCV)
-	}
-
-	gpu, ok := litegpu.GPUByName(*gpuName)
-	if !ok {
-		fatalf("unknown GPU %q", *gpuName)
-	}
-	m, ok := litegpu.ModelByName(*modelName)
-	if !ok {
-		fatalf("unknown model %q", *modelName)
-	}
-	makeGen := func(shape string, r float64, sd uint64) litegpu.Workload {
-		switch shape {
-		case "coding":
-			return litegpu.CodingWorkload(r, sd)
-		case "conversation":
-			return litegpu.ConversationWorkload(r, sd)
-		case "agent":
-			return litegpu.AgentWorkload(r, sd)
-		}
-		fatalf("unknown workload %q", shape)
-		panic("unreachable")
-	}
-	gen := makeGen(*workload, *rate, *seed)
+	check(cli.CheckNumeric(*horizon, *clientTimeout, *stragglerCV))
+	gpu, err := cli.GPU(*gpuName)
+	check(err)
+	m, err := cli.Model(*modelName)
+	check(err)
+	w, err := cli.Workload(*workload)
+	check(err)
+	gen := w.Make(*rate, *seed)
 	envelope := litegpu.WorkloadEnvelope{
 		DiurnalAmplitude: *diurnal,
 		DiurnalPeriod:    litegpu.Seconds(*diurnalPeriod),
@@ -259,13 +233,15 @@ func main() {
 			if len(f) != 4 {
 				fatalf("bad -tenants entry %q (want name:workload:rate:priority)", spec)
 			}
+			tw, err := cli.Workload(f[1])
+			check(err)
 			r := parseF(f[2], "tenant rate")
 			prio, err := strconv.Atoi(f[3])
 			if err != nil {
 				fatalf("bad tenant priority %q: %v", f[3], err)
 			}
 			mw.Classes = append(mw.Classes, litegpu.TenantClass{
-				Name: f[0], Gen: makeGen(f[1], r, 0), Priority: prio,
+				Name: f[0], Gen: tw.Make(r, 0), Priority: prio,
 			})
 		}
 		multi = &mw
@@ -290,101 +266,65 @@ func main() {
 		if *dropOnFailure {
 			failures.Policy = litegpu.DropOnFailure
 		}
-	} else {
-		// The failure knobs only shape an injected failure process:
-		// reject explicit settings rather than silently ignore them.
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "spares", "failure-timescale", "drop-on-failure":
-				fatalf("-%s requires -afr", f.Name)
-			}
+	}
+
+	// Each search axis is one list: a serving run takes exactly one
+	// entry, plan mode searches them all ("auto" = the default set).
+	count := cli.One
+	if *plan {
+		count = cli.Some
+	}
+	scheds, err := cli.Axis("scheduler", *scheduler, count, litegpu.SchedulerPolicies(), litegpu.ParseSchedulerPolicy)
+	check(err)
+	fabrics, err := cli.Axis("fabric", *fabricSpec, count, litegpu.DefaultFabricCandidates(),
+		func(s string) (litegpu.ServeNetworkConfig, error) {
+			return litegpu.ParseNetworkConfigWithLink(s, *linkName)
 		})
-	}
-	var schedPolicies []litegpu.SchedulerPolicy
-	if *scheduler == "auto" {
-		if !*plan {
-			fatalf("-scheduler auto only applies with -plan; pick static, continuous, or chunked")
-		}
-		schedPolicies = litegpu.SchedulerPolicies()
-	} else {
-		pol, err := litegpu.ParseSchedulerPolicy(*scheduler)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		schedPolicies = []litegpu.SchedulerPolicy{pol}
-	}
-	parseFabric := func(spec string) litegpu.ServeNetworkConfig {
-		nc, err := litegpu.ParseNetworkConfigWithLink(spec, *linkName)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		return nc
-	}
-	var fabricCandidates []litegpu.ServeNetworkConfig
-	var fabric litegpu.ServeNetworkConfig
-	switch {
-	case *fabricSpec == "auto":
-		if !*plan {
-			fatalf("-fabric auto only applies with -plan; pick one fabric spec")
-		}
-		fabricCandidates = litegpu.DefaultFabricCandidates()
-	case strings.Contains(*fabricSpec, ","):
-		if !*plan {
-			fatalf("a -fabric candidate list only applies with -plan; pick one fabric spec")
-		}
-		for _, s := range strings.Split(*fabricSpec, ",") {
-			fabricCandidates = append(fabricCandidates, parseFabric(s))
-		}
-	default:
-		fabric = parseFabric(*fabricSpec)
-	}
-	// The latency stress knob applies uniformly, however the fabric
-	// set was specified.
+	check(err)
+	kvs, err := cli.Axis("kv", *kvSpec, count, litegpu.DefaultKVPolicyCandidates(), litegpu.ParseKVConfig)
+	check(err)
+	adms, err := cli.Axis("admission", *admission, count, cli.AdmissionAuto(*queueLimit, *minPriority, *admissionLevels),
+		cli.Admission(*queueLimit, *minPriority, *admissionLevels))
+	check(err)
 	if *latScale != 1 {
-		fabric.LatencyScale = *latScale
-		for i := range fabricCandidates {
-			fabricCandidates[i].LatencyScale = *latScale
+		for i := range fabrics {
+			fabrics[i].LatencyScale = *latScale
 		}
 	}
-	parseKV := func(spec string) litegpu.ServeKVConfig {
-		kc, err := litegpu.ParseKVConfig(spec)
-		if err != nil {
-			fatalf("%v", err)
+	// The zero kv config must stay zero to keep its infinite-memory
+	// meaning, so the block knobs only reach enabled entries.
+	for i := range kvs {
+		if kvs[i].Enabled() {
+			kvs[i].Blocks = *kvBlocks
+			kvs[i].BlockTokens = *kvBlockTokens
 		}
-		return kc
 	}
-	var kvCandidates []litegpu.ServeKVConfig
-	var kvc litegpu.ServeKVConfig
-	switch {
-	case *kvSpec == "auto":
-		if !*plan {
-			fatalf("-kv auto only applies with -plan; pick one kv spec")
-		}
-		kvCandidates = litegpu.DefaultKVPolicyCandidates()
-	case strings.Contains(*kvSpec, ","):
-		if !*plan {
-			fatalf("a -kv candidate list only applies with -plan; pick one kv spec")
-		}
-		for _, s := range strings.Split(*kvSpec, ",") {
-			kvCandidates = append(kvCandidates, parseKV(s))
-		}
-	default:
-		kvc = parseKV(*kvSpec)
-	}
-	// The block knobs apply uniformly, however the kv set was
-	// specified — but only to enabled configs (the zero config must
-	// stay zero to keep its infinite-memory meaning).
-	applyKVKnobs := func(c *litegpu.ServeKVConfig) {
-		if !c.Enabled() {
-			return
-		}
-		c.Blocks = *kvBlocks
-		c.BlockTokens = *kvBlockTokens
-	}
-	applyKVKnobs(&kvc)
-	for i := range kvCandidates {
-		applyKVKnobs(&kvCandidates[i])
-	}
+
+	// Knobs that only shape a feature reject explicit settings while
+	// the feature is off, rather than being silently ignored.
+	check(cli.CheckRequires(flag.CommandLine, []cli.Require{
+		{Need: "-afr", Met: *afr > 0, Flags: []string{"spares", "failure-timescale", "drop-on-failure"}},
+		{Need: "a -kv policy other than off", Met: slices.ContainsFunc(kvs, litegpu.ServeKVConfig.Enabled),
+			Flags: []string{"kv-blocks", "kv-block-tokens"}},
+		{Need: "a -fabric other than off", Met: slices.ContainsFunc(fabrics, litegpu.ServeNetworkConfig.Enabled),
+			Flags: []string{"link", "fabric-latency-scale"}},
+		{Need: "-client-timeout", Met: *clientTimeout > 0,
+			Flags: []string{"client-retries", "client-backoff", "client-backoff-cap", "client-jitter", "ttft-slo"}},
+		{Need: "-autoscale", Met: *autoscale,
+			Flags: []string{"autoscale-high", "autoscale-low", "autoscale-min", "autoscale-warmup"}},
+		{Need: "-straggler-cv", Met: *stragglerCV > 0, Flags: []string{"straggler-tail"}},
+		{Need: "-trace-out", Met: *traceOut != "", Flags: []string{"trace-samples"}},
+		{Need: "a positive -probe-interval", Met: *probeInterval > 0, Flags: []string{"probe-out"}},
+		{Need: "-plan", Met: *plan, Flags: []string{"explain", "plan-trace"}},
+		// The spare count is a planner output; the rest shape or
+		// instrument a serving run.
+		{Need: "a run without -plan (the planner searches the spare count; see -min-availability)", Met: !*plan,
+			Flags: []string{"spares"}},
+		{Need: "a run without -plan", Met: !*plan, Flags: []string{"router", "drop-on-failure"}},
+		{Need: "a run without -plan (use -explain / -plan-trace for planner telemetry)", Met: !*plan,
+			Flags: []string{"trace-out", "trace-samples", "probe-interval", "probe-out", "progress"}},
+	}))
+
 	var client litegpu.ServeClientConfig
 	if *clientTimeout > 0 {
 		client = litegpu.ServeClientConfig{
@@ -397,34 +337,6 @@ func main() {
 				TTFTSLO:     litegpu.Seconds(*ttftSLO),
 			},
 			Seed: *seed,
-		}
-	}
-	var admCandidates []litegpu.ServeAdmissionConfig
-	var adm litegpu.ServeAdmissionConfig
-	if *admission == "auto" {
-		if !*plan {
-			fatalf("-admission auto only applies with -plan; pick none, priority, or adaptive")
-		}
-		ql := *queueLimit
-		if ql <= 0 {
-			ql = 64
-		}
-		admCandidates = []litegpu.ServeAdmissionConfig{
-			{},
-			{Policy: litegpu.AdmitPriority, QueueLimit: ql, MinPriority: *minPriority},
-			{Policy: litegpu.AdmitAdaptive, QueueLimit: ql, Levels: *admissionLevels},
-		}
-	} else {
-		pol, err := litegpu.ParseAdmissionPolicy(*admission)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		adm = litegpu.ServeAdmissionConfig{
-			Policy: pol, QueueLimit: *queueLimit,
-			MinPriority: *minPriority, Levels: *admissionLevels,
-		}
-		if pol == litegpu.AdmitAll {
-			adm = litegpu.ServeAdmissionConfig{}
 		}
 	}
 	var scale litegpu.ServeAutoscaleConfig
@@ -471,18 +383,6 @@ func main() {
 		if multi != nil {
 			fatalf("-plan sizes against a single-tenant workload; -tenants, -flash, and -diurnal only apply without -plan")
 		}
-		// The spare count and router are planner outputs / serving-only
-		// knobs: reject explicit settings rather than silently ignore.
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "spares":
-				fatalf("-plan searches the spare count itself (see -min-availability); -spares only applies without -plan")
-			case "router", "drop-on-failure":
-				fatalf("-%s only applies without -plan", f.Name)
-			case "trace-out", "trace-samples", "probe-interval", "probe-out", "progress":
-				fatalf("-%s instruments a serving run; it only applies without -plan (use -explain / -plan-trace for planner telemetry)", f.Name)
-			}
-		})
 		slo := litegpu.CapacitySLO{
 			TTFTAttainment:  *ttftAttain,
 			TBTAttainment:   *tbtAttain,
@@ -496,19 +396,16 @@ func main() {
 			Opts:            litegpu.DefaultOptions(),
 			Workload:        gen,
 			Horizon:         litegpu.Seconds(*horizon),
-			Schedulers:      schedPolicies,
+			Schedulers:      scheds,
 			PrefillChunk:    *prefillChunk,
 			MaxPrefillBatch: *maxPrefill,
 			MaxDecodeBatch:  *maxDecode,
 			MaxInstances:    *maxInstances,
 			Failures:        failures,
-			Network:         fabric,
-			Fabrics:         fabricCandidates,
-			KV:              kvc,
-			KVPolicies:      kvCandidates,
+			Fabrics:         fabrics,
+			KVPolicies:      kvs,
 			Client:          client,
-			Admission:       adm,
-			Admissions:      admCandidates,
+			Admissions:      adms,
 			Autoscale:       scale,
 			Straggler:       strag,
 		}
@@ -536,7 +433,7 @@ func main() {
 			// The decision trace exports even when no candidate was
 			// feasible — that is exactly when "why rejected" matters.
 			if *planTraceOut != "" {
-				writeExport(*planTraceOut, ptrace.WriteJSON)
+				check(cli.WriteExport(*planTraceOut, ptrace.WriteJSON))
 			}
 			if *explain {
 				fmt.Println("decision trace:")
@@ -584,13 +481,6 @@ func main() {
 		return
 	}
 
-	if *explain || *planTraceOut != "" {
-		fatalf("-explain and -plan-trace only apply with -plan")
-	}
-	if *probeOut != "" && *probeInterval <= 0 {
-		fatalf("-probe-out needs a positive -probe-interval")
-	}
-
 	// Arrivals stream into the simulator on demand (identical to a
 	// materialized trace, request for request), so even a huge
 	// -rate × -horizon product runs in memory proportional to the
@@ -610,11 +500,12 @@ func main() {
 		stream = ts
 	}
 
+	kvc, adm := kvs[0], adms[0]
 	cfg := litegpu.ServeConfig{
 		GPU:              gpu,
 		Model:            m,
 		Opts:             litegpu.DefaultOptions(),
-		Scheduler:        schedPolicies[0],
+		Scheduler:        scheds[0],
 		PrefillChunk:     *prefillChunk,
 		PrefillInstances: *prefillInst,
 		PrefillGPUs:      *prefillGPUs,
@@ -632,13 +523,11 @@ func main() {
 		Pools:    []litegpu.ServePool{{Name: gpu.Name, Config: cfg}},
 		Router:   routerPolicy,
 		Failures: failures,
-		Network:  fabric,
+		Network:  fabrics[0],
 	}
 	if *secondGPU != "" {
-		g2, ok := litegpu.GPUByName(*secondGPU)
-		if !ok {
-			fatalf("unknown GPU %q", *secondGPU)
-		}
+		g2, err := cli.GPU(*secondGPU)
+		check(err)
 		opts := litegpu.DefaultOptions()
 		pTP, err := litegpu.MinFeasibleTP(g2, m, litegpu.Prefill, opts)
 		if err != nil {
@@ -722,35 +611,14 @@ func main() {
 		printMetrics("  ", cm.Total, failures.Enabled, kvc.Enabled())
 	}
 	if recorder != nil {
+		check(cli.WriteObserver(recorder, *traceOut, *probeOut))
 		if *traceOut != "" {
-			writeExport(*traceOut, recorder.WriteTrace)
 			held, seen := recorder.Sampled()
 			fmt.Printf("timeline trace: %d of %d requests sampled → %s (load in Perfetto)\n", held, seen, *traceOut)
 		}
 		if *probeOut != "" {
-			write := recorder.WriteProbesCSV
-			if strings.HasSuffix(*probeOut, ".json") {
-				write = recorder.WriteProbesJSON
-			}
-			writeExport(*probeOut, write)
 			fmt.Printf("probes: %d samples at %.0fs intervals → %s\n", len(recorder.Probes()), *probeInterval, *probeOut)
 		}
-	}
-}
-
-// writeExport writes one telemetry artifact, dying with context on any
-// filesystem error — a truncated trace is worse than no trace.
-func writeExport(path string, write func(io.Writer) error) {
-	f, err := os.Create(path)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		fatalf("write %s: %v", path, err)
-	}
-	if err := f.Close(); err != nil {
-		fatalf("close %s: %v", path, err)
 	}
 }
 
@@ -815,7 +683,4 @@ func parseF(s, what string) float64 {
 	return v
 }
 
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "litegpu-serve: "+format+"\n", args...)
-	os.Exit(1)
-}
+var fatalf, check = cli.Fatal("litegpu-serve", nil)

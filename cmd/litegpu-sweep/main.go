@@ -49,16 +49,14 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
-	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
-	"strings"
+	"slices"
 	"text/tabwriter"
 
 	"litegpu"
+	"litegpu/cmd/internal/cli"
 )
 
 func main() {
@@ -91,17 +89,7 @@ func main() {
 	probeOut := flag.String("probe-out", "", "export the instrumented cell's time-series probes to this file (CSV, or JSON when the name ends in .json)")
 	flag.Parse()
 
-	// Reject numeric flags that would otherwise silently yield an empty
-	// report or mean "off".
-	if !(*horizon > 0) || math.IsInf(*horizon, 1) {
-		fatalf("-horizon must be finite and > 0, got %v", *horizon)
-	}
-	if !(*clientTimeout >= 0) {
-		fatalf("-client-timeout must be >= 0, got %v", *clientTimeout)
-	}
-	if !(*stragglerCV >= 0) {
-		fatalf("-straggler-cv must be >= 0, got %v", *stragglerCV)
-	}
+	check(cli.CheckNumeric(*horizon, *clientTimeout, *stragglerCV))
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -129,93 +117,50 @@ func main() {
 		Seed:             *seed,
 		Workers:          *workers,
 	}
-	for _, name := range splitList(*gpuList) {
-		g, ok := litegpu.GPUByName(name)
-		if !ok {
-			fatalf("unknown GPU %q", name)
-		}
-		spec.GPUs = append(spec.GPUs, g)
-	}
-	for _, name := range splitList(*modelList) {
-		m, ok := litegpu.ModelByName(name)
-		if !ok {
-			fatalf("unknown model %q", name)
-		}
-		spec.Models = append(spec.Models, m)
-	}
-	for _, name := range splitList(*workloadList) {
-		switch name {
-		case "coding":
-			spec.Workloads = append(spec.Workloads, litegpu.SweepWorkload{Name: name, Make: litegpu.CodingWorkload})
-		case "conversation":
-			spec.Workloads = append(spec.Workloads, litegpu.SweepWorkload{Name: name, Make: litegpu.ConversationWorkload})
-		case "agent":
-			spec.Workloads = append(spec.Workloads, litegpu.SweepWorkload{Name: name, Make: litegpu.AgentWorkload})
-		default:
-			fatalf("unknown workload %q", name)
-		}
-	}
-	for _, s := range splitList(*rateList) {
-		r, err := strconv.ParseFloat(s, 64)
-		if err != nil || r <= 0 {
-			fatalf("bad rate %q", s)
-		}
-		spec.Rates = append(spec.Rates, r)
-	}
-	withSchedulers := false
-	for _, name := range splitList(*schedList) {
-		pol, err := litegpu.ParseSchedulerPolicy(name)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if pol != litegpu.StaticDisaggregated {
-			withSchedulers = true
-		}
-		spec.Schedulers = append(spec.Schedulers, pol)
-	}
-	withSchedulers = withSchedulers || len(spec.Schedulers) > 1
-
-	withFabrics := false
-	for _, s := range splitList(*fabricList) {
-		nc, err := litegpu.ParseNetworkConfigWithLink(s, *linkName)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if nc.Enabled() {
-			withFabrics = true
-		}
-		spec.Fabrics = append(spec.Fabrics, nc)
-	}
-	withFabrics = withFabrics || len(spec.Fabrics) > 1
-
-	withKV := false
-	for _, s := range splitList(*kvList) {
-		kc, err := litegpu.ParseKVConfig(s)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if kc.Enabled() {
-			withKV = true
-		}
-		spec.KVPolicies = append(spec.KVPolicies, kc)
-	}
-	withKV = withKV || len(spec.KVPolicies) > 1
-
-	withAdmissions := false
-	for _, name := range splitList(*admList) {
-		pol, err := litegpu.ParseAdmissionPolicy(name)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		adm := litegpu.ServeAdmissionConfig{}
-		if pol != litegpu.AdmitAll {
-			adm = litegpu.ServeAdmissionConfig{Policy: pol, QueueLimit: *queueLimit, MinPriority: 1}
-			withAdmissions = true
-		}
-		spec.Admissions = append(spec.Admissions, adm)
-	}
-	withAdmissions = withAdmissions || len(spec.Admissions) > 1
+	// Every list flag is one axis; an empty list takes the spec's
+	// default, and "auto" is not a sweep value.
+	var err error
+	spec.GPUs, err = cli.Axis("gpus", *gpuList, cli.Any, nil, cli.GPU)
+	check(err)
+	spec.Models, err = cli.Axis("models", *modelList, cli.Any, nil, cli.Model)
+	check(err)
+	spec.Workloads, err = cli.Axis("workloads", *workloadList, cli.Any, nil, cli.Workload)
+	check(err)
+	spec.Rates, err = cli.Axis("rates", *rateList, cli.Any, nil, cli.Rate)
+	check(err)
+	spec.Schedulers, err = cli.Axis("scheduler", *schedList, cli.Any, nil, litegpu.ParseSchedulerPolicy)
+	check(err)
+	spec.Fabrics, err = cli.Axis("fabric", *fabricList, cli.Any, nil,
+		func(s string) (litegpu.ServeNetworkConfig, error) {
+			return litegpu.ParseNetworkConfigWithLink(s, *linkName)
+		})
+	check(err)
+	spec.KVPolicies, err = cli.Axis("kv", *kvList, cli.Any, nil, litegpu.ParseKVConfig)
+	check(err)
+	spec.Admissions, err = cli.Axis("admission", *admList, cli.Any, nil, cli.Admission(*queueLimit, 1, 0))
+	check(err)
+	// An axis gets its columns when it varies or leaves the default.
+	withSchedulers := len(spec.Schedulers) > 1 || slices.ContainsFunc(spec.Schedulers,
+		func(p litegpu.SchedulerPolicy) bool { return p != litegpu.StaticDisaggregated })
+	fabricOn := slices.ContainsFunc(spec.Fabrics, litegpu.ServeNetworkConfig.Enabled)
+	withFabrics := len(spec.Fabrics) > 1 || fabricOn
+	withKV := len(spec.KVPolicies) > 1 || slices.ContainsFunc(spec.KVPolicies, litegpu.ServeKVConfig.Enabled)
+	gated := slices.ContainsFunc(spec.Admissions,
+		func(a litegpu.ServeAdmissionConfig) bool { return a.Policy != litegpu.AdmitAll })
+	withAdmissions := len(spec.Admissions) > 1 || gated
 	withClients := *clientTimeout > 0
+	withFailures := *afr > 0
+
+	// Knobs that only shape an axis or mode reject explicit settings
+	// while it is off, rather than being silently ignored.
+	check(cli.CheckRequires(flag.CommandLine, []cli.Require{
+		{Need: "-afr", Met: withFailures, Flags: []string{"spares", "failure-timescale"}},
+		{Need: "a -fabric other than off", Met: fabricOn, Flags: []string{"link"}},
+		{Need: "an -admission gate other than none", Met: gated, Flags: []string{"queue-limit"}},
+		{Need: "-client-timeout", Met: withClients, Flags: []string{"client-retries"}},
+		{Need: "a positive -probe-interval", Met: *probeInterval > 0, Flags: []string{"probe-out"}},
+	}))
+
 	if withClients {
 		spec.Client = litegpu.ServeClientConfig{
 			Default: litegpu.ClientBehavior{
@@ -232,8 +177,6 @@ func main() {
 			Seed:   *seed,
 		}
 	}
-
-	withFailures := *afr > 0
 	if withFailures {
 		spec.FailureModes = []litegpu.SweepFailureMode{
 			{Name: "none"},
@@ -244,19 +187,8 @@ func main() {
 				TimeScale: *timescale,
 			}},
 		}
-	} else {
-		// Without a failure axis these knobs have nothing to shape.
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "spares", "failure-timescale":
-				fatalf("-%s requires -afr", f.Name)
-			}
-		})
 	}
 
-	if *probeOut != "" && *probeInterval <= 0 {
-		fatalf("-probe-out needs a positive -probe-interval")
-	}
 	var recorder *litegpu.Observer
 	if *traceOut != "" || *probeOut != "" {
 		recorder = litegpu.NewObserver(litegpu.ObserverOptions{
@@ -272,29 +204,7 @@ func main() {
 	}
 
 	if recorder != nil {
-		writeExport := func(path string, write func(io.Writer) error) {
-			f, err := os.Create(path)
-			if err != nil {
-				fatalf("%v", err)
-			}
-			if err := write(f); err != nil {
-				f.Close()
-				fatalf("write %s: %v", path, err)
-			}
-			if err := f.Close(); err != nil {
-				fatalf("close %s: %v", path, err)
-			}
-		}
-		if *traceOut != "" {
-			writeExport(*traceOut, recorder.WriteTrace)
-		}
-		if *probeOut != "" {
-			write := recorder.WriteProbesCSV
-			if strings.HasSuffix(*probeOut, ".json") {
-				write = recorder.WriteProbesJSON
-			}
-			writeExport(*probeOut, write)
-		}
+		check(cli.WriteObserver(recorder, *traceOut, *probeOut))
 	}
 
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
@@ -387,23 +297,9 @@ func deployment(c litegpu.ServeConfig) string {
 		c.PrefillInstances, c.PrefillGPUs, c.DecodeInstances, c.DecodeGPUs)
 }
 
-func splitList(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
-}
-
 // stopProfile finalizes an in-progress CPU profile; set once profiling
 // starts. Calling it twice is harmless (StopCPUProfile is a no-op when
 // no profile is active).
 var stopProfile = func() {}
 
-func fatalf(format string, args ...any) {
-	stopProfile()
-	fmt.Fprintf(os.Stderr, "litegpu-sweep: "+format+"\n", args...)
-	os.Exit(1)
-}
+var fatalf, check = cli.Fatal("litegpu-sweep", func() { stopProfile() })

@@ -322,6 +322,8 @@ type CapacityPlan = serve.Plan
 // CapacityRequest is the full capacity-search parameterization (GPU,
 // model, workload, horizon, per-instance TP degrees, batch caps, search
 // ceiling); see serve.PlanRequest for field semantics and defaults.
+// Each search axis (Schedulers, Fabrics, KVPolicies, Admissions) is a
+// list, and an empty list means one zero-valued entry, as in SweepSpec.
 // Availability-aware searches re-simulate the chosen deployment at its
 // spare count only when its sizing run saw a failure; otherwise the
 // sizing run already is that run and is reported as is.

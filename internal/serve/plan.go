@@ -75,43 +75,36 @@ type PlanRequest struct {
 	// Drain extends the simulation past the arrival horizon (default 120).
 	Drain units.Seconds
 
-	// Scheduler is the serving discipline to size (default
-	// StaticDisaggregated). Schedulers, when non-empty, overrides it
-	// with a set of candidate policies: each is sized independently and
-	// the cheapest feasible plan (by $/Mtoken) wins — so the planner
-	// answers not just "how many instances" but "which scheduler".
-	Scheduler  SchedulerPolicy
+	// Schedulers lists the serving disciplines to size (empty = just
+	// StaticDisaggregated). Each is sized independently and the cheapest
+	// feasible plan (by $/Mtoken) wins — so the planner answers not just
+	// "how many instances" but "which scheduler".
 	Schedulers []SchedulerPolicy
 
 	// PrefillChunk is the ChunkedPrefill chunk size in prompt tokens
 	// (default 512); ignored by the other policies.
 	PrefillChunk int
 
-	// Network selects the fabric the sizing simulations run on AND the
-	// fabric the plan is priced over. The zero value keeps the
-	// historical behavior: an infinite in-loop fabric, priced as a
-	// folded Clos over co-packaged optics and packet switches (the
-	// default that used to be hard-coded here regardless of deployment
-	// size). Fabrics, when non-empty, overrides it with a set of
-	// candidate designs: the fabric joins scheduler and spares as a
-	// search axis — every (scheduler, fabric) pair is sized
-	// independently with that fabric in the event loop, priced through
-	// the tco/network cost models at the resulting deployment scale,
-	// checked for physical feasibility (cable reach at that scale),
-	// and the cheapest feasible plan per Mtoken wins. See
+	// Fabrics lists the candidate fabrics. Each rides inside every
+	// sizing simulation of its candidate AND prices the plan. An empty
+	// list means one zero-valued entry, the historical behavior: an
+	// infinite in-loop fabric, priced as a folded Clos over co-packaged
+	// optics and packet switches. With several entries the fabric joins
+	// scheduler and spares as a search axis — every (scheduler, fabric)
+	// pair is sized independently with that fabric in the event loop,
+	// priced through the tco/network cost models at the resulting
+	// deployment scale, checked for physical feasibility (cable reach at
+	// that scale), and the cheapest feasible plan per Mtoken wins. See
 	// DefaultFabricCandidates for a sensible axis.
-	Network NetworkConfig
 	Fabrics []NetworkConfig
 
-	// KV selects the KV-cache memory model the sizing simulations run
-	// under. The zero value keeps the historical behavior: decode
-	// memory is infinite and admission never blocks on cache blocks.
-	// KVPolicies, when non-empty, overrides it with a set of candidate
-	// memory configs: the KV policy joins scheduler and fabric as a
-	// search axis — every (scheduler, fabric, kv) triple is sized
-	// independently and the cheapest feasible plan per Mtoken wins. See
+	// KVPolicies lists the candidate KV-cache memory models. An empty
+	// list means one zero-valued entry: decode memory is infinite and
+	// admission never blocks on cache blocks. With several entries the
+	// KV policy joins scheduler and fabric as a search axis — every
+	// (scheduler, fabric, kv) triple is sized independently and the
+	// cheapest feasible plan per Mtoken wins. See
 	// kv.DefaultPolicyCandidates for a sensible axis.
-	KV         kv.Config
 	KVPolicies []kv.Config
 
 	// Client attaches closed-loop client behavior (deadlines, retries
@@ -122,13 +115,11 @@ type PlanRequest struct {
 	// floor faster than an open-loop run would show.
 	Client ClientConfig
 
-	// Admission selects the overload gate the sizing simulations run
-	// behind (zero = admit everything, the historical behavior).
-	// Admissions, when non-empty, overrides it with a set of candidate
-	// gates: admission joins scheduler, fabric, and kv as a search axis
-	// — every (scheduler, fabric, kv, admission) tuple is sized
-	// independently and the cheapest feasible plan per Mtoken wins.
-	Admission  AdmissionConfig
+	// Admissions lists the candidate overload gates. An empty list
+	// means one zero-valued entry: admit everything. With several entries
+	// admission joins scheduler, fabric, and kv as a search axis — every
+	// (scheduler, fabric, kv, admission) tuple is sized independently and
+	// the cheapest feasible plan per Mtoken wins.
 	Admissions []AdmissionConfig
 
 	// Autoscale attaches the elastic control loop to every sizing
@@ -222,9 +213,9 @@ type Plan struct {
 // PlanCapacity answers the operator's sizing question: how many
 // instances of the given GPU does it take to serve the workload at its
 // arrival rate while meeting the SLO attainment targets — and, when
-// PlanRequest.Schedulers lists several policies or PlanRequest.Fabrics
-// lists several network designs, which scheduling discipline and which
-// fabric do it cheapest?
+// the request's axis lists (Schedulers, Fabrics, KVPolicies,
+// Admissions) hold several entries, which combination does it
+// cheapest? An empty axis list means one zero-valued entry.
 //
 // For the static policy it doubles both phase pools until the
 // deployment is feasible, then binary-searches each pool down
@@ -286,22 +277,10 @@ func PlanCapacity(req PlanRequest, slo SLO) (Plan, error) {
 	// enumeration order (policies outer, fabrics inner) — the cheapest
 	// feasible plan per Mtoken wins, first-listed on ties — so the
 	// answer is byte-identical at any worker count.
-	policies := req.Schedulers
-	if len(policies) == 0 {
-		policies = []SchedulerPolicy{req.Scheduler}
-	}
-	fabrics := req.Fabrics
-	if len(fabrics) == 0 {
-		fabrics = []NetworkConfig{req.Network}
-	}
-	kvcs := req.KVPolicies
-	if len(kvcs) == 0 {
-		kvcs = []kv.Config{req.KV}
-	}
-	adms := req.Admissions
-	if len(adms) == 0 {
-		adms = []AdmissionConfig{req.Admission}
-	}
+	policies := orZero(req.Schedulers)
+	fabrics := orZero(req.Fabrics)
+	kvcs := orZero(req.KVPolicies)
+	adms := orZero(req.Admissions)
 	type candidate struct {
 		pol SchedulerPolicy
 		nc  NetworkConfig
@@ -411,6 +390,15 @@ func PlanCapacity(req PlanRequest, slo SLO) (Plan, error) {
 		return Plan{}, firstErr
 	}
 	return best, nil
+}
+
+// orZero is the planner's axis rule: an empty list means one
+// zero-valued entry.
+func orZero[T any](axis []T) []T {
+	if len(axis) == 0 {
+		return make([]T, 1)
+	}
+	return axis
 }
 
 // planWorkers resolves the planner's worker-pool size.

@@ -194,7 +194,7 @@ func TestPlanMetricsMatchDirectRun(t *testing.T) {
 	accel.Failures = acceleratedFailures(0)
 	accel.Failures.TimeScale = 3e6
 	accelKV := accel
-	accelKV.KV = kv.Config{Policy: kv.Recompute, PrefixCache: true, Blocks: 1500}
+	accelKV.KVPolicies = []kv.Config{{Policy: kv.Recompute, PrefixCache: true, Blocks: 1500}}
 	rows := []struct {
 		name     string
 		req      PlanRequest

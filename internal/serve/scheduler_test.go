@@ -490,7 +490,7 @@ func TestPlanCapacityPicksCheapestScheduler(t *testing.T) {
 	}
 	for _, pol := range SchedulerPolicies() {
 		r := planRequest(20)
-		r.Scheduler = pol
+		r.Schedulers = []SchedulerPolicy{pol}
 		plan, err := PlanCapacity(r, SLO{})
 		if err != nil {
 			t.Fatalf("%v: %v", pol, err)
@@ -509,7 +509,7 @@ func TestPlanCapacityPicksCheapestScheduler(t *testing.T) {
 // mirroring TestPlanCapacityIsMinimal for the static policy.
 func TestPlanCapacityColocatedIsMinimal(t *testing.T) {
 	req := planRequest(250)
-	req.Scheduler = ContinuousBatching
+	req.Schedulers = []SchedulerPolicy{ContinuousBatching}
 	slo := SLO{TTFTAttainment: 0.99, TBTAttainment: 0.99, MinCompletion: 0.95}
 	plan, err := PlanCapacity(req, slo)
 	if err != nil {
