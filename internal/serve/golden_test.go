@@ -37,7 +37,9 @@ type goldenScenario struct {
 
 // goldenScenarios covers both workload shapes, single- and
 // multi-instance pools, both GPU types, a decode-heavy no-drain regime,
-// and a heterogeneous two-pool cluster behind each router.
+// a heterogeneous two-pool cluster behind each router, a four-pool
+// cluster, and a three-pool cluster with failure injection behind each
+// router (per-instance failure seeds run over global instance indices).
 func goldenScenarios(t *testing.T) []goldenScenario {
 	small := Config{
 		GPU:              hw.H100(),
@@ -76,6 +78,10 @@ func goldenScenarios(t *testing.T) []goldenScenario {
 
 	jsq := clusterOf(small, lite4)
 	jsq.Router = JoinShortestQueue
+	trio := numberedPools(clusterOf(small, lite4, small))
+	trio.Failures = acceleratedFailures(1)
+	trioJSQ := trio
+	trioJSQ.Router = JoinShortestQueue
 	return []goldenScenario{
 		{name: "small-coding", cluster: clusterOf(small), reqs: codingTrace(t, 1.0, 7, 200), horizon: 400},
 		{name: "h100-70b-coding", cluster: clusterOf(h70), reqs: codingTrace(t, 1.2, 42, 300), horizon: 420},
@@ -84,7 +90,23 @@ func goldenScenarios(t *testing.T) []goldenScenario {
 		{name: "wide-coding", cluster: clusterOf(wide), reqs: codingTrace(t, 4.0, 13, 200), horizon: 400},
 		{name: "hetero-rr", cluster: clusterOf(small, lite4), reqs: codingTrace(t, 2.0, 17, 300), horizon: 500},
 		{name: "hetero-jsq", cluster: jsq, reqs: codingTrace(t, 2.0, 17, 300), horizon: 500},
+		{name: "rr-quad", cluster: numberedPools(clusterOf(small, lite4, small, lite4)), reqs: codingTrace(t, 3.0, 23, 300), horizon: 500},
+		{name: "rr-failures", cluster: trio, reqs: codingTrace(t, 2.0, 31, 300), horizon: 500},
+		{name: "jsq-failures", cluster: trioJSQ, reqs: codingTrace(t, 2.0, 31, 300), horizon: 500},
 	}
+}
+
+// numberedPools names each pool by its index and GPU ("1-Lite"), so a
+// cluster that repeats a GPU type still renders unique keys. Names
+// only label metrics; they never change a simulation.
+func numberedPools(cc ClusterConfig) ClusterConfig {
+	pools := make([]Pool, len(cc.Pools))
+	for i, p := range cc.Pools {
+		p.Name = fmt.Sprintf("%d-%s", i, p.Config.GPU.Name)
+		pools[i] = p
+	}
+	cc.Pools = pools
+	return cc
 }
 
 // goldenReport runs every scenario and renders its ClusterMetrics

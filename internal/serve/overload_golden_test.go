@@ -110,6 +110,24 @@ func overloadGoldenScenarios(t *testing.T) []goldenScenario {
 	chaosCluster := clusterOf(chaos)
 	chaosCluster.Failures = acceleratedFailures(0)
 
+	// Four elastic, closed-loop, admission-gated pools behind the JSQ
+	// router under accelerated failures: instances die mid-warm-up and
+	// the router reads every pool's live count at each arrival.
+	elastic := smallConfig()
+	elastic.DecodeInstances = 4
+	elastic.MaxDecodeBatch = 16
+	elastic.Client = ClientConfig{
+		Default: ClientBehavior{Timeout: 20, Retries: 2, BackoffBase: 1, Jitter: 0.5},
+		Seed:    13,
+	}
+	elastic.Admission = AdmissionConfig{Policy: AdmitAdaptive, QueueLimit: 32, Levels: 2}
+	elastic.Autoscale = AutoscaleConfig{
+		Enabled: true, Interval: 5, HighWater: 6, LowWater: 1, MinInstances: 1, WarmUp: 20,
+	}
+	elasticCluster := numberedPools(clusterOf(elastic, elastic, elastic, elastic))
+	elasticCluster.Router = JoinShortestQueue
+	elasticCluster.Failures = acceleratedFailures(0)
+
 	return []goldenScenario{
 		{name: "ol-closed-loop-conv", cluster: clusterOf(closed), reqs: convTrace(t, 90, 7, 120), horizon: 240},
 		{name: "ol-shed-priority", cluster: clusterOf(shedPrio), reqs: tenants, horizon: 240},
@@ -118,6 +136,7 @@ func overloadGoldenScenarios(t *testing.T) []goldenScenario {
 		{name: "ol-straggler", cluster: clusterOf(slow), reqs: codingTrace(t, 2, 11, 150), horizon: 240},
 		{name: "ol-chaos", cluster: chaosCluster, reqs: tenants, horizon: 240},
 		{name: "ol-continuous-closed-loop-conv", cluster: clusterOf(closedCont), reqs: convTrace(t, 60, 7, 120), horizon: 240},
+		{name: "ol-autoscale-jsq-failures", cluster: elasticCluster, reqs: overloadTenants(t, 25, 75, 90), horizon: 240},
 	}
 }
 
