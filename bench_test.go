@@ -751,11 +751,12 @@ func BenchmarkPlanCapacityAutoSequentialBaseline(b *testing.B) {
 	}
 }
 
-// benchShardCluster is the heterogeneous four-pool deployment the
-// sharding benchmarks run: two H100 pools and two Lite-GPU pools behind
-// one round-robin router, large enough that pool simulation dominates
-// and the shard workers have real work to overlap.
-func benchShardCluster(b *testing.B) (ServeClusterConfig, []Request) {
+// BenchmarkClusterShardedSequentialBaseline measures a four-pool
+// heterogeneous cluster, two H100 pools and two Lite-GPU pools behind
+// one round-robin router, on RunCluster's single event engine, where
+// each dispatch pass runs only the pools that requested it. The name
+// is kept from when a pool-sharded path ran the same cluster.
+func BenchmarkClusterShardedSequentialBaseline(b *testing.B) {
 	m, ok := ModelByName("Llama3-8B")
 	if !ok {
 		b.Fatal("model catalog missing Llama3-8B")
@@ -779,30 +780,6 @@ func benchShardCluster(b *testing.B) (ServeClusterConfig, []Request) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return cc, reqs
-}
-
-// BenchmarkClusterSharded measures the sharded cluster path: the four
-// pools advance on four workers with round-robin pre-routing (no
-// synchronization windows), byte-identical to the sequential run — see
-// TestShardCountInvariance. The speedup over
-// BenchmarkClusterShardedSequentialBaseline tracks available cores.
-func BenchmarkClusterSharded(b *testing.B) {
-	cc, reqs := benchShardCluster(b)
-	cc.Shards = 4
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ServeCluster(cc, reqs, 500); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkClusterShardedSequentialBaseline runs the identical cluster
-// on the sequential single-engine path.
-func BenchmarkClusterShardedSequentialBaseline(b *testing.B) {
-	cc, reqs := benchShardCluster(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

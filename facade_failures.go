@@ -10,9 +10,7 @@ import (
 // Cluster-aware serving, re-exported from internal/serve.
 type (
 	// ServeClusterConfig describes a multi-pool serving simulation with
-	// routing and failure injection. Setting Shards > 1 runs the pools
-	// on a parallel worker pool with byte-identical results (see
-	// serve.ClusterConfig.Shards).
+	// routing and failure injection.
 	ServeClusterConfig = serve.ClusterConfig
 	// ServePool is one homogeneous deployment inside a cluster.
 	ServePool = serve.Pool

@@ -16,10 +16,8 @@ import (
 //	                                  allocation findings (hotpath)
 //	//litegpu:floatcmp-ok <reason>    waives one line's float-comparison
 //	                                  findings (floatcmp)
-//	//litegpu:go-ok <reason>          waives one line's goroutine-spawn
-//	                                  findings (determinism) — reserved
-//	                                  for audited deterministic runners
-//	                                  like the serve shard workers
+//
+// Goroutine-spawn findings (determinism) have no waiver.
 //
 // A waiver written as a trailing comment applies to its own line; a
 // waiver on a line of its own applies to the next line. Every waiver
@@ -38,7 +36,6 @@ var waiverCategories = map[string]string{
 	"ordered-ok":  "ordered",
 	"alloc-ok":    "alloc",
 	"floatcmp-ok": "floatcmp",
-	"go-ok":       "go",
 }
 
 // markerDirectives are non-waiver directives; they are validated by the
@@ -135,7 +132,7 @@ func parseDirective(pkg *Package, pos token.Pos, text string) (*waiver, *Diagnos
 			Pos:      pos,
 			Analyzer: "waiver",
 			Message: "unknown //litegpu: directive " + name +
-				" (known: hotpath, ordered-ok, alloc-ok, floatcmp-ok, go-ok)",
+				" (known: hotpath, ordered-ok, alloc-ok, floatcmp-ok)",
 		}
 	}
 	// Strip an analysistest expectation riding the same comment, so

@@ -23,12 +23,8 @@
 //
 // It also forbids spawning goroutines anywhere but internal/sweep, the
 // one sanctioned concurrency layer — scheduling decisions made on
-// goroutine timing are nondeterminism by construction. A spawn site
-// that has been audited to be deterministic anyway (the serve shard
-// workers, which synchronize through conservative time windows and
-// merge in a fixed order) may carry a //litegpu:go-ok <reason> waiver;
-// like every waiver it covers exactly one line and is reported as
-// stale when it stops suppressing anything.
+// goroutine timing are nondeterminism by construction. No waiver
+// covers a spawn.
 package determinism
 
 import (
@@ -73,7 +69,7 @@ func run(pass *analysis.Pass) error {
 			case *ast.GoStmt:
 				if !allowGo {
 					pass.Reportf(n.Pos(), "go",
-						"goroutine spawned in simulation package %s: internal/sweep is the only sanctioned concurrency layer; audited deterministic runners may waive with //litegpu:go-ok <reason>",
+						"goroutine spawned in simulation package %s: internal/sweep is the only sanctioned concurrency layer",
 						pass.Path)
 				}
 			}

@@ -47,10 +47,8 @@ func TestWaivers(t *testing.T) {
 	analysistest.Run(t, testdata, "waive/sim", determinism.Analyzer)
 }
 
-// TestGoroutineWaivers pins the goroutine-rule extension: an audited
-// spawn under //litegpu:go-ok <reason> is allowed, while unwaived,
-// reasonless, and wrong-category spawns all still fire (and unused
-// go-ok waivers are reported stale).
+// TestGoroutineWaivers pins that no waiver covers a goroutine spawn:
+// every spawn fires, and a waiver written on one is reported stale.
 func TestGoroutineWaivers(t *testing.T) {
 	analysistest.Run(t, testdata, "goroutine/sim", determinism.Analyzer)
 }

@@ -1,41 +1,19 @@
-// Fixture for the goroutine-rule waiver: the package path ends in
-// "sim" so spawns are in scope, and //litegpu:go-ok is the only way to
-// keep one. It pins both sides of the contract — an audited spawn with
-// a reasoned waiver stays silent, everything else still fires.
+// Fixture for the goroutine rule: the package path ends in "sim" so
+// spawns are in scope, and no waiver keeps one. Every spawn fires,
+// however it is annotated.
 package sim
 
 func work() {}
 
-// ShardWorker is the sanctioned shape: a spawn audited for determinism
-// (window-synchronized, merged in fixed order) carrying a reasoned
-// trailing waiver.
-func ShardWorker() {
-	go work() //litegpu:go-ok window-synchronized shard worker, merged in fixed pool order
-}
-
-// StandaloneWaived has the waiver on its own line, covering the spawn
-// on the next.
-func StandaloneWaived() {
-	//litegpu:go-ok command-channel worker; barriers make it deterministic
-	go work()
-}
-
-// Unwaived proves spawns stay forbidden by default.
+// Unwaived proves spawns are forbidden by default.
 func Unwaived() {
 	go work() // want "goroutine spawned in simulation package"
 }
 
-// Reasonless proves a bare waiver is malformed: the hygiene finding
-// fires and the spawn finding it meant to cover survives.
-func Reasonless() {
-	go work() //litegpu:go-ok // want "goroutine spawned in simulation package" "waiver needs a reason"
-}
-
-// WrongCategory proves waivers are category-precise: an ordered-ok
-// cannot mute a spawn, and is itself stale.
+// WrongCategory proves no waiver category mutes a spawn, trailing or
+// on the line above; each such waiver is itself stale.
 func WrongCategory() {
 	go work() //litegpu:ordered-ok not the right directive // want "goroutine spawned in simulation package" "stale //litegpu:ordered-ok waiver"
+	//litegpu:floatcmp-ok not the right directive either // want "stale //litegpu:floatcmp-ok waiver"
+	go work() // want "goroutine spawned in simulation package"
 }
-
-//litegpu:go-ok nothing spawns on the next line // want "stale //litegpu:go-ok waiver"
-func Stale() {}

@@ -117,9 +117,7 @@ type Options struct {
 }
 
 // Recorder accumulates one run's telemetry. It is not safe for
-// concurrent use: the serving simulator runs it on the sequential
-// cluster path (attaching an observer disables sharding, which is
-// byte-identical anyway).
+// concurrent use; a serving run drives it from its one event engine.
 type Recorder struct {
 	k    int
 	rng  *mathx.RNG

@@ -474,7 +474,7 @@ func (c *batchCore) completeStep(j int, now float64) {
 		}
 	}
 	e.stepState = stepState{}
-	c.cs.requestDispatch(now)
+	c.cs.requestDispatch(p, now)
 }
 
 // finishPrefill moves a fully prefilled request into engine j's decode

@@ -120,21 +120,8 @@ type ClusterConfig struct {
 	// probe interval is set) fixed-interval time-series samples. The
 	// observer is strictly read-only — attaching one never changes
 	// simulation results; the golden corpora pass byte-identical with an
-	// observer live. Attaching an observer forces the sequential
-	// execution path (which is byte-identical to the sharded one), so a
-	// single Recorder sees the whole cluster.
+	// observer live. One Recorder sees the whole cluster.
 	Observer *obs.Recorder
-
-	// Shards asks RunCluster to simulate pools in parallel across up to
-	// Shards workers (bounded by the pool count), using conservative
-	// time-window synchronization at router decisions. The result is
-	// byte-identical to the sequential simulation at every shard count —
-	// sharding is purely a wall-clock optimization, never a modeling
-	// choice. 0 or 1 means sequential. Sharding is ignored (sequential
-	// fallback) when the cluster has a single pool, when an in-loop
-	// fabric couples the pools through shared links, and by
-	// RunClusterFrom, whose lazy-source contract is inherently serial.
-	Shards int
 }
 
 // resolvedNetwork returns the fabric the cluster simulates on: the
@@ -222,24 +209,11 @@ func RunCluster(cc ClusterConfig, reqs []trace.Request, horizon units.Seconds) (
 	if err := cc.Validate(); err != nil {
 		return ClusterMetrics{}, err
 	}
-	if cc.shardable() {
-		return runShardedCluster(cc, reqs, float64(horizon))
-	}
 	sim, err := newClusterSim(cc, float64(horizon))
 	if err != nil {
 		return ClusterMetrics{}, err
 	}
 	return sim.run(reqs), nil
-}
-
-// shardable reports whether this configuration takes the sharded
-// execution path: parallelism was requested, there is more than one
-// pool to spread, no fabric couples the pools through shared links
-// (fabric contention is global state every event can touch, so fabric
-// runs stay sequential), and no observer is attached (a Recorder is a
-// single-writer cluster-wide view).
-func (cc ClusterConfig) shardable() bool {
-	return cc.Shards > 1 && len(cc.Pools) > 1 && !cc.resolvedNetwork().Enabled() && cc.Observer == nil
 }
 
 // RunClusterFrom is RunCluster over a lazy request source: arrivals are

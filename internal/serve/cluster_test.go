@@ -3,6 +3,7 @@ package serve
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"litegpu/internal/failure"
@@ -208,6 +209,28 @@ func TestFailureRunIsDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("repeated failure runs diverge:\n%+v\nvs\n%+v", a.Total, b.Total)
+	}
+}
+
+// TestClusterUnsortedInput pins RunCluster's arrival sort: a reversed
+// trace (generated arrivals are distinct, so the sort has one answer)
+// must produce byte-identical metrics to the sorted one it came from.
+func TestClusterUnsortedInput(t *testing.T) {
+	small := smallConfig()
+	cc := clusterOf(small, small, small)
+	reqs := codingTrace(t, 2.0, 41, 200)
+	base, err := RunCluster(cc, reqs, 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rev := append([]trace.Request(nil), reqs...)
+	slices.Reverse(rev)
+	cm, err := RunCluster(cc, rev, 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := keyedCluster(t, "", cm), keyedCluster(t, "", base); got != want {
+		t.Errorf("reversed trace diverges from sorted at %s", firstDiff(got, want))
 	}
 }
 

@@ -147,6 +147,10 @@ type poolSim struct {
 	spareFree int
 	waiting   []int
 
+	// dispatchWanted marks the pool for the next dispatch pass (see
+	// clusterSim.requestDispatch).
+	dispatchWanted bool
+
 	// freeReqs recycles activeReq state: completed (or dropped)
 	// requests return here and are reused for later arrivals.
 	freeReqs []*activeReq
@@ -537,17 +541,6 @@ func packArg(pool, id int) uint64 { return uint64(pool)<<32 | uint64(uint32(id))
 func unpackArg(arg uint64) (pool, id int) { return int(arg >> 32), int(uint32(arg)) }
 
 func newClusterSim(cc ClusterConfig, horizon float64) (*clusterSim, error) {
-	return newClusterSimAt(cc, horizon, 0, 0)
-}
-
-// newClusterSimAt builds a simulation of cc.Pools that behaves as if
-// those pools sat at global pool index poolBase (and global instance
-// index instBase) of a larger cluster: event priorities and
-// per-instance failure seeds use the global indices, so a shard
-// simulating pools [poolBase, poolBase+len(Pools)) evolves its pools
-// byte-identically to the sequential whole-cluster run. The sequential
-// path is the poolBase = instBase = 0 case.
-func newClusterSimAt(cc ClusterConfig, horizon float64, poolBase, instBase int) (*clusterSim, error) {
 	s := &clusterSim{
 		eng: sim.New(cc.Failures.Seed),
 		cc:  cc,
@@ -570,7 +563,7 @@ func newClusterSimAt(cc ClusterConfig, horizon float64, poolBase, instBase int) 
 	s.failMTTR = float64(fp.MTTR)
 	s.failRecovery = float64(fp.RecoveryTime)
 
-	globalInstance := instBase
+	globalInstance := 0
 	for pi, pool := range cc.Pools {
 		cfg := pool.Config
 		name := pool.Name
@@ -594,7 +587,7 @@ func newClusterSimAt(cc ClusterConfig, horizon float64, poolBase, instBase int) 
 			p.kvBlockTokens = cfg.KV.BlockTokensOrDefault()
 		}
 		p.eng = s.eng
-		p.prioBase = poolIndexBase(poolBase + pi)
+		p.prioBase = poolIndexBase(pi)
 		p.rec = s.rec
 		if s.rec != nil {
 			s.rec.SetPoolName(pi, name)
@@ -603,7 +596,7 @@ func newClusterSimAt(cc ClusterConfig, horizon float64, poolBase, instBase int) 
 			p.clientOn = true
 			p.tracks = make(map[int]int32)
 			p.cancelled = make(map[int]int32)
-			p.clientRNG = mathx.NewRNG(mathx.DeriveSeed(cfg.Client.Seed, uint64(poolBase+pi)))
+			p.clientRNG = mathx.NewRNG(mathx.DeriveSeed(cfg.Client.Seed, uint64(pi)))
 		}
 		p.classesOn = len(cfg.Client.Classes) > 0 || cfg.Admission.Policy != AdmitAll
 		var err error
@@ -619,10 +612,9 @@ func newClusterSimAt(cc ClusterConfig, horizon float64, poolBase, instBase int) 
 		for id := 0; id < p.sched.numInstances(); id++ {
 			st := p.sched.state(id)
 			st.up = true
-			st.prio = poolIndexBase(poolBase+pi) + id
+			st.prio = p.prioBase + id
 			if cfg.Straggler.Enabled() {
-				// One persistent draw per global instance index, so shards
-				// and the sequential run see identical slow sets.
+				// One persistent draw per global instance index.
 				st.slow = cfg.Straggler.Jitter.Draw(
 					mathx.NewRNG(mathx.DeriveSeed(cfg.Straggler.Seed, uint64(globalInstance))))
 			}
@@ -766,7 +758,7 @@ func (s *clusterSim) onXfer(now float64, arg uint64) {
 	}
 	p.dropLive(int32(idx))
 	p.freeXfer(int32(idx))
-	s.requestDispatch(now)
+	s.requestDispatch(p, now)
 }
 
 // startIngress charges a routed arrival's trip from the router to its
@@ -853,17 +845,12 @@ func (s *clusterSim) runFrom(src RequestSource) ClusterMetrics {
 	return s.assemble()
 }
 
-// start primes the calendar: the first arrival pulled from src and
-// every instance's first failure. A nil src means this simulation
-// receives no arrivals of its own — the sharded runner's JSQ
-// controller injects arrivals from outside, and a shard only books its
-// failure processes here.
+// start primes the calendar: the first arrival pulled from src, every
+// instance's first failure, the autoscale ticks and the probe ticks.
 func (s *clusterSim) start(src RequestSource) {
 	s.src = src
-	if src != nil {
-		if r, ok := src.Next(); ok {
-			s.scheduleArrival(r)
-		}
+	if r, ok := src.Next(); ok {
+		s.scheduleArrival(r)
 	}
 
 	// Failure processes.
@@ -876,8 +863,6 @@ func (s *clusterSim) start(src RequestSource) {
 	}
 
 	// Autoscale control loops: one periodic tick per scaling pool.
-	// Booked here rather than at construction so shards (which call
-	// start too) run their own pools' loops.
 	for _, p := range s.pools {
 		if p.scaleOn {
 			s.eng.ScheduleCall(p.cfg.Autoscale.interval(),
@@ -953,23 +938,28 @@ func (s *clusterSim) scheduleArrival(r trace.Request) {
 //
 //litegpu:hotpath
 func (s *clusterSim) arrive(now float64, _ uint64) {
-	s.route(s.nextReq, now)
+	p := s.route()
+	s.acceptArrival(p, s.nextReq, now)
 	if r, ok := s.src.Next(); ok {
 		s.scheduleArrival(r)
 	}
-	s.requestDispatch(now)
+	s.requestDispatch(p, now)
 }
 
-// jsqPick returns the join-shortest-queue pool index: least outstanding
-// work per live (up, unparked) instance. Shared by the sequential
-// router and the sharded runner's JSQ controller, which replicates the
-// same decision over its global pool view.
+// route picks the pool for an arriving request. JoinShortestQueue
+// takes the least outstanding work per live (up, unparked) instance,
+// the lowest index on ties.
 //
 //litegpu:hotpath
-func jsqPick(pools []*poolSim) int {
+func (s *clusterSim) route() *poolSim {
+	if s.cc.Router != JoinShortestQueue {
+		p := s.pools[s.rrNext%len(s.pools)]
+		s.rrNext++
+		return p
+	}
 	best := math.Inf(1)
-	pick := 0
-	for i, cand := range pools {
+	pick := s.pools[0]
+	for _, cand := range s.pools {
 		outstanding := cand.sched.outstanding()
 		live := 0
 		for id := 0; id < cand.sched.numInstances(); id++ {
@@ -985,32 +975,15 @@ func jsqPick(pools []*poolSim) int {
 		load := float64(outstanding) / float64(live)
 		if load < best {
 			best = load
-			pick = i
+			pick = cand
 		}
 	}
 	return pick
 }
 
-// route assigns an arriving request to a pool.
-//
-//litegpu:hotpath
-func (s *clusterSim) route(r trace.Request, now float64) {
-	var p *poolSim
-	switch s.cc.Router {
-	case JoinShortestQueue:
-		p = s.pools[jsqPick(s.pools)]
-	default: // RoundRobin
-		p = s.pools[s.rrNext%len(s.pools)]
-		s.rrNext++
-	}
-	s.acceptArrival(p, r, now)
-}
-
 // acceptArrival runs a routed request through the pool's frontend:
 // arrival accounting, the admission gate, and the client loop, then
-// queues it (directly, or over the fabric in multi-pool clusters). The
-// sharded runner's JSQ controller calls it on the owning shard, so
-// admission and client behavior are identical under sharding.
+// queues it (directly, or over the fabric in multi-pool clusters).
 //
 //litegpu:hotpath
 func (s *clusterSim) acceptArrival(p *poolSim, r trace.Request, now float64) {
@@ -1070,8 +1043,12 @@ func (s *clusterSim) acceptArrival(p *poolSim, r trace.Request, now float64) {
 	p.sched.enqueue(r)
 }
 
+// requestDispatch marks pool p for the dispatch pass at now, booking
+// the pass if none is pending.
+//
 //litegpu:hotpath
-func (s *clusterSim) requestDispatch(now float64) {
+func (s *clusterSim) requestDispatch(p *poolSim, now float64) {
+	p.dispatchWanted = true
 	if s.dispatchPending {
 		return
 	}
@@ -1079,15 +1056,21 @@ func (s *clusterSim) requestDispatch(now float64) {
 	s.eng.ScheduleCall(now, prioDispatch, s.dispatchH, 0)
 }
 
-// dispatch hands freed or newly queued work to idle engines across all
-// pools — the same pass the pre-sim loop ran at the end of every event
-// time.
+// dispatch hands freed or newly queued work to idle engines — the same
+// pass the pre-sim loop ran at the end of every event time — visiting
+// pools in index order but running only the schedulers of pools that
+// asked. Skipping the rest is unobservable: any state change that makes
+// a pool's work dispatchable requests a dispatch for that pool at that
+// same instant, so an unmarked pool has nothing actionable.
 //
 //litegpu:hotpath
 func (s *clusterSim) dispatch(now float64, _ uint64) {
 	s.dispatchPending = false
 	for _, p := range s.pools {
-		p.sched.dispatch(now)
+		if p.dispatchWanted {
+			p.dispatchWanted = false
+			p.sched.dispatch(now)
+		}
 	}
 }
 
@@ -1158,7 +1141,7 @@ func (s *clusterSim) failInstance(p *poolSim, id int, now float64) {
 	}
 	// Requeued work must reach surviving idle engines now, not at the
 	// next unrelated event.
-	s.requestDispatch(now)
+	s.requestDispatch(p, now)
 }
 
 //litegpu:hotpath
@@ -1188,21 +1171,15 @@ func (s *clusterSim) recoverInstance(p *poolSim, id int, now float64) {
 	}
 	p.sched.recovered(id, now)
 	s.scheduleFailure(p, id, now)
-	s.requestDispatch(now)
+	s.requestDispatch(p, now)
 }
 
 // --- metrics assembly --------------------------------------------------
 
+// assemble folds per-pool accumulators into ClusterMetrics in pool
+// order; float summation order is part of the byte-identity contract.
 func (s *clusterSim) assemble() ClusterMetrics {
-	return assemblePools(s.pools, s.h)
-}
-
-// assemblePools folds per-pool accumulators into ClusterMetrics. It is
-// a free function over the pool list so the sharded runner can merge
-// the pools of every shard — ordered by global pool index — through
-// the exact accumulation sequence the sequential path uses; float
-// summation order is part of the byte-identity contract.
-func assemblePools(pools []*poolSim, h float64) ClusterMetrics {
+	pools, h := s.pools, s.h
 	var cm ClusterMetrics
 	var (
 		allTTFT, allTBT, allE2E []float64

@@ -305,9 +305,9 @@ func (a AutoscaleConfig) Validate() error {
 // StragglerConfig plants persistently slow instances in a pool — the
 // paper's straggling-GPU concern at serving granularity. Each instance
 // draws one step-time factor from the jitter distribution at
-// construction (seeded per global instance index, so runs and shards
-// agree) and every pass it runs is stretched by it. The zero value
-// (CV 0) leaves all instances nominal.
+// construction (seeded per cluster-wide instance index) and every pass
+// it runs is stretched by it. The zero value (CV 0) leaves all
+// instances nominal.
 type StragglerConfig struct {
 	// Jitter is the slowdown dispersion (see straggler.Jitter): each
 	// instance's factor is one draw of 1+X, floored at 0.5.
@@ -582,7 +582,7 @@ func (s *clusterSim) onDeadline(now float64, arg uint64) {
 	}
 	// Cancelled copies at queue heads must be purged even on an
 	// otherwise-idle pool, or tombstones outlive the backlog.
-	s.requestDispatch(now)
+	s.requestDispatch(p, now)
 }
 
 // cancelClientXfer eagerly cancels request id's in-flight KV or swap
@@ -698,7 +698,7 @@ func (s *clusterSim) onRetry(now float64, arg uint64) {
 		}
 		p.sched.enqueue(r)
 	}
-	s.requestDispatch(now)
+	s.requestDispatch(p, now)
 }
 
 // --- autoscaler ---------------------------------------------------------
@@ -758,7 +758,7 @@ func (s *clusterSim) onScale(now float64, arg uint64) {
 		}
 	}
 	s.eng.ScheduleCall(now+a.interval(), prioClient+p.prioBase+1, s.scaleH, arg)
-	s.requestDispatch(now)
+	s.requestDispatch(p, now)
 }
 
 // scaleUpOne adds capacity: a draining instance is reclaimed first (it
@@ -823,7 +823,7 @@ func (s *clusterSim) onWarm(now float64, arg uint64) {
 	}
 	st.parked = false
 	st.parkedSec += now - st.parkedAt
-	s.requestDispatch(now)
+	s.requestDispatch(p, now)
 }
 
 // buildClassMetrics folds a pool's per-class accumulators into the

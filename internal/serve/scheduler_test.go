@@ -396,7 +396,7 @@ func TestFailureMidChunkNeitherDuplicatesNorLosesChunks(t *testing.T) {
 	// Arrival at t=0, by hand (run() would execute to completion).
 	p.sched.enqueue(trace.Request{ID: 0, Arrival: 0, PromptTokens: prompt, OutputTokens: output})
 	p.m.Arrived++
-	s.requestDispatch(0)
+	s.requestDispatch(p, 0)
 
 	// Step the engine until the second chunk pass is in flight.
 	e := &sched.engines[0]

@@ -259,7 +259,7 @@ func (sc *staticSched) completePrefill(i int, now float64) {
 		sc.finishPrefillReq(i, r, now)
 	}
 	e.batch = e.batch[:0]
-	sc.cs.requestDispatch(now)
+	sc.cs.requestDispatch(sc.pool, now)
 }
 
 // finishPrefillReq moves one prefilled request toward decode. Without

@@ -193,24 +193,6 @@ func (e *Engine) Run(until float64) int {
 	return n
 }
 
-// RunBefore executes events in order while the next event lies strictly
-// before `until` (events at exactly `until` do NOT run — Run's
-// inclusive counterpart). It is the conservative-window primitive of
-// the sharded cluster runner: a shard advances through everything that
-// can causally precede a cross-shard event at `until`, then parks so
-// the coordinator can exchange state at exactly that instant. Returns
-// the number of events executed.
-//
-//litegpu:hotpath
-func (e *Engine) RunBefore(until float64) int {
-	n := 0
-	for len(e.heap) > 0 && e.heap[0].at < until {
-		e.fireTop()
-		n++
-	}
-	return n
-}
-
 // Step executes exactly one event if one is pending, reporting whether
 // it did. Tests use it to observe intermediate states.
 //
