@@ -234,6 +234,68 @@ func TestClusterUnsortedInput(t *testing.T) {
 	}
 }
 
+// runDispatchingEveryPool runs cc over reqs with a dispatch pass that
+// runs every pool's scheduler each time, not only the pools that
+// requested it: the reference the per-pool pass must match.
+func runDispatchingEveryPool(t *testing.T, cc ClusterConfig, reqs []trace.Request, horizon units.Seconds) ClusterMetrics {
+	t.Helper()
+	s, err := newClusterSim(cc, float64(horizon))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.dispatchH = func(now float64, arg uint64) {
+		for _, p := range s.pools {
+			p.dispatchWanted = true
+		}
+		s.dispatch(now, arg)
+	}
+	return s.run(reqs)
+}
+
+// goldenScenarioNamed returns the scenario called name from scs.
+func goldenScenarioNamed(t *testing.T, scs []goldenScenario, name string) goldenScenario {
+	t.Helper()
+	for _, sc := range scs {
+		if sc.name == name {
+			return sc
+		}
+	}
+	t.Fatalf("no golden scenario %q", name)
+	return goldenScenario{}
+}
+
+// TestShardCountInvariance is the contract a pool-sharded runner once
+// relied on and the one dispatch pass now relies on: running only the
+// schedulers of the pools that asked must be byte-identical to running
+// every pool's scheduler on every pass, across both routers,
+// heterogeneous pools, four pools and failure injection. Each subtest
+// runs a multi-pool block of the static golden corpus.
+func TestShardCountInvariance(t *testing.T) {
+	scs := goldenScenarios(t)
+	for _, c := range []struct{ name, golden string }{
+		{"rr-hetero", "hetero-rr"},
+		{"jsq-hetero", "hetero-jsq"},
+		{"rr-quad", "rr-quad"},
+		{"rr-failures", "rr-failures"},
+		{"jsq-failures", "jsq-failures"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sc := goldenScenarioNamed(t, scs, c.golden)
+			if len(sc.cluster.Pools) < 2 {
+				t.Fatalf("premise: %s has %d pool(s), want several", c.golden, len(sc.cluster.Pools))
+			}
+			cm, err := RunCluster(sc.cluster, sc.reqs, sc.horizon)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := runDispatchingEveryPool(t, sc.cluster, sc.reqs, sc.horizon)
+			if got, want := keyedCluster(t, "", cm), keyedCluster(t, "", ref); got != want {
+				t.Errorf("per-pool dispatch diverges from every-pool dispatch at %s", firstDiff(got, want))
+			}
+		})
+	}
+}
+
 func TestHeterogeneousPoolsServeOneTrace(t *testing.T) {
 	// An H100 pool and its Lite replacement serve the same stream side
 	// by side; every request lands in exactly one pool and the aggregate

@@ -250,6 +250,40 @@ func TestGracefulDegradationUnderFlashCrowd(t *testing.T) {
 	}
 }
 
+// TestAutoscalerShardDeterminism runs the elastic, failure-injected,
+// closed-loop four-pool JSQ cluster of the overload golden corpus with
+// the per-pool dispatch pass and with one that runs every pool, and
+// requires byte-identical metrics: the autoscaler's control loop,
+// cold-start warm-ups (including instances that die mid-warm-up under
+// the accelerated failure clock) and drain-first scale-downs all
+// request their own pool's dispatch, so skipping the other pools must
+// not be observable. A repeated run must match too.
+func TestAutoscalerShardDeterminism(t *testing.T) {
+	sc := goldenScenarioNamed(t, overloadGoldenScenarios(t), "ol-autoscale-jsq-failures")
+	cm, err := RunCluster(sc.cluster, sc.reqs, sc.horizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cm.Total.ScaleUps == 0 {
+		t.Fatal("scenario never scaled up — not exercising the autoscaler")
+	}
+	if cm.Total.FailureEvents == 0 {
+		t.Fatal("scenario saw no failures — not exercising warm-up/failure interaction")
+	}
+	want := keyedCluster(t, "", cm)
+	ref := runDispatchingEveryPool(t, sc.cluster, sc.reqs, sc.horizon)
+	if got := keyedCluster(t, "", ref); got != want {
+		t.Errorf("every-pool dispatch diverges from per-pool dispatch at %s", firstDiff(got, want))
+	}
+	again, err := RunCluster(sc.cluster, sc.reqs, sc.horizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := keyedCluster(t, "", again); got != want {
+		t.Errorf("repeated run diverges at %s", firstDiff(got, want))
+	}
+}
+
 // TestWarmupAbortsWhenInstanceDies pins the cold-start/failure
 // interaction directly: an instance that dies while warming must stay
 // parked when its warm-up completes, rather than unparking dead
