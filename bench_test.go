@@ -751,12 +751,11 @@ func BenchmarkPlanCapacityAutoSequentialBaseline(b *testing.B) {
 	}
 }
 
-// BenchmarkClusterShardedSequentialBaseline measures a four-pool
-// heterogeneous cluster, two H100 pools and two Lite-GPU pools behind
-// one round-robin router, on RunCluster's single event engine, where
-// each dispatch pass runs only the pools that requested it. The name
-// is kept from when a pool-sharded path ran the same cluster.
-func BenchmarkClusterShardedSequentialBaseline(b *testing.B) {
+// BenchmarkClusterFourPool measures a four-pool heterogeneous cluster,
+// two H100 pools and two Lite-GPU pools behind one round-robin router,
+// on RunCluster's single event engine, where each dispatch pass runs
+// only the pools that requested it.
+func BenchmarkClusterFourPool(b *testing.B) {
 	m, ok := ModelByName("Llama3-8B")
 	if !ok {
 		b.Fatal("model catalog missing Llama3-8B")

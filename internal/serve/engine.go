@@ -34,9 +34,12 @@ const (
 	prioDispatch = 1 << 30
 	// prioProbe orders observability probe ticks after the dispatch pass
 	// at their timestamp, so probes sample settled post-dispatch state.
-	// Probe events are read-only and exist only with an observer
-	// attached; the engine's insertion-seq tiebreak is monotonic, so the
-	// extra events never reorder simulation events at other priorities.
+	// The pass rides the engine's deferred slot (sim.Engine.Defer), but
+	// that slot is ordered against the heap by the same (time,
+	// priority, seq) rule, so the probe still fires after it. Probe
+	// events are read-only and exist only with an observer attached;
+	// the engine's insertion-seq tiebreak is monotonic, so the extra
+	// events never reorder simulation events at other priorities.
 	prioProbe = prioDispatch + 1
 )
 
@@ -1044,7 +1047,11 @@ func (s *clusterSim) acceptArrival(p *poolSim, r trace.Request, now float64) {
 }
 
 // requestDispatch marks pool p for the dispatch pass at now, booking
-// the pass if none is pending.
+// the pass if none is pending. The pass is the engine's one deferred
+// call (sim.Engine.Defer): at most one is ever pending, which is
+// exactly Defer's contract, and it fires in the same (time, priority,
+// seq) order a heap entry would, without the heap push and pop. Half
+// of a run's events are this pass.
 //
 //litegpu:hotpath
 func (s *clusterSim) requestDispatch(p *poolSim, now float64) {
@@ -1053,7 +1060,7 @@ func (s *clusterSim) requestDispatch(p *poolSim, now float64) {
 		return
 	}
 	s.dispatchPending = true
-	s.eng.ScheduleCall(now, prioDispatch, s.dispatchH, 0)
+	s.eng.Defer(now, prioDispatch, s.dispatchH, 0)
 }
 
 // dispatch hands freed or newly queued work to idle engines — the same
@@ -1065,6 +1072,8 @@ func (s *clusterSim) requestDispatch(p *poolSim, now float64) {
 //
 //litegpu:hotpath
 func (s *clusterSim) dispatch(now float64, _ uint64) {
+	// The engine freed the deferred slot before calling us, so a
+	// scheduler that requests another pass below books a fresh one.
 	s.dispatchPending = false
 	for _, p := range s.pools {
 		if p.dispatchWanted {

@@ -20,8 +20,13 @@
 // ScheduleCall(at, prio, h, arg): simulators bind their handler funcs
 // once at setup and pass per-event context through the arg word, so a
 // warm engine schedules and fires events without touching the Go heap.
-// Schedule(at, prio, fn) remains as a convenience for cold paths and
-// tests; its adapter closure is the only allocation in the package.
+// Defer(at, prio, h, arg) books the same kind of call into one slot
+// beside the heap, for a call that recurs often but is never pending
+// twice (the serving simulator's end-of-instant dispatch pass): it is
+// ordered by the same (time, priority, insertion order) rule, but pays
+// no heap push or pop. Schedule(at, prio, fn) remains as a convenience
+// for cold paths and tests; its adapter closure is the only allocation
+// in the package.
 package sim
 
 import (
@@ -74,6 +79,14 @@ type Engine struct {
 	slab  []event
 	free  []int32
 	rng   *mathx.RNG
+
+	// The deferred slot (see Defer): def orders the call against
+	// heap[0]; defH and defArg are its callback. deferred marks it
+	// pending.
+	deferred bool
+	def      heapEnt
+	defH     Handler
+	defArg   uint64
 }
 
 // New returns an engine at time zero whose RNG is seeded with seed.
@@ -91,8 +104,14 @@ func (e *Engine) Now() float64 { return e.now }
 // RNG returns the engine's seeded generator.
 func (e *Engine) RNG() *mathx.RNG { return e.rng }
 
-// Pending returns the number of scheduled events.
-func (e *Engine) Pending() int { return len(e.heap) }
+// Pending returns the number of scheduled events, the deferred call
+// included.
+func (e *Engine) Pending() int {
+	if e.deferred {
+		return len(e.heap) + 1
+	}
+	return len(e.heap)
+}
 
 // EventsFired returns the count of events executed so far — a cheap
 // progress measure for observability probes and heartbeats.
@@ -100,10 +119,21 @@ func (e *Engine) EventsFired() uint64 { return e.fired }
 
 // Next peeks at the earliest pending event time.
 func (e *Engine) Next() (at float64, ok bool) {
-	if len(e.heap) == 0 {
-		return 0, false
+	switch {
+	case e.deferredFirst():
+		return e.def.at, true
+	case len(e.heap) > 0:
+		return e.heap[0].at, true
 	}
-	return e.heap[0].at, true
+	return 0, false
+}
+
+// deferredFirst reports whether the deferred call is pending and
+// precedes every heap entry.
+//
+//litegpu:hotpath
+func (e *Engine) deferredFirst() bool {
+	return e.deferred && (len(e.heap) == 0 || less(e.def, e.heap[0]))
 }
 
 // ScheduleCall books h(at, arg) at absolute time `at` with the given
@@ -118,9 +148,7 @@ func (e *Engine) Next() (at float64, ok bool) {
 //
 //litegpu:hotpath
 func (e *Engine) ScheduleCall(at float64, prio int, h Handler, arg uint64) EventID {
-	if math.IsNaN(at) || math.IsInf(at, -1) || at < e.now {
-		panic(fmt.Sprintf("sim: scheduling at %v before now %v", at, e.now))
-	}
+	e.checkAt(at)
 	e.seq++
 	var slot int32
 	if n := len(e.free); n > 0 {
@@ -138,6 +166,38 @@ func (e *Engine) ScheduleCall(at float64, prio int, h Handler, arg uint64) Event
 	return EventID(uint64(ev.gen)<<32 | uint64(uint32(slot)))
 }
 
+// Defer books h(at, arg) like ScheduleCall, but in the engine's one
+// deferred slot instead of the heap. The call takes its insertion order
+// from the same counter as scheduled events and fires in the same
+// (time, priority, insertion order) order, so moving a call from
+// ScheduleCall to Defer never changes what runs when; it only skips
+// the heap push and pop.
+//
+// The contract is narrow: at most one deferred call is pending (a
+// second Defer before it fires panics), and it cannot be cancelled.
+// The slot is free again by the time its handler runs, so the handler
+// may Defer the next call.
+//
+//litegpu:hotpath
+func (e *Engine) Defer(at float64, prio int, h Handler, arg uint64) {
+	e.checkAt(at)
+	if e.deferred {
+		panic(fmt.Sprintf("sim: Defer at %v while a deferred call is pending at %v", at, e.def.at))
+	}
+	e.seq++
+	e.deferred = true
+	e.def = heapEnt{at: at, seq: e.seq, prio: int32(prio), slot: -1}
+	e.defH, e.defArg = h, arg
+}
+
+// checkAt panics when at lies before now, which covers -Inf, or is
+// NaN, which fails every comparison.
+func (e *Engine) checkAt(at float64) {
+	if !(at >= e.now) {
+		panic(fmt.Sprintf("sim: scheduling at %v before now %v", at, e.now))
+	}
+}
+
 // Schedule books fn to run at absolute time `at`; see ScheduleCall for
 // the ordering contract. The closure adapter allocates, so hot loops
 // should prefer ScheduleCall — Schedule exists for cold paths and
@@ -152,10 +212,12 @@ func (e *Engine) ScheduleAfter(delay float64, prio int, fn func(now float64)) Ev
 	return e.Schedule(e.now+delay, prio, fn)
 }
 
-// Cancel removes a pending event. It reports false when the event
-// already ran, was already cancelled, or never existed — cancelling a
-// completed event is a legal no-op, which is what lets simulators keep
-// "the completion I booked" handles without tracking their lifecycle.
+// Cancel removes a pending event booked by ScheduleCall; a deferred
+// call has no EventID and cannot be cancelled. It reports false when
+// the event already ran, was already cancelled, or never existed —
+// cancelling a completed event is a legal no-op, which is what lets
+// simulators keep "the completion I booked" handles without tracking
+// their lifecycle.
 //
 //litegpu:hotpath
 func (e *Engine) Cancel(id EventID) bool {
@@ -186,8 +248,7 @@ func (e *Engine) Cancel(id EventID) bool {
 //litegpu:hotpath
 func (e *Engine) Run(until float64) int {
 	n := 0
-	for len(e.heap) > 0 && e.heap[0].at <= until {
-		e.fireTop()
+	for e.fireNext(until) {
 		n++
 	}
 	return n
@@ -198,27 +259,40 @@ func (e *Engine) Run(until float64) int {
 //
 //litegpu:hotpath
 func (e *Engine) Step() bool {
-	if len(e.heap) == 0 {
-		return false
-	}
-	e.fireTop()
-	return true
+	return e.fireNext(math.Inf(1))
 }
 
-// fireTop pops the earliest event, frees its slot, advances the clock,
-// and invokes the handler. The handler state is copied out before the
-// slot is recycled, so handlers may schedule freely (including into the
-// slot they just vacated).
+// fireNext fires the earliest pending event, the heap's top or the
+// deferred call, if it lies at or before until, and reports whether it
+// did. It frees the event's slot, advances the clock, and invokes the
+// handler. The handler state is copied out before the slot is
+// recycled, so handlers may schedule freely (including into the slot
+// they just vacated) and may Defer again.
 //
 //litegpu:hotpath
-func (e *Engine) fireTop() {
-	top := e.heap[0]
-	ev := &e.slab[top.slot]
-	h, arg := ev.h, ev.arg
-	e.removeAt(0)
-	e.now = top.at
+func (e *Engine) fireNext(until float64) bool {
+	var at float64
+	var h Handler
+	var arg uint64
+	if e.deferredFirst() {
+		if e.def.at > until {
+			return false
+		}
+		at, h, arg = e.def.at, e.defH, e.defArg
+		e.deferred, e.defH = false, nil
+	} else {
+		if len(e.heap) == 0 || e.heap[0].at > until {
+			return false
+		}
+		top := e.heap[0]
+		ev := &e.slab[top.slot]
+		at, h, arg = top.at, ev.h, ev.arg
+		e.removeAt(0)
+	}
+	e.now = at
 	e.fired++
-	h(top.at, arg)
+	h(at, arg)
+	return true
 }
 
 // less orders the calendar: earlier time, then lower priority, then

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"reflect"
 	"testing"
 )
@@ -244,11 +245,13 @@ func TestSteadyStateSchedulingIsAllocationFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		e.ScheduleCall(e.Now()+1, 0, h, 1)
 		e.ScheduleCall(e.Now()+2, 1, h, 2)
+		e.Defer(e.Now(), 3, h, 3)
+		e.Step()
 		e.Step()
 		e.Step()
 	})
 	if allocs != 0 {
-		t.Errorf("steady-state schedule+fire allocates %.1f times per event pair, want 0", allocs)
+		t.Errorf("steady-state schedule+defer+fire allocates %.1f times per round, want 0", allocs)
 	}
 }
 
@@ -267,5 +270,179 @@ func TestCancelIsAllocationFreeAtSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state schedule+cancel allocates %.1f times, want 0", allocs)
+	}
+}
+
+// labelled returns a handler that appends its arg to *got.
+func labelled(got *[]uint64) Handler {
+	return func(_ float64, arg uint64) { *got = append(*got, arg) }
+}
+
+func TestDeferTiesWithHeapEntriesBySeq(t *testing.T) {
+	// At equal (at, prio) the deferred call takes its place in
+	// insertion order: after heap entries booked before it, before
+	// those booked after it.
+	e := New(1)
+	var got []uint64
+	h := labelled(&got)
+	e.ScheduleCall(1, 2, h, 1)
+	e.ScheduleCall(1, 2, h, 2)
+	e.Defer(1, 2, h, 3)
+	e.ScheduleCall(1, 2, h, 4)
+	e.ScheduleCall(1, 2, h, 5)
+	if n := e.Run(1); n != 5 {
+		t.Fatalf("ran %d events, want 5", n)
+	}
+	if want := []uint64{1, 2, 3, 4, 5}; !reflect.DeepEqual(got, want) {
+		t.Errorf("order %v, want %v", got, want)
+	}
+}
+
+func TestDeferOrdersByPriorityAgainstHeapTop(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		prio int
+		want []uint64
+	}{
+		{"lower prio runs first", 0, []uint64{9, 1, 2}},
+		{"higher prio runs last", 3, []uint64{1, 2, 9}},
+		{"between heap entries", 2, []uint64{1, 9, 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New(1)
+			var got []uint64
+			h := labelled(&got)
+			// The deferred call is booked last, so only its priority
+			// can move it ahead of the heap entries at the same time.
+			e.ScheduleCall(1, 1, h, 1)
+			e.ScheduleCall(1, 3, h, 2)
+			e.Defer(1, tc.prio, h, 9)
+			e.Run(1)
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("order %v, want %v", got, tc.want)
+			}
+		})
+	}
+}
+
+func TestDeferOrdersByTimeBeforePriority(t *testing.T) {
+	e := New(1)
+	var got []uint64
+	h := labelled(&got)
+	e.ScheduleCall(2, 0, h, 1)
+	e.Defer(1, 5, h, 9)
+	e.ScheduleCall(0.5, 9, h, 2)
+	e.Run(10)
+	if want := []uint64{2, 9, 1}; !reflect.DeepEqual(got, want) {
+		t.Errorf("order %v, want %v", got, want)
+	}
+}
+
+func TestRunLeavesDeferredCallBeyondHorizonPending(t *testing.T) {
+	e := New(1)
+	var got []uint64
+	h := labelled(&got)
+	e.ScheduleCall(1, 0, h, 1)
+	e.Defer(3, 0, h, 9)
+	if n := e.Run(2); n != 1 {
+		t.Fatalf("ran %d events, want 1", n)
+	}
+	if e.Pending() != 1 {
+		t.Errorf("pending = %d, want 1 (the deferred call)", e.Pending())
+	}
+	if next, ok := e.Next(); !ok || next != 3 {
+		t.Errorf("next = %v/%v, want 3", next, ok)
+	}
+	// With a later heap entry, Next still reports the deferred call
+	// and Pending counts both.
+	e.ScheduleCall(4, 0, h, 2)
+	if next, ok := e.Next(); !ok || next != 3 || e.Pending() != 2 {
+		t.Errorf("next = %v/%v pending %d, want 3/true 2", next, ok, e.Pending())
+	}
+	if n := e.Run(10); n != 2 {
+		t.Fatalf("resumed run fired %d events, want 2", n)
+	}
+	if want := []uint64{1, 9, 2}; !reflect.DeepEqual(got, want) {
+		t.Errorf("order %v, want %v", got, want)
+	}
+	if _, ok := e.Next(); ok || e.Pending() != 0 {
+		t.Errorf("calendar not empty after drain: pending %d", e.Pending())
+	}
+}
+
+func TestStepFiresDeferredCall(t *testing.T) {
+	e := New(1)
+	var got []uint64
+	e.Defer(2, 0, labelled(&got), 9)
+	if !e.Step() || !reflect.DeepEqual(got, []uint64{9}) || e.Now() != 2 {
+		t.Errorf("Step fired %v, clock %v; want [9] at 2", got, e.Now())
+	}
+	if e.Step() {
+		t.Error("Step on an empty calendar reported true")
+	}
+}
+
+func TestDeferredHandlerCanDeferAgain(t *testing.T) {
+	// The slot is free by the time the handler runs, so a handler may
+	// book the next deferred call, even at the current instant.
+	e := New(1)
+	count := 0
+	var h Handler
+	h = func(now float64, _ uint64) {
+		if count++; count < 3 {
+			e.Defer(now, 0, h, 0)
+		}
+	}
+	e.Defer(1, 0, h, 0)
+	if n := e.Run(1); n != 3 || count != 3 {
+		t.Errorf("ran %d events with %d handler calls, want 3 and 3", n, count)
+	}
+}
+
+func TestEventsFiredCountsDeferredCalls(t *testing.T) {
+	// The observer's probe CSV reads EventsFired, so the count must not
+	// change when a call moves from the heap to the deferred slot.
+	e := New(1)
+	h := func(float64, uint64) {}
+	e.ScheduleCall(1, 0, h, 0)
+	e.Defer(1, 1, h, 0)
+	e.ScheduleCall(2, 0, h, 0)
+	if n := e.Run(5); n != 3 {
+		t.Errorf("Run reported %d events, want 3", n)
+	}
+	if e.EventsFired() != 3 {
+		t.Errorf("EventsFired = %d, want 3", e.EventsFired())
+	}
+}
+
+func TestDeferContractPanics(t *testing.T) {
+	// Defer shares ScheduleCall's time checks, so both are held to
+	// them here.
+	h := func(float64, uint64) {}
+	for _, tc := range []struct {
+		name string
+		fn   func(e *Engine)
+	}{
+		{"second pending Defer", func(e *Engine) {
+			e.Defer(6, 0, h, 0)
+			e.Defer(7, 0, h, 0)
+		}},
+		{"in the past", func(e *Engine) { e.Defer(1, 0, h, 0) }},
+		{"at NaN", func(e *Engine) { e.Defer(math.NaN(), 0, h, 0) }},
+		{"at -Inf", func(e *Engine) { e.Defer(math.Inf(-1), 0, h, 0) }},
+		{"ScheduleCall at NaN", func(e *Engine) { e.ScheduleCall(math.NaN(), 0, h, 0) }},
+		{"ScheduleCall at -Inf", func(e *Engine) { e.ScheduleCall(math.Inf(-1), 0, h, 0) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New(1)
+			e.ScheduleCall(5, 0, h, 0)
+			e.Run(10)
+			defer func() {
+				if recover() == nil {
+					t.Error("Defer did not panic")
+				}
+			}()
+			tc.fn(e)
+		})
 	}
 }
