@@ -469,10 +469,10 @@ func stream1MWorkload() Workload {
 	}
 }
 
-func stream1MConfig(b *testing.B) ServeConfig {
+func stream1MConfig(tb testing.TB) ServeConfig {
 	m, ok := ModelByName("Llama3-8B")
 	if !ok {
-		b.Fatal("model catalog missing Llama3-8B")
+		tb.Fatal("model catalog missing Llama3-8B")
 	}
 	return ServeConfig{
 		GPU:              H100(),

@@ -6,7 +6,7 @@ import (
 	"sort"
 )
 
-// quantiles answers quantile queries on a private copy of a sample by
+// quantiles answers quantile queries on a sample it owns by
 // exact order-statistic selection instead of a full sort. The value at a
 // rank is the value sort.Float64s would leave at that index (NaNs first,
 // then ascending), so every quantile equals the one read from a sorted
@@ -21,10 +21,9 @@ type quantiles struct {
 	from int // buf[:from] holds the from smallest values, buf[from:] the rest
 }
 
-// newQuantiles copies xs, leaving the caller's slice and its order
-// untouched, and moves the NaNs to the front, where sorting puts them.
-func newQuantiles(xs []float64) quantiles {
-	buf := append([]float64(nil), xs...)
+// newQuantiles takes buf over, reordering it from here on, and moves
+// the NaNs to the front, where sorting puts them.
+func newQuantiles(buf []float64) quantiles {
 	nans := 0
 	for i, x := range buf {
 		if math.IsNaN(x) {

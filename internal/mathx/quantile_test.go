@@ -167,9 +167,9 @@ func TestSelectRankDepthLimit(t *testing.T) {
 	}
 }
 
-// Summarize must leave its input's order alone: serve sums the same
-// E2E slice after summarizing it, so a reordered input would change
-// later floating-point sums.
+// Summarize must leave its input's order alone: a caller that sums the
+// slice after summarizing it would otherwise get a different
+// floating-point sum. Summarizing in place is SummarizeSamples' job.
 func TestSummarizeDoesNotMutate(t *testing.T) {
 	r := NewRNG(11)
 	for _, in := range quantileInputs {

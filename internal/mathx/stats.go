@@ -21,12 +21,19 @@ type Summary struct {
 // Summarize computes summary statistics over xs, which it leaves
 // untouched. An empty sample yields a zero Summary.
 func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
+	return summarize(append([]float64(nil), xs...))
+}
+
+// summarize computes summary statistics over buf, which it owns: the
+// moments are summed in buf's order first, and then the quantiles are
+// selected in place, reordering buf.
+func summarize(buf []float64) Summary {
+	if len(buf) == 0 {
 		return Summary{}
 	}
-	s := Summary{N: len(xs), Min: math.Inf(1), Max: math.Inf(-1)}
+	s := Summary{N: len(buf), Min: math.Inf(1), Max: math.Inf(-1)}
 	var sum, sumSq float64
-	for _, x := range xs {
+	for _, x := range buf {
 		sum += x
 		sumSq += x * x
 		if x < s.Min {
@@ -36,14 +43,14 @@ func Summarize(xs []float64) Summary {
 			s.Max = x
 		}
 	}
-	n := float64(len(xs))
+	n := float64(len(buf))
 	s.Mean = sum / n
 	variance := sumSq/n - s.Mean*s.Mean
 	if variance > 0 {
 		s.Stddev = math.Sqrt(variance)
 	}
 	// Ascending q order: each selection narrows the next one's search.
-	qs := newQuantiles(xs)
+	qs := newQuantiles(buf)
 	s.P50 = qs.quantile(0.50)
 	s.P90 = qs.quantile(0.90)
 	s.P99 = qs.quantile(0.99)
@@ -58,7 +65,7 @@ func Percentile(xs []float64, q float64) float64 {
 	if len(xs) == 0 {
 		return math.NaN()
 	}
-	qs := newQuantiles(xs)
+	qs := newQuantiles(append([]float64(nil), xs...))
 	return qs.quantile(q)
 }
 

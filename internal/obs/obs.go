@@ -71,8 +71,9 @@ func (k Kind) String() string {
 
 // Event is one timeline entry. Pool and Inst locate it (Inst -1 means
 // the pool frontend/queue, not a specific instance); Req is the
-// submission's request id (retries carry fresh ids); Val is the
-// kind-specific payload documented on the Kind constants.
+// submission's request id (retries carry fresh ids, unique across the
+// cluster); Val is the kind-specific payload documented on the Kind
+// constants.
 type Event struct {
 	T    float64
 	Kind Kind

@@ -193,10 +193,9 @@ type poolSim struct {
 	// a live attempt's request ID to its slot (invariant: present ⇔
 	// open && deadline armed); cancelled maps a timed-out request's ID
 	// to its tombstone slot until a scheduler choke point reclaims the
-	// in-queue copy. retrySeq hands out fresh negative IDs to
-	// resubmissions so they never collide with trace IDs. eng/prioBase
-	// mirror the cluster's engine and the pool's priority offset so
-	// pool-level settle paths can cancel deadline events.
+	// in-queue copy. eng/prioBase mirror the cluster's engine and the
+	// pool's priority offset so pool-level settle paths can cancel
+	// deadline events.
 	eng        *sim.Engine
 	prioBase   int
 	clientOn   bool
@@ -205,7 +204,6 @@ type poolSim struct {
 	freeTracks []int32
 	tracks     map[int]int32
 	cancelled  map[int]int32
-	retrySeq   int
 	clientRNG  *mathx.RNG
 	classes    []classAcc
 
@@ -226,11 +224,11 @@ type poolSim struct {
 	// usefulTokens counts goodTokens whose request completed within its
 	// class's client deadline (all of them when no deadline is set).
 	usefulTokens int
-	ttfts        []float64
-	tbts         []float64
-	e2es         []float64
-	xferT        []float64
-	xferB        []float64
+	ttfts        mathx.Samples
+	tbts         mathx.Samples
+	e2es         mathx.Samples
+	xferT        mathx.Samples
+	xferB        mathx.Samples
 	netSec       float64
 	ttftOK       int
 	tbtOK        int
@@ -416,7 +414,7 @@ func (p *poolSim) kvXferBytes(tokens int) float64 {
 //
 //litegpu:hotpath
 func (p *poolSim) recordTTFT(ttft float64, class int) {
-	p.ttfts = append(p.ttfts, ttft)
+	p.ttfts.Append(ttft)
 	if units.Seconds(ttft) <= pickSLO(p.cfg.Opts.TTFTLimit, 1.0) {
 		p.ttftOK++
 	}
@@ -462,11 +460,11 @@ func (p *poolSim) emitToken(a *activeReq, now float64) bool {
 	if a.req.OutputTokens > 1 {
 		tbt = (now - a.firstAt) / float64(a.req.OutputTokens-1)
 	}
-	p.tbts = append(p.tbts, tbt)
+	p.tbts.Append(tbt)
 	if units.Seconds(tbt) <= pickSLO(p.cfg.Opts.TBTLimit, 0.050) {
 		p.tbtOK++
 	}
-	p.e2es = append(p.e2es, now-float64(a.req.Arrival))
+	p.e2es.Append(now - float64(a.req.Arrival))
 	if p.rec != nil {
 		p.rec.Request(obs.Complete, now, int32(p.idx), -1, int64(a.req.ID), now-float64(a.req.Arrival))
 	}
@@ -506,6 +504,11 @@ type clusterSim struct {
 
 	rrNext          int
 	dispatchPending bool
+
+	// retrySeq hands out fresh negative IDs to resubmissions: unique
+	// across the cluster, so they never collide with trace IDs or with
+	// another pool's retries.
+	retrySeq int
 
 	// Arrival chain state: the one pending arrival pulled from src but
 	// not yet fired. Handlers are bound once here so the hot path
@@ -720,8 +723,8 @@ func (s *clusterSim) onXfer(now float64, arg uint64) {
 	p := s.pools[pi]
 	rec := &p.xfers[idx]
 	dur := now - rec.start
-	p.xferT = append(p.xferT, dur)
-	p.xferB = append(p.xferB, rec.bytes)
+	p.xferT.Append(dur)
+	p.xferB.Append(rec.bytes)
 	p.netSec += dur
 	p.m.NetTransfers++
 	if p.rec != nil {
@@ -826,15 +829,6 @@ func (s *clusterSim) run(reqs []trace.Request) ClusterMetrics {
 		// Identical sort to the pre-sim loop (including tie order).
 		sorted = append([]trace.Request(nil), reqs...)
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i].Arrival < sorted[j].Arrival })
-	}
-	// The trace length is known up front: size each pool's latency
-	// sample buffers once so recording never reallocates mid-run.
-	if len(s.pools) == 1 {
-		p := s.pools[0]
-		n := len(sorted)
-		p.ttfts = make([]float64, 0, n)
-		p.tbts = make([]float64, 0, n)
-		p.e2es = make([]float64, 0, n)
 	}
 	return s.runFrom(&sliceSource{reqs: sorted})
 }
@@ -1191,8 +1185,10 @@ func (s *clusterSim) assemble() ClusterMetrics {
 	pools, h := s.pools, s.h
 	var cm ClusterMetrics
 	var (
-		allTTFT, allTBT, allE2E []float64
-		allXferT, allXferB      []float64
+		allTTFT, allTBT, allE2E []*mathx.Samples
+		allXferT, allXferB      []*mathx.Samples
+		nTTFT, nTBT, nE2E       int
+		nXferT, nXferB          int
 		ttftOK, tbtOK           int
 		pBusyGPU, dBusyGPU      float64
 		pGPUs, dGPUs            int
@@ -1206,33 +1202,32 @@ func (s *clusterSim) assemble() ClusterMetrics {
 		kvHits, kvLookups       int
 		classTotals             []classAcc
 	)
-	if len(pools) > 1 {
-		// Preallocate the cross-pool sample unions; the single-pool case
-		// below aliases the pool's samples instead.
-		var nt, nb, ne int
-		for _, p := range pools {
-			nt += len(p.ttfts)
-			nb += len(p.tbts)
-			ne += len(p.e2es)
-		}
-		allTTFT = make([]float64, 0, nt)
-		allTBT = make([]float64, 0, nb)
-		allE2E = make([]float64, 0, ne)
+	for _, p := range pools {
+		allTTFT = append(allTTFT, &p.ttfts)
+		allTBT = append(allTBT, &p.tbts)
+		allE2E = append(allE2E, &p.e2es)
+		allXferT = append(allXferT, &p.xferT)
+		allXferB = append(allXferB, &p.xferB)
+		nTTFT += p.ttfts.Len()
+		nTBT += p.tbts.Len()
+		nE2E += p.e2es.Len()
+		nXferT += p.xferT.Len()
+		nXferB += p.xferB.Len()
 	}
+	// Every summary gathers its sample into this one array and selects
+	// there; a union across pools is at least as long as any pool's own.
+	scratch := make([]float64, 0, max(nTTFT, nTBT, nE2E, nXferT, nXferB))
 	for _, p := range pools {
 		m := &p.m
-		m.TTFT = mathx.Summarize(p.ttfts)
-		m.TBT = mathx.Summarize(p.tbts)
-		m.E2E = mathx.Summarize(p.e2es)
-		m.TTFTAttainmentCompleted = ratio(p.ttftOK, len(p.ttfts))
+		m.TTFT = mathx.SummarizeSamples(scratch, &p.ttfts)
+		m.TBT = mathx.SummarizeSamples(scratch, &p.tbts)
+		m.E2E = mathx.SummarizeSamples(scratch, &p.e2es)
+		m.TTFTAttainmentCompleted = ratio(p.ttftOK, p.ttfts.Len())
 		m.TTFTAttainment = ratio(p.ttftOK, m.Arrived-m.Dropped)
-		m.TBTAttainment = ratio(p.tbtOK, len(p.tbts))
-		m.TransferBytes = mathx.Summarize(p.xferB)
-		m.TransferTime = mathx.Summarize(p.xferT)
-		var poolE2E float64
-		for _, v := range p.e2es {
-			poolE2E += v
-		}
+		m.TBTAttainment = ratio(p.tbtOK, p.tbts.Len())
+		m.TransferBytes = mathx.SummarizeSamples(scratch, &p.xferB)
+		m.TransferTime = mathx.SummarizeSamples(scratch, &p.xferT)
+		poolE2E := p.e2es.Sum()
 		if p.netSec > 0 && poolE2E > 0 {
 			m.NetworkBoundFraction = p.netSec / poolE2E
 		}
@@ -1340,15 +1335,6 @@ func (s *clusterSim) assemble() ClusterMetrics {
 		kvLookups += p.kvLookups
 		netSec += p.netSec
 		e2eSec += poolE2E
-		if len(pools) == 1 {
-			allTTFT, allTBT, allE2E = p.ttfts, p.tbts, p.e2es
-		} else {
-			allTTFT = append(allTTFT, p.ttfts...)
-			allTBT = append(allTBT, p.tbts...)
-			allE2E = append(allE2E, p.e2es...)
-			allXferT = append(allXferT, p.xferT...)
-			allXferB = append(allXferB, p.xferB...)
-		}
 		ttftOK += p.ttftOK
 		tbtOK += p.tbtOK
 		// Weight busy time by the GPUs behind it so the aggregate stays
@@ -1381,18 +1367,18 @@ func (s *clusterSim) assemble() ClusterMetrics {
 		t.TTFT, t.TBT, t.E2E = m.TTFT, m.TBT, m.E2E
 		t.TransferBytes, t.TransferTime = m.TransferBytes, m.TransferTime
 	} else {
-		t.TTFT = mathx.Summarize(allTTFT)
-		t.TBT = mathx.Summarize(allTBT)
-		t.E2E = mathx.Summarize(allE2E)
-		t.TransferBytes = mathx.Summarize(allXferB)
-		t.TransferTime = mathx.Summarize(allXferT)
+		t.TTFT = mathx.SummarizeSamples(scratch, allTTFT...)
+		t.TBT = mathx.SummarizeSamples(scratch, allTBT...)
+		t.E2E = mathx.SummarizeSamples(scratch, allE2E...)
+		t.TransferBytes = mathx.SummarizeSamples(scratch, allXferB...)
+		t.TransferTime = mathx.SummarizeSamples(scratch, allXferT...)
 	}
 	if netSec > 0 && e2eSec > 0 {
 		t.NetworkBoundFraction = netSec / e2eSec
 	}
-	t.TTFTAttainmentCompleted = ratio(ttftOK, len(allTTFT))
+	t.TTFTAttainmentCompleted = ratio(ttftOK, nTTFT)
 	t.TTFTAttainment = ratio(ttftOK, t.Arrived-t.Dropped)
-	t.TBTAttainment = ratio(tbtOK, len(allTBT))
+	t.TBTAttainment = ratio(tbtOK, nTBT)
 	t.KVCacheHitRate = ratio(kvHits, kvLookups)
 	if h > 0 {
 		t.PrefillUtilization = pBusyGPU / (h * float64(pGPUs))

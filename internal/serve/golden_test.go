@@ -248,6 +248,44 @@ func TestStaticSchedulerMatchesPreRefactorGoldens(t *testing.T) {
 	compareGoldens(t, goldenFile, goldenReport(t, goldenScenarios(t)))
 }
 
+// TestStreamedRunsMatchMaterialized runs every single-pool scenario of
+// the five golden corpora a second time, pulling its arrivals from a
+// RequestSource through RunClusterFrom, and requires the keyed lines
+// of the RunCluster run: the streamed path is the one behind ServeFrom
+// and the benchmark's million-request run.
+func TestStreamedRunsMatchMaterialized(t *testing.T) {
+	corpora := [][]goldenScenario{
+		goldenScenarios(t), kvGoldenScenarios(t), networkGoldenScenarios(t),
+		overloadGoldenScenarios(t), schedulerGoldenScenarios(t),
+	}
+	runs := 0
+	for _, scenarios := range corpora {
+		for _, sc := range scenarios {
+			if len(sc.cluster.Pools) != 1 {
+				continue
+			}
+			if !sortedByArrival(sc.reqs) {
+				t.Fatalf("%s: trace is not in arrival order, so it cannot be streamed as is", sc.name)
+			}
+			want, err := RunCluster(sc.cluster, sc.reqs, sc.horizon)
+			if err != nil {
+				t.Fatalf("%s: %v", sc.name, err)
+			}
+			got, err := RunClusterFrom(sc.cluster, &sliceSource{reqs: sc.reqs}, sc.horizon)
+			if err != nil {
+				t.Fatalf("%s: %v", sc.name, err)
+			}
+			if g, w := keyedCluster(t, sc.name, got), keyedCluster(t, sc.name, want); g != w {
+				t.Errorf("%s: streamed run diverged at %s", sc.name, firstDiff(g, w))
+			}
+			runs++
+		}
+	}
+	if runs == 0 {
+		t.Fatal("no single-pool golden scenario to stream")
+	}
+}
+
 // compareGoldens checks (or, under LITEGPU_UPDATE_GOLDENS, rewrites) one
 // golden corpus file against the freshly rendered report.
 func compareGoldens(t *testing.T, file, got string) {

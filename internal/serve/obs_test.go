@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -191,5 +192,52 @@ func TestObserverDisabledAllocationFree(t *testing.T) {
 					pol, extraReqs, extra, aShort, aLong)
 			}
 		})
+	}
+}
+
+// TestRetryIDsAreClusterUnique pins retry IDs as unique across pools.
+// The observer keys its live timelines by request ID alone, so two
+// pools handing out the same retry ID would splice one pool's retries
+// into the other's timeline. Two KV-on pools held to six decode slots
+// each fall behind, so both time out and retry throughout; in the
+// exported timeline JSON every request ID must stay under one pool.
+func TestRetryIDsAreClusterUnique(t *testing.T) {
+	cfg := smallConfig()
+	cfg.MaxDecodeBatch = 6
+	cfg.KV = kv.Config{Policy: kv.Recompute}
+	cfg.Client = ClientConfig{Default: ClientBehavior{Timeout: 10, Retries: 2}}
+	cc := clusterOf(cfg, cfg)
+	reqs, err := trace.ConversationWorkload(24, 5).Generate(120)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cm, timeline, _ := runObserved(t, cc, reqs, 120)
+	for _, pm := range cm.Pools {
+		if pm.Metrics.ClientRetries == 0 {
+			t.Fatalf("pool %s made no retries; the scenario no longer exercises them", pm.Name)
+		}
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Cat  string
+			Pid  int
+			Args struct{ Req int64 }
+		}
+	}
+	if err := json.Unmarshal([]byte(timeline), &doc); err != nil {
+		t.Fatal(err)
+	}
+	poolOf := map[int64]int{}
+	for _, e := range doc.TraceEvents {
+		if e.Cat != "lifecycle" {
+			continue
+		}
+		if pid, ok := poolOf[e.Args.Req]; ok && pid != e.Pid {
+			t.Fatalf("request %d has events under pools %d and %d", e.Args.Req, pid-1, e.Pid-1)
+		}
+		poolOf[e.Args.Req] = e.Pid
+	}
+	if len(poolOf) == 0 {
+		t.Fatal("the timeline holds no lifecycle events")
 	}
 }

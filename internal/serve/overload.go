@@ -639,10 +639,10 @@ func (s *clusterSim) scheduleRetry(p *poolSim, idx int, now float64, b ClientBeh
 }
 
 // onRetry resubmits a timed-out (or shed) attempt as a fresh request:
-// new pool-unique negative ID, arrival now, full re-prefill. Retries
+// new cluster-unique negative ID, arrival now, full re-prefill. Retries
 // face admission control like any arrival but never re-count in
 // Arrived, and they re-enter the pool that owns the track (never
-// re-routed — which is also what keeps the sharded runner pool-local).
+// re-routed).
 //
 //litegpu:hotpath
 func (s *clusterSim) onRetry(now float64, arg uint64) {
@@ -651,8 +651,8 @@ func (s *clusterSim) onRetry(now float64, arg uint64) {
 	tr := &p.trackArena[idx]
 	r := tr.req
 	oldID := tr.id
-	p.retrySeq--
-	r.ID = p.retrySeq
+	s.retrySeq--
+	r.ID = s.retrySeq
 	r.Arrival = units.Seconds(now)
 	tr.id = r.ID
 	tr.req = r

@@ -2,6 +2,7 @@ package litegpu
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -124,6 +125,36 @@ func TestServeViaFacade(t *testing.T) {
 	if m.Arrived == 0 {
 		t.Error("no arrivals in façade serve run")
 	}
+}
+
+// TestStreamedServeAllocationPerRequest pins what a streamed run
+// allocates per arrival: about 10⁵ requests of the stream_1m workload
+// through ServeFrom. Three latency samples per request live in chunks
+// that are never re-copied (24 B) and are summarized in one shared
+// array (8 B), so 48 B per request leaves room for the run's fixed
+// set-up but not for a sample buffer that is re-copied as it grows.
+// Bytes allocated do not depend on the host, unlike time per op.
+func TestStreamedServeAllocationPerRequest(t *testing.T) {
+	cfg := stream1MConfig(t)
+	s, err := stream1MWorkload().Stream(50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m, err := ServeFrom(cfg, s, 50)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Arrived < 90_000 {
+		t.Fatalf("arrived %d, want about 10⁵", m.Arrived)
+	}
+	perReq := float64(after.TotalAlloc-before.TotalAlloc) / float64(m.Arrived)
+	if perReq > 48 {
+		t.Errorf("streamed run allocated %.1f B per arrived request, want ≤ 48", perReq)
+	}
+	t.Logf("%.1f B per arrived request over %d arrivals", perReq, m.Arrived)
 }
 
 func TestWorkloads(t *testing.T) {
