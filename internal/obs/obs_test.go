@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -212,6 +213,7 @@ func TestPlanTraceRender(t *testing.T) {
 			Scheduler: "static", Fabric: "nvlink",
 			Rungs: []PlanRung{
 				{Prefill: 1, Decode: 1, TTFTAttainment: 0.41, TBTAttainment: 0.90, Arrived: 100, Completed: 55},
+				{Prefill: 1, Decode: 2, Refine: true, TTFTAttainment: 0.96, TBTAttainment: 0.99, Arrived: 22, Completed: 20, SettledAt: 39.63},
 				{Prefill: 2, Decode: 2, TTFTAttainment: 0.97, TBTAttainment: 0.99, Arrived: 100, Completed: 98, Feasible: true},
 			},
 			Feasible: true, Winner: true,
@@ -232,6 +234,7 @@ func TestPlanTraceRender(t *testing.T) {
 	for _, want := range []string{
 		"★ candidate static fabric=nvlink",
 		"try 1P+1D", "try 2P+2D", "meets SLO",
+		"refine 1P+2D: ttft 0.960 tbt 0.990 (20/22 done) — settled at 39.6 s — miss",
 		"= 4 GPUs", "$1.25/Mtok", "cheapest feasible candidate",
 		"✗ candidate colocated", "no sizing within budget",
 	} {
@@ -253,6 +256,13 @@ func TestPlanTraceRender(t *testing.T) {
 	}
 	if len(back.Candidates) != 2 || !back.Candidates[0].Winner || back.Candidates[1].Feasible {
 		t.Fatalf("round-trip mismatch: %+v", back)
+	}
+	if !reflect.DeepEqual(back.Candidates[0].Rungs, pt.Candidates[0].Rungs) {
+		t.Fatalf("rungs round-trip mismatch: %+v", back.Candidates[0].Rungs)
+	}
+	// Only the settled rung carries settled_at.
+	if n := strings.Count(js.String(), `"settled_at": 39.63`); n != 1 || strings.Count(js.String(), "settled_at") != 1 {
+		t.Fatalf("JSON should carry settled_at on exactly the settled rung:\n%s", js.String())
 	}
 }
 

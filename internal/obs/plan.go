@@ -19,6 +19,11 @@ type PlanRung struct {
 	Completed      int     `json:"completed"`
 	Arrived        int     `json:"arrived"`
 	Feasible       bool    `json:"feasible"`
+	// SettledAt is the simulated time, in seconds, at which the sizing
+	// run stopped because it could no longer meet the SLO; zero when it
+	// ran to its horizon. A settled rung is never feasible, and its
+	// attainments and counts are as of SettledAt.
+	SettledAt float64 `json:"settled_at,omitempty"`
 }
 
 // PlanCandidate is the planner's full decision record for one
@@ -78,6 +83,8 @@ func (pt *PlanTrace) Render(w io.Writer) error {
 			verdict := "miss"
 			if r.Feasible {
 				verdict = "meets SLO"
+			} else if r.SettledAt > 0 {
+				verdict = fmt.Sprintf("settled at %.1f s — miss", r.SettledAt)
 			}
 			step := "try"
 			if r.Refine {

@@ -188,7 +188,7 @@ func (c *batchCore) admit(e *batchEngine, now float64) {
 				if p.rec != nil {
 					p.rec.Request(obs.Drop, now, int32(p.idx), -1, int64(a.req.ID), float64(a.req.PromptTokens))
 				}
-				p.m.Dropped++
+				p.drop()
 				p.clientSettle(a.req.ID)
 				p.freeActive(a)
 				continue
@@ -362,7 +362,7 @@ func (c *batchCore) grow(j int, now float64) {
 			p.rec.Request(obs.Drop, now, int32(p.idx), int32(c.base+j), int64(a.req.ID), float64(a.req.PromptTokens))
 		}
 		p.kvRelease(e.al, a, now)
-		p.m.Dropped++
+		p.drop()
 		p.clientSettle(a.req.ID)
 		p.freeActive(a)
 		e.active[0] = nil

@@ -232,6 +232,16 @@ type poolSim struct {
 	netSec       float64
 	ttftOK       int
 	tbtOK        int
+
+	// Verdict budget (see runPool), set only for the planner's sizing
+	// runs: settleOnDrop is the drop rule, and ttftMissLeft counts the
+	// TTFT misses the SLO still allows (math.MaxInt when the TTFT rule
+	// is off, so it never runs out). settledAt is the simulated time
+	// the pool stopped the run, once settled is set.
+	settleOnDrop bool
+	ttftMissLeft int
+	settled      bool
+	settledAt    float64
 }
 
 // newXfer returns a fresh transfer-record index from the pool's arena.
@@ -417,10 +427,39 @@ func (p *poolSim) recordTTFT(ttft float64, class int) {
 	p.ttfts.Append(ttft)
 	if units.Seconds(ttft) <= pickSLO(p.cfg.Opts.TTFTLimit, 1.0) {
 		p.ttftOK++
+	} else {
+		p.ttftMissLeft--
+		if p.ttftMissLeft < 0 {
+			p.settle()
+		}
 	}
 	if p.classesOn && units.Seconds(ttft) <= p.classSLO(class) {
 		p.classAt(class).ttftOK++
 	}
+}
+
+// drop counts a request dropped because it can never be served (see
+// Metrics.Dropped). Under a verdict budget the first drop settles the
+// run: the planner accepts no plan that drops.
+//
+//litegpu:hotpath
+func (p *poolSim) drop() {
+	p.m.Dropped++
+	if p.settleOnDrop {
+		p.settle()
+	}
+}
+
+// settle stops the run once its verdict budget says it can no longer
+// pass, and records when that happened.
+//
+//litegpu:hotpath
+func (p *poolSim) settle() {
+	if !p.settled {
+		p.settled = true
+		p.settledAt = p.eng.Now()
+	}
+	p.eng.Stop()
 }
 
 // emitToken advances one active generation by a token at `now`,
@@ -588,6 +627,8 @@ func newClusterSim(cc ClusterConfig, horizon float64) (*clusterSim, error) {
 			spareFree:   spares,
 			afrPerGPU:   fp.AFR(cfg.GPU),
 			flopsPerGPU: float64(cfg.GPU.FLOPS),
+
+			ttftMissLeft: math.MaxInt,
 		}
 		if cfg.KV.Enabled() {
 			p.kvBlockTokens = cfg.KV.BlockTokensOrDefault()

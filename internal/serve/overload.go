@@ -115,6 +115,25 @@ func (c ClientConfig) enabled() bool {
 	return false
 }
 
+// canRetry reports whether any class's clients resubmit (a timeout
+// with a retry budget). A request that got its first token, timed out
+// and retried can record a second TTFT sample.
+func (c ClientConfig) canRetry() bool {
+	if !c.enabled() {
+		return false
+	}
+	retries := func(b ClientBehavior) bool { return b.Timeout > 0 && b.Retries > 0 }
+	if retries(c.Default) {
+		return true
+	}
+	for _, b := range c.Classes {
+		if retries(b) {
+			return true
+		}
+	}
+	return false
+}
+
 // Validate reports the first configuration problem, or nil.
 func (c ClientConfig) Validate() error {
 	if err := c.Default.validate("default"); err != nil {

@@ -58,6 +58,16 @@ func (s SLO) withDefaults() SLO {
 	return s
 }
 
+// met reports whether a run that reached its horizon meets the SLO's
+// simulated targets (availability is checked analytically, apart).
+func (s SLO) met(m Metrics) bool {
+	return m.Dropped == 0 &&
+		m.TTFTAttainment >= s.TTFTAttainment &&
+		m.TBTAttainment >= s.TBTAttainment &&
+		m.Arrived > 0 &&
+		float64(m.Completed) >= s.MinCompletion*float64(m.Arrived)
+}
+
 // PlanRequest parameterizes the capacity search.
 type PlanRequest struct {
 	GPU   hw.GPU
@@ -174,7 +184,10 @@ type PlanRequest struct {
 	// combination in enumeration order, carrying every sizing rung the
 	// search walked (doubling-ladder probes plus refinement steps, in
 	// the order the equivalent sequential search would have tried them),
-	// the settled deployment, and why the candidate won or lost. The
+	// the deployment the search chose, and why the candidate won or
+	// lost. A sizing run stops as soon as it can no longer meet the SLO
+	// (see runPool); its rung records that time as SettledAt, and its
+	// attainments and counts are as of then, not of the horizon. The
 	// trace is deterministic at any worker count: speculative ladder
 	// points that the sequential search would never have reached are
 	// evaluated but not recorded.
@@ -228,37 +241,9 @@ type Plan struct {
 // wins.
 func PlanCapacity(req PlanRequest, slo SLO) (Plan, error) {
 	slo = slo.withDefaults()
-	if req.Horizon <= 0 {
-		req.Horizon = 300
-	}
-	if req.Drain <= 0 {
-		req.Drain = 120
-	}
-	if req.MaxPrefillBatch <= 0 {
-		req.MaxPrefillBatch = 4
-	}
-	if req.MaxDecodeBatch <= 0 {
-		req.MaxDecodeBatch = 64
-	}
-	if req.MaxInstances <= 0 {
-		req.MaxInstances = 64
-	}
-	if req.MaxSpares <= 0 {
-		req.MaxSpares = 16
-	}
-	if req.PrefillGPUs <= 0 {
-		g, err := inference.MinFeasibleTP(req.GPU, req.Model, inference.Prefill, req.Opts)
-		if err != nil {
-			return Plan{}, err
-		}
-		req.PrefillGPUs = g
-	}
-	if req.DecodeGPUs <= 0 {
-		g, err := inference.MinFeasibleTP(req.GPU, req.Model, inference.Decode, req.Opts)
-		if err != nil {
-			return Plan{}, err
-		}
-		req.DecodeGPUs = g
+	req, err := req.withDefaults()
+	if err != nil {
+		return Plan{}, err
 	}
 
 	reqs, err := req.Workload.Generate(req.Horizon)
@@ -270,33 +255,13 @@ func PlanCapacity(req PlanRequest, slo SLO) (Plan, error) {
 	}
 	simHorizon := req.Horizon + req.Drain
 
-	// Candidates are (scheduler, fabric) pairs, sized concurrently over
-	// the shared worker pool; an infeasible candidate is a per-candidate
-	// outcome, not a search failure, so errors ride inside the result
-	// instead of cancelling siblings. Selection stays sequential in
-	// enumeration order (policies outer, fabrics inner) — the cheapest
-	// feasible plan per Mtoken wins, first-listed on ties — so the
-	// answer is byte-identical at any worker count.
-	policies := orZero(req.Schedulers)
-	fabrics := orZero(req.Fabrics)
-	kvcs := orZero(req.KVPolicies)
-	adms := orZero(req.Admissions)
-	type candidate struct {
-		pol SchedulerPolicy
-		nc  NetworkConfig
-		kvc kv.Config
-		adm AdmissionConfig
-	}
-	var cands []candidate
-	for _, pol := range policies {
-		for _, nc := range fabrics {
-			for _, kvc := range kvcs {
-				for _, adm := range adms {
-					cands = append(cands, candidate{pol: pol, nc: nc, kvc: kvc, adm: adm})
-				}
-			}
-		}
-	}
+	// Candidates are sized concurrently over the shared worker pool; an
+	// infeasible candidate is a per-candidate outcome, not a search
+	// failure, so errors ride inside the result instead of cancelling
+	// siblings. Selection stays sequential in enumeration order — the
+	// cheapest feasible plan per Mtoken wins, first-listed on ties — so
+	// the answer is byte-identical at any worker count.
+	cands := req.candidates()
 	if req.Trace != nil {
 		// Pre-size the trace so each candidate's sizing goroutine owns
 		// its slot — concurrent planPolicy calls never share a record.
@@ -326,12 +291,12 @@ func PlanCapacity(req PlanRequest, slo SLO) (Plan, error) {
 		err  error
 	}
 	outcomes, err := sweep.RunN(context.Background(), candWorkers, cands,
-		func(_ context.Context, i int, c candidate) (polOutcome, error) {
+		func(_ context.Context, i int, c planCandidate) (polOutcome, error) {
 			var tc *obs.PlanCandidate
 			if req.Trace != nil {
 				tc = &req.Trace.Candidates[i]
 			}
-			plan, perr := planPolicy(req, slo, c.pol, c.nc, c.kvc, c.adm, reqs, simHorizon, waveWorkers, tc)
+			plan, perr := planPolicy(req, slo, c, reqs, simHorizon, waveWorkers, tc)
 			return polOutcome{plan: plan, err: perr}, nil
 		})
 	if err != nil {
@@ -392,6 +357,97 @@ func PlanCapacity(req PlanRequest, slo SLO) (Plan, error) {
 	return best, nil
 }
 
+// withDefaults fills the request's unset sizes and limits, resolving
+// zero tensor-parallel degrees to the smallest the model fits on.
+func (req PlanRequest) withDefaults() (PlanRequest, error) {
+	if req.Horizon <= 0 {
+		req.Horizon = 300
+	}
+	if req.Drain <= 0 {
+		req.Drain = 120
+	}
+	if req.MaxPrefillBatch <= 0 {
+		req.MaxPrefillBatch = 4
+	}
+	if req.MaxDecodeBatch <= 0 {
+		req.MaxDecodeBatch = 64
+	}
+	if req.MaxInstances <= 0 {
+		req.MaxInstances = 64
+	}
+	if req.MaxSpares <= 0 {
+		req.MaxSpares = 16
+	}
+	if req.PrefillGPUs <= 0 {
+		g, err := inference.MinFeasibleTP(req.GPU, req.Model, inference.Prefill, req.Opts)
+		if err != nil {
+			return req, err
+		}
+		req.PrefillGPUs = g
+	}
+	if req.DecodeGPUs <= 0 {
+		g, err := inference.MinFeasibleTP(req.GPU, req.Model, inference.Decode, req.Opts)
+		if err != nil {
+			return req, err
+		}
+		req.DecodeGPUs = g
+	}
+	return req, nil
+}
+
+// planCandidate is one point of the planner's search axes.
+type planCandidate struct {
+	pol SchedulerPolicy
+	nc  NetworkConfig
+	kvc kv.Config
+	adm AdmissionConfig
+}
+
+// candidates enumerates the request's search axes: policies outer,
+// then fabrics, KV policies and admission gates.
+func (req PlanRequest) candidates() []planCandidate {
+	var cands []planCandidate
+	for _, pol := range orZero(req.Schedulers) {
+		for _, nc := range orZero(req.Fabrics) {
+			for _, kvc := range orZero(req.KVPolicies) {
+				for _, adm := range orZero(req.Admissions) {
+					cands = append(cands, planCandidate{pol: pol, nc: nc, kvc: kvc, adm: adm})
+				}
+			}
+		}
+	}
+	return cands
+}
+
+// sizing returns the candidate's deployment config at p prefill and d
+// decode instances; colocated policies take p as their instance count
+// and ignore d. The fabric, the kv config, the candidate's admission
+// gate and the request's closed-loop client, autoscaler and straggler
+// settings all ride inside it. Colocated policies derive InstanceGPUs
+// = max(PrefillGPUs, DecodeGPUs) from it (an instance must fit both
+// phases).
+func (c planCandidate) sizing(req PlanRequest, p, d int) Config {
+	cfg := Config{
+		GPU: req.GPU, Model: req.Model, Opts: req.Opts,
+		Scheduler:    c.pol,
+		PrefillChunk: req.PrefillChunk,
+		PrefillGPUs:  req.PrefillGPUs, DecodeGPUs: req.DecodeGPUs,
+		MaxPrefillBatch: req.MaxPrefillBatch, MaxDecodeBatch: req.MaxDecodeBatch,
+		Network:   c.nc,
+		KV:        c.kvc,
+		Client:    req.Client,
+		Admission: c.adm,
+		Autoscale: req.Autoscale,
+		Straggler: req.Straggler,
+	}
+	if c.pol.Colocated() {
+		cfg.Instances = p
+	} else {
+		cfg.PrefillInstances, cfg.DecodeInstances = p, d
+	}
+	return cfg
+}
+
 // orZero is the planner's axis rule: an empty list means one
 // zero-valued entry.
 func orZero[T any](axis []T) []T {
@@ -409,59 +465,35 @@ func planWorkers(req PlanRequest) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// planPolicy sizes one (scheduling policy, fabric, kv policy,
-// admission gate) candidate's cheapest feasible deployment, probing up
-// to waveWorkers doubling-ladder points concurrently. The fabric rides
-// inside every sizing simulation (nc zero = the historical infinite
-// fabric) and prices the final plan; the kv config rides inside every
-// sizing simulation too (kvc zero = the historical infinite-memory
-// decode), as do the request's closed-loop client, autoscaler, and
-// straggler settings and the candidate's admission gate. When tc is
+// planPolicy sizes one candidate's cheapest feasible deployment,
+// probing up to waveWorkers doubling-ladder points concurrently. The
+// candidate's fabric rides inside every sizing simulation (zero = the
+// historical infinite fabric) and prices the final plan; its kv config
+// rides inside every sizing simulation too (zero = the historical
+// infinite-memory decode), as do its admission gate and the request's
+// closed-loop client, autoscaler, and straggler settings. When tc is
 // non-nil the search appends one obs.PlanRung per sizing decision it
 // makes — only the rungs the equivalent sequential search would have
 // walked, so the record is identical at any worker count.
-func planPolicy(req PlanRequest, slo SLO, pol SchedulerPolicy, nc NetworkConfig, kvc kv.Config, adm AdmissionConfig, reqs []trace.Request, simHorizon units.Seconds, waveWorkers int, tc *obs.PlanCandidate) (Plan, error) {
-	baseCfg := Config{
-		GPU: req.GPU, Model: req.Model, Opts: req.Opts,
-		Scheduler:    pol,
-		PrefillChunk: req.PrefillChunk,
-		PrefillGPUs:  req.PrefillGPUs, DecodeGPUs: req.DecodeGPUs,
-		MaxPrefillBatch: req.MaxPrefillBatch, MaxDecodeBatch: req.MaxDecodeBatch,
-		Network:   nc,
-		KV:        kvc,
-		Client:    req.Client,
-		Admission: adm,
-		Autoscale: req.Autoscale,
-		Straggler: req.Straggler,
-	}
-	// Colocated policies derive InstanceGPUs = max(PrefillGPUs,
-	// DecodeGPUs) from baseCfg (an instance must fit both phases).
-
-	// evalPoint runs one candidate deployment — a full discrete-event
-	// simulation of the whole request stream — and grades it against the
-	// SLO. It is pure (no shared state), so the doubling phase can probe
-	// several points concurrently.
+func planPolicy(req PlanRequest, slo SLO, c planCandidate, reqs []trace.Request, simHorizon units.Seconds, waveWorkers int, tc *obs.PlanCandidate) (Plan, error) {
+	// evalPoint runs one candidate deployment — a discrete-event
+	// simulation of the request stream that settles as soon as it can
+	// no longer meet the SLO (see runPool) — and grades it. A settled
+	// run is infeasible by construction: its metrics stop at the settle
+	// time and are not graded, since attainment over the arrivals seen
+	// so far can read above the target even when the final value
+	// cannot. evalPoint is pure (no shared state), so the doubling
+	// phase can probe several points concurrently.
 	type attemptResult struct {
-		m  Metrics
-		ok bool
+		run poolRun
+		ok  bool
 	}
 	evalPoint := func(p, d int) (attemptResult, error) {
-		cfg := baseCfg
-		if pol.Colocated() {
-			cfg.Instances = p
-		} else {
-			cfg.PrefillInstances, cfg.DecodeInstances = p, d
-		}
-		m, err := planSim(cfg, req, 0, reqs, simHorizon)
+		run, err := planSim(c.sizing(req, p, d), req, 0, reqs, simHorizon, &slo)
 		if err != nil {
 			return attemptResult{}, err
 		}
-		ok := m.Dropped == 0 &&
-			m.TTFTAttainment >= slo.TTFTAttainment &&
-			m.TBTAttainment >= slo.TBTAttainment &&
-			m.Arrived > 0 &&
-			float64(m.Completed) >= slo.MinCompletion*float64(m.Arrived)
-		return attemptResult{m: m, ok: ok}, nil
+		return attemptResult{run: run, ok: !run.settled && slo.met(run.m)}, nil
 	}
 
 	// rung records one sizing decision in the candidate's trace.
@@ -469,14 +501,19 @@ func planPolicy(req PlanRequest, slo SLO, pol SchedulerPolicy, nc NetworkConfig,
 		if tc == nil {
 			return
 		}
-		tc.Rungs = append(tc.Rungs, obs.PlanRung{
+		m := &r.run.m
+		g := obs.PlanRung{
 			Prefill: p, Decode: d, Refine: refine,
-			TTFTAttainment: r.m.TTFTAttainment,
-			TBTAttainment:  r.m.TBTAttainment,
-			Completed:      r.m.Completed,
-			Arrived:        r.m.Arrived,
+			TTFTAttainment: m.TTFTAttainment,
+			TBTAttainment:  m.TBTAttainment,
+			Completed:      m.Completed,
+			Arrived:        m.Arrived,
 			Feasible:       r.ok,
-		})
+		}
+		if r.run.settled {
+			g.SettledAt = r.run.settledAt
+		}
+		tc.Rungs = append(tc.Rungs, g)
 	}
 
 	// attempt memoizes evalPoint on the pool sizes: the growth phase,
@@ -488,7 +525,7 @@ func planPolicy(req PlanRequest, slo SLO, pol SchedulerPolicy, nc NetworkConfig,
 	attempt := func(p, d int) (Metrics, bool, error) {
 		if r, seen := tried[[2]int{p, d}]; seen {
 			rung(p, d, r, true)
-			return r.m, r.ok, nil
+			return r.run.m, r.ok, nil
 		}
 		r, err := evalPoint(p, d)
 		if err != nil {
@@ -496,7 +533,7 @@ func planPolicy(req PlanRequest, slo SLO, pol SchedulerPolicy, nc NetworkConfig,
 		}
 		tried[[2]int{p, d}] = r
 		rung(p, d, r, true)
-		return r.m, r.ok, nil
+		return r.run.m, r.ok, nil
 	}
 
 	// Grow until feasible, probing the doubling ladder speculatively:
@@ -509,7 +546,7 @@ func planPolicy(req PlanRequest, slo SLO, pol SchedulerPolicy, nc NetworkConfig,
 	var ladder [][2]int
 	for v := 1; ; {
 		dd := 1
-		if !pol.Colocated() {
+		if !c.pol.Colocated() {
 			dd = v
 		}
 		ladder = append(ladder, [2]int{v, dd})
@@ -561,7 +598,7 @@ func planPolicy(req PlanRequest, slo SLO, pol SchedulerPolicy, nc NetworkConfig,
 	if grown < 0 {
 		return Plan{}, fmt.Errorf(
 			"serve: no deployment within %d instances per pool meets the SLO for %s on %s at %.2f req/s (%s scheduler)",
-			req.MaxInstances, req.Model.Name, req.GPU.Name, req.Workload.Rate, pol)
+			req.MaxInstances, req.Model.Name, req.GPU.Name, req.Workload.Rate, c.pol)
 	}
 	p, d := ladder[grown][0], ladder[grown][1]
 
@@ -576,7 +613,7 @@ func planPolicy(req PlanRequest, slo SLO, pol SchedulerPolicy, nc NetworkConfig,
 		return Plan{}, err
 	}
 	dMin := d
-	if !pol.Colocated() {
+	if !c.pol.Colocated() {
 		dMin, err = bisectMin(1, d, func(x int) (bool, error) {
 			_, ok, err := attempt(pMin, x)
 			return ok, err
@@ -606,15 +643,10 @@ func planPolicy(req PlanRequest, slo SLO, pol SchedulerPolicy, nc NetworkConfig,
 	}
 	if !ok {
 		return Plan{}, fmt.Errorf("serve: %s capacity search failed to converge for %s on %s",
-			pol, req.Model.Name, req.GPU.Name)
+			c.pol, req.Model.Name, req.GPU.Name)
 	}
 
-	cfg := baseCfg
-	if pol.Colocated() {
-		cfg.Instances = pMin
-	} else {
-		cfg.PrefillInstances, cfg.DecodeInstances = pMin, dMin
-	}
+	cfg := c.sizing(req, pMin, dMin)
 	plan := Plan{
 		Config:       cfg,
 		Metrics:      m,
@@ -653,10 +685,11 @@ func planPolicy(req PlanRequest, slo SLO, pol SchedulerPolicy, nc NetworkConfig,
 		// zero-spare sizing run saw no failure it already is the run at
 		// any spare count and is kept as is.
 		if m.FailureEvents > 0 {
-			plan.Metrics, err = planSim(plan.Config, req, spares, reqs, simHorizon)
+			final, err := planSim(plan.Config, req, spares, reqs, simHorizon, nil)
 			if err != nil {
 				return Plan{}, err
 			}
+			plan.Metrics = final.m
 		}
 	}
 
@@ -666,11 +699,11 @@ func planPolicy(req PlanRequest, slo SLO, pol SchedulerPolicy, nc NetworkConfig,
 	// same way regardless of size or request. A fabric that cannot
 	// physically cable the deployment (copper reach at cluster scale)
 	// disqualifies the candidate.
-	fabric := nc.TCOTopology(plan.TotalGPUs)
-	if nc.Enabled() && !fabric.Feasible() {
+	fabric := c.nc.TCOTopology(plan.TotalGPUs)
+	if c.nc.Enabled() && !fabric.Feasible() {
 		return Plan{}, fmt.Errorf(
 			"serve: fabric %s (%s) cannot cable %d×%s — %s reach %.0f m < required %.0f m",
-			nc, fabric.Name, plan.TotalGPUs, req.GPU.Name,
+			c.nc, fabric.Name, plan.TotalGPUs, req.GPU.Name,
 			fabric.Link.Name, fabric.Link.Reach, network.RequiredReach(plan.TotalGPUs))
 	}
 	plan.Fabric = fabric.Name
@@ -688,11 +721,12 @@ func planPolicy(req PlanRequest, slo SLO, pol SchedulerPolicy, nc NetworkConfig,
 // planSim simulates one candidate deployment, with failure injection
 // when the request enables it. Sizing runs use zero spares (the spare
 // count is chosen after the instance search), keeping the attainment
-// estimate conservative.
-func planSim(cfg Config, req PlanRequest, spares int, reqs []trace.Request, horizon units.Seconds) (Metrics, error) {
+// estimate conservative, and pass their SLO as the verdict budget; the
+// final spare-count run passes nil and always reaches the horizon.
+func planSim(cfg Config, req PlanRequest, spares int, reqs []trace.Request, horizon units.Seconds, budget *SLO) (poolRun, error) {
 	f := req.Failures
 	f.Spares = spares
-	return RunWithFailures(cfg, f, reqs, horizon)
+	return runPool(cfg, f, reqs, horizon, budget)
 }
 
 // scaledParams applies the failure config's TimeScale to the analytic

@@ -10,6 +10,7 @@ import (
 	"litegpu/internal/inference"
 	"litegpu/internal/kv"
 	"litegpu/internal/model"
+	"litegpu/internal/obs"
 	"litegpu/internal/straggler"
 	"litegpu/internal/trace"
 )
@@ -291,10 +292,10 @@ func TestPlanCapacityWorkerCountInvariant(t *testing.T) {
 	}
 }
 
-func TestPlanCapacityWithOverloadAxis(t *testing.T) {
-	// Closed-loop clients, an admission-gate axis, and the straggler
-	// model all ride inside the sizing simulations; the chosen plan
-	// carries its winning gate and must still be deterministic.
+// overloadPlanRequest puts closed-loop clients that retry, an
+// admission-gate axis, and the straggler model inside every sizing
+// simulation.
+func overloadPlanRequest() (PlanRequest, SLO) {
 	req := planRequest(20)
 	req.Client = ClientConfig{
 		Default: ClientBehavior{Timeout: 30, Retries: 1, BackoffBase: 1, Jitter: 0.5},
@@ -305,7 +306,13 @@ func TestPlanCapacityWithOverloadAxis(t *testing.T) {
 		{Policy: AdmitAdaptive, QueueLimit: 64, Levels: 2},
 	}
 	req.Straggler = StragglerConfig{Jitter: straggler.Jitter{CV: 0.1}, Seed: 2}
-	slo := SLO{TTFTAttainment: 0.95, TBTAttainment: 0.95, MinCompletion: 0.9}
+	return req, SLO{TTFTAttainment: 0.95, TBTAttainment: 0.95, MinCompletion: 0.9}
+}
+
+func TestPlanCapacityWithOverloadAxis(t *testing.T) {
+	// The chosen plan carries its winning gate and must still be
+	// deterministic.
+	req, slo := overloadPlanRequest()
 	a, err := PlanCapacity(req, slo)
 	if err != nil {
 		t.Fatal(err)
@@ -328,5 +335,144 @@ func TestPlanCapacityWithOverloadAxis(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("plan admission %+v not among the candidates", a.Config.Admission)
+	}
+}
+
+// TestSettledSizingRunsFailAtHorizon is the soundness check of the
+// sizing runs' verdict budget. For every planner-test scenario, each
+// sizing point the search visited is run again with the budget; a run
+// that settles early is then run to its horizon without one and must
+// miss the SLO there too. The trace's settle times must agree with the
+// reruns, and the TTFT rule must stay off exactly where clients retry.
+func TestSettledSizingRunsFailAtHorizon(t *testing.T) {
+	strict := SLO{TTFTAttainment: 0.99, TBTAttainment: 0.99, MinCompletion: 0.95}
+	capped := planRequest(500)
+	capped.MaxInstances = 1
+	schedulers := planRequest(20)
+	schedulers.Schedulers = SchedulerPolicies()
+	kvAxis := planRequest(6)
+	kvAxis.KVPolicies = []kv.Config{{}, {Policy: kv.Recompute, PrefixCache: true}}
+	avail := planRequest(20)
+	avail.Failures = FailureConfig{Enabled: true, Seed: 5}
+	accel := planRequest(20)
+	accel.Failures = acceleratedFailures(0)
+	accel.Failures.TimeScale = 3e6
+	fabric := func(rate float64) PlanRequest {
+		return PlanRequest{
+			GPU: hw.Lite(), Model: model.Llama3_70B(), Opts: inference.DefaultOptions(),
+			Workload: trace.CodingWorkload(rate, 7),
+			Horizon:  120, Drain: 60,
+			Fabrics: DefaultFabricCandidates(),
+		}
+	}
+	overload, overloadSLO := overloadPlanRequest()
+	scenarios := []struct {
+		name    string
+		req     PlanRequest
+		slo     SLO
+		retries bool
+	}{
+		{"rate-20", planRequest(20), SLO{}, false},
+		{"rate-250", planRequest(250), strict, false},
+		{"rate-250-continuous", func() PlanRequest {
+			r := planRequest(250)
+			r.Schedulers = []SchedulerPolicy{ContinuousBatching}
+			return r
+		}(), strict, false},
+		{"rate-500-capped", capped, SLO{}, false},
+		{"schedulers", schedulers, SLO{}, false},
+		{"kv-axis", kvAxis, SLO{}, false},
+		{"availability", avail, SLO{MinAvailability: 0.99999}, false},
+		{"availability-accelerated", accel, SLO{MinAvailability: 0.99}, false},
+		{"fabric-axis-small", fabric(1.5), SLO{}, false},
+		{"fabric-axis-large", fabric(20), SLO{}, false},
+		{"overload-axis", overload, overloadSLO, true},
+		// Feasible points here miss a few tenths of a percent of TTFTs,
+		// close to the 1% allowance, so a budget that settles too soon
+		// settles a run that passes.
+		{"near-boundary", PlanRequest{
+			GPU: hw.H100(), Model: model.Llama3_70B(), Opts: inference.DefaultOptions(),
+			Workload: trace.CodingWorkload(120, 7),
+			Horizon:  60, Drain: 30,
+		}, SLO{}, false},
+	}
+	settled := 0
+	for _, sc := range scenarios {
+		t.Run(sc.name, func(t *testing.T) {
+			slo := sc.slo.withDefaults()
+			req, err := sc.req.withDefaults()
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Workers = 1
+			req.Trace = &obs.PlanTrace{}
+			// The capped scenario finds no deployment; its rungs still
+			// count.
+			_, _ = PlanCapacity(req, slo)
+			reqs, err := req.Workload.Generate(req.Horizon)
+			if err != nil {
+				t.Fatal(err)
+			}
+			horizon := req.Horizon + req.Drain
+			cands := req.candidates()
+			seen := map[[3]int]bool{}
+			for i, tc := range req.Trace.Candidates {
+				for _, g := range tc.Rungs {
+					key := [3]int{i, g.Prefill, g.Decode}
+					if seen[key] {
+						continue
+					}
+					seen[key] = true
+					cfg := cands[i].sizing(req, g.Prefill, g.Decode)
+					run, err := planSim(cfg, req, 0, reqs, horizon, &slo)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if run.ttftRule == sc.retries {
+						t.Fatalf("%s %dP+%dD: TTFT rule armed=%v with client retries=%v",
+							tc.Scheduler, g.Prefill, g.Decode, run.ttftRule, sc.retries)
+					}
+					if at := run.settledAt; run.settled != (g.SettledAt > 0) || at != g.SettledAt {
+						t.Fatalf("%s %dP+%dD: rerun settled=%v at %v, trace says %v",
+							tc.Scheduler, g.Prefill, g.Decode, run.settled, at, g.SettledAt)
+					}
+					if !run.settled {
+						continue
+					}
+					settled++
+					if g.Feasible || run.settledAt >= float64(horizon) {
+						t.Fatalf("%s %dP+%dD: settled at %v yet feasible=%v", tc.Scheduler, g.Prefill, g.Decode, run.settledAt, g.Feasible)
+					}
+					full, err := planSim(cfg, req, 0, reqs, horizon, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if full.settled || slo.met(full.m) {
+						t.Errorf("%s %dP+%dD settled at %v s but meets the SLO at its horizon (ttft %v, dropped %d)",
+							tc.Scheduler, g.Prefill, g.Decode, run.settledAt, full.m.TTFTAttainment, full.m.Dropped)
+					}
+				}
+			}
+		})
+	}
+	if settled == 0 {
+		t.Fatal("no sizing run settled early; the check is vacuous")
+	}
+	t.Logf("%d settled sizing runs fail at their horizon", settled)
+}
+
+// TestMissAllowanceIsTheAttainmentBoundary: the budget allows exactly
+// the misses that keep float64(n-misses)/float64(n) at or above the
+// target, so the TTFT rule settles on the first miss the planner's own
+// comparison would fail.
+func TestMissAllowanceIsTheAttainmentBoundary(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 7, 100, 1000, 4321, 36260} {
+		for _, target := range []float64{0.01, 0.5, 0.9, 0.95, 0.99, 0.999, 1, 1.5} {
+			k := missAllowance(n, target)
+			meets := func(misses int) bool { return float64(n-misses)/float64(n) >= target }
+			if k < -1 || k > n || (k >= 0 && !meets(k)) || (k < n && meets(k+1)) {
+				t.Errorf("missAllowance(%d, %v) = %d is not the boundary", n, target, k)
+			}
+		}
 	}
 }

@@ -248,6 +248,13 @@ type Metrics struct {
 	// miss. (The pre-PR-2 ratio divided by completed prefills only,
 	// which flattered a saturated system whose backlog never produced a
 	// sample; that legacy ratio survives as TTFTAttainmentCompleted.)
+	//
+	// Under client retries it can exceed 1. A request that gets its
+	// first token, times out and retries records a second TTFT sample,
+	// but Arrived counts first submissions only; an overloaded pool at
+	// rate 300 with 8P+1D and Timeout 30, Retries 1 reads 1.64 (59,592
+	// samples for 36,260 arrivals). ClassMetrics.TTFTAttainment has the
+	// same caveat.
 	TTFTAttainment float64
 	// TTFTAttainmentCompleted is the legacy attainment over requests
 	// that completed prefill within the horizon. Kept for studies that
@@ -383,18 +390,92 @@ func Run(cfg Config, reqs []trace.Request, horizon units.Seconds) (Metrics, erro
 }
 
 // RunWithFailures simulates a single pool under the given failure
-// config (the zero value disables injection, making it Run). The
-// planner and the facade studies share it so single-pool semantics live
-// in one place.
+// config (the zero value disables injection, making it Run). It and the
+// planner's sizing runs share one runner, runPool, so single-pool
+// semantics live in one place.
 func RunWithFailures(cfg Config, f FailureConfig, reqs []trace.Request, horizon units.Seconds) (Metrics, error) {
-	cm, err := RunCluster(ClusterConfig{
+	r, err := runPool(cfg, f, reqs, horizon, nil)
+	return r.m, err
+}
+
+// poolRun is the outcome of one runPool call.
+type poolRun struct {
+	m Metrics
+	// settled reports that the verdict budget stopped the run at
+	// settledAt simulated seconds; m then holds counts as of that time.
+	settled   bool
+	settledAt float64
+	// ttftRule reports whether the budget's TTFT rule was armed.
+	ttftRule bool
+}
+
+// runPool simulates a single pool over a materialized trace. A nil
+// budget runs to the horizon. A sizing run passes the SLO it is graded
+// against as budget, and the run then settles (stops) as soon as its
+// verdict can no longer be a pass:
+//
+//   - on the first Dropped request, since a plan must drop none;
+//   - once its TTFT misses exceed what budget.TTFTAttainment allows
+//     over the N arrivals the trace holds within the horizon. A miss
+//     is final and every arrival that records no sample is a miss too,
+//     so the final attainment can only be lower. This needs each
+//     arrival to record at most one TTFT sample, which a client retry
+//     breaks, so the rule is armed only when no client class retries.
+//
+// A settled run's metrics are partial and must not be graded; the
+// caller treats it as infeasible.
+func runPool(cfg Config, f FailureConfig, reqs []trace.Request, horizon units.Seconds, budget *SLO) (poolRun, error) {
+	cc := ClusterConfig{
 		Pools:    []Pool{{Name: cfg.GPU.Name, Config: cfg}},
 		Failures: f,
-	}, reqs, horizon)
-	if err != nil {
-		return Metrics{}, err
 	}
-	return cm.Pools[0].Metrics, nil
+	if err := cc.Validate(); err != nil {
+		return poolRun{}, err
+	}
+	s, err := newClusterSim(cc, float64(horizon))
+	if err != nil {
+		return poolRun{}, err
+	}
+	p := s.pools[0]
+	var r poolRun
+	if budget != nil {
+		p.settleOnDrop = true
+		if n := arrivalsWithin(reqs, horizon); n > 0 && !cfg.Client.canRetry() {
+			p.ttftMissLeft = missAllowance(n, budget.TTFTAttainment)
+			r.ttftRule = true
+		}
+	}
+	r.m = s.run(reqs).Pools[0].Metrics
+	r.settled, r.settledAt = p.settled, p.settledAt
+	return r, nil
+}
+
+// arrivalsWithin counts the requests arriving at or before the horizon:
+// the Arrived count of a run that reaches it.
+func arrivalsWithin(reqs []trace.Request, horizon units.Seconds) int {
+	n := 0
+	for _, r := range reqs {
+		if r.Arrival <= horizon {
+			n++
+		}
+	}
+	return n
+}
+
+// missAllowance returns the most TTFT misses out of n arrivals that
+// still let attainment float64(n-misses)/float64(n) reach target, or
+// -1 when none do. The estimate is corrected against that exact
+// expression, so the budget agrees with the planner's own comparison.
+func missAllowance(n int, target float64) int {
+	meets := func(misses int) bool { return float64(n-misses)/float64(n) >= target }
+	k := min(max(int(float64(n)*(1-target)), -1), n)
+	for k < n && meets(k+1) {
+		k++
+	}
+	for k >= 0 && !meets(k) {
+		k--
+	}
+	return k
 }
 
 // RunFrom is Run over a lazy request source (see RunClusterFrom):

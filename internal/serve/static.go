@@ -164,7 +164,7 @@ func (sc *staticSched) dispatchPrefill(now float64) {
 			if !ok {
 				// The grown sequence no longer fits even a batch-of-one
 				// pass: it can never resume.
-				p.m.Dropped++
+				p.drop()
 				p.clientSettle(a.req.ID)
 				p.freeActive(a)
 				continue
@@ -217,7 +217,7 @@ func (sc *staticSched) dispatchPrefill(now float64) {
 			}
 			if !ok {
 				r := sc.prefillQ.PopFront()
-				p.m.Dropped++
+				p.drop()
 				p.clientSettle(r.ID)
 				if p.rec != nil {
 					p.rec.Request(obs.Drop, now, int32(p.idx), int32(i), int64(r.ID), float64(r.PromptTokens))

@@ -11,11 +11,12 @@ import (
 // actions that each fired event's handler issues from where the
 // previous handler stopped. Actions are ScheduleCall, Cancel and Defer
 // at small integer offsets from now over three priorities, so equal
-// (at, prio) ties are common. The same program runs on the engine and
-// on refCalendar, which keeps every pending event in a plain slice and
-// fires the minimum (at, prio, seq) by a linear scan; it calls no code
-// of this package. The two logs of fired events, cancel results,
-// Pending and Next must match.
+// (at, prio) ties are common, and Stop, which ends the Run in progress
+// after the current handler and does nothing outside a Run. The same
+// program runs on the engine and on refCalendar, which keeps every
+// pending event in a plain slice and fires the minimum (at, prio, seq)
+// by a linear scan; it calls no code of this package. The two logs of
+// fired events, cancel results, Pending and Next must match.
 func FuzzCalendarOrder(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{4, 0, 0, 0, 0, 1, 0, 2, 2, 0, 1, 4, 0, 0, 6, 0, 2, 4, 5})
@@ -23,6 +24,8 @@ func FuzzCalendarOrder(f *testing.F) {
 	f.Add([]byte{4, 0, 0, 4, 1, 1, 4, 2, 1, 4, 3, 1, 4, 0, 1, 4, 0, 1, 4, 0})
 	// Cancels of fired, pending and already cancelled events.
 	f.Add([]byte{0, 1, 0, 2, 0, 3, 6, 0, 6, 0, 2, 6, 1, 0, 5, 2, 6, 2, 1, 6, 0})
+	// Stops during setup and from handlers mid-instant.
+	f.Add([]byte{7, 0, 0, 0, 0, 0, 4, 0, 0, 0, 2, 7, 0, 0, 0, 1, 7, 0, 2, 7, 0, 0, 0, 1, 7, 0})
 	for seed := uint64(1); seed <= 6; seed++ {
 		f.Add(xorshiftBytes(seed, 400))
 	}
@@ -54,6 +57,7 @@ type calendar interface {
 	deferCall(at float64, prio, label int)
 	cancel(label int) bool
 	run(until float64)
+	stop()
 	step() bool
 	pending() int
 	next() (float64, bool)
@@ -120,6 +124,9 @@ func (p *calendarProgram) act(n int) {
 			p.labels++
 			p.deferred = p.labels
 			p.cal.deferCall(at, prio, p.labels)
+		case op == 7:
+			p.log = append(p.log, "stop")
+			p.cal.stop()
 		default:
 			if len(p.scheduled) == 0 {
 				continue
@@ -152,18 +159,20 @@ func (c *engineCalendar) deferCall(at float64, prio, label int) {
 }
 func (c *engineCalendar) cancel(label int) bool { return c.e.Cancel(c.ids[label]) }
 func (c *engineCalendar) run(until float64)     { c.e.Run(until) }
+func (c *engineCalendar) stop()                 { c.e.Stop() }
 func (c *engineCalendar) step() bool            { return c.e.Step() }
 func (c *engineCalendar) pending() int          { return c.e.Pending() }
 func (c *engineCalendar) next() (float64, bool) { return c.e.Next() }
 
 // refCalendar is the reference: pending events in a plain slice, the
 // earliest found by a linear scan. A deferred call is an ordinary
-// entry here.
+// entry here. stopped is set by stop and cleared when run starts.
 type refCalendar struct {
-	clock float64
-	seq   int
-	evs   []refEvent
-	fire  func(label int, now float64)
+	clock   float64
+	seq     int
+	evs     []refEvent
+	stopped bool
+	fire    func(label int, now float64)
 }
 
 type refEvent struct {
@@ -218,10 +227,16 @@ func (r *refCalendar) step() bool {
 }
 
 func (r *refCalendar) run(until float64) {
+	r.stopped = false
 	for i := r.first(); i >= 0 && r.evs[i].at <= until; i = r.first() {
 		r.step()
+		if r.stopped {
+			return
+		}
 	}
 }
+
+func (r *refCalendar) stop() { r.stopped = true }
 
 func (r *refCalendar) pending() int { return len(r.evs) }
 func (r *refCalendar) next() (float64, bool) {

@@ -24,9 +24,12 @@
 // beside the heap, for a call that recurs often but is never pending
 // twice (the serving simulator's end-of-instant dispatch pass): it is
 // ordered by the same (time, priority, insertion order) rule, but pays
-// no heap push or pop. Schedule(at, prio, fn) remains as a convenience
-// for cold paths and tests; its adapter closure is the only allocation
-// in the package.
+// no heap push or pop. Stop ends the Run in progress once the current
+// handler returns, leaving every pending event in place, so a handler
+// can end a run whose outcome is already decided, or bound a run by an
+// event budget. Schedule(at, prio, fn) remains as a convenience for
+// cold paths and tests; its adapter closure is the only allocation in
+// the package.
 package sim
 
 import (
@@ -79,6 +82,10 @@ type Engine struct {
 	slab  []event
 	free  []int32
 	rng   *mathx.RNG
+
+	// stop asks the Run in progress to return after the current
+	// handler (see Stop).
+	stop bool
 
 	// The deferred slot (see Defer): def orders the call against
 	// heap[0]; defH and defArg are its callback. deferred marks it
@@ -234,12 +241,12 @@ func (e *Engine) Cancel(id EventID) bool {
 	return true
 }
 
-// Run executes events in order until the calendar is empty or the next
-// event lies beyond `until` (events at exactly `until` run). The clock
-// advances to each event's time as it fires; it does not advance past
-// the last executed event, matching the convention that a horizon ends
-// the observation window rather than the world. Returns the number of
-// events executed.
+// Run executes events in order until the calendar is empty, the next
+// event lies beyond `until` (events at exactly `until` run), or a
+// handler calls Stop. The clock advances to each event's time as it
+// fires; it does not advance past the last executed event, matching
+// the convention that a horizon ends the observation window rather
+// than the world. Returns the number of events executed.
 //
 // Handlers may schedule and cancel freely, including at the current
 // time; newly scheduled events at or before `until` run in the same
@@ -247,12 +254,22 @@ func (e *Engine) Cancel(id EventID) bool {
 //
 //litegpu:hotpath
 func (e *Engine) Run(until float64) int {
+	e.stop = false
 	n := 0
-	for e.fireNext(until) {
+	for !e.stop && e.fireNext(until) {
 		n++
 	}
 	return n
 }
+
+// Stop ends the Run in progress as soon as the current handler
+// returns, even when more events are due at the same instant. Nothing
+// is discarded: pending events, the deferred call included, stay in
+// the calendar, and a later Run fires them in the order the stopped
+// Run would have. Calling Stop more than once in a handler is the same
+// as calling it once. Outside a Run (including from a handler that
+// Step fired) it has no effect, because every Run starts unstopped.
+func (e *Engine) Stop() { e.stop = true }
 
 // Step executes exactly one event if one is pending, reporting whether
 // it did. Tests use it to observe intermediate states.

@@ -446,3 +446,93 @@ func TestDeferContractPanics(t *testing.T) {
 		})
 	}
 }
+
+func TestStopEndsRunMidInstantAndRunResumes(t *testing.T) {
+	// Six calls at one instant over two priorities, the deferred slot
+	// among them; the third to fire stops the run. The rest must stay
+	// pending and fire, on the next Run, in the order one uninterrupted
+	// Run gives.
+	book := func(e *Engine, h Handler) {
+		e.ScheduleCall(1, 1, h, 1)
+		e.ScheduleCall(1, 0, h, 2)
+		e.Defer(1, 1, h, 3)
+		e.ScheduleCall(1, 0, h, 4)
+		e.ScheduleCall(1, 1, h, 5)
+		e.ScheduleCall(2, 0, h, 6)
+	}
+	ref := New(1)
+	var want []uint64
+	book(ref, labelled(&want))
+	ref.Run(10)
+
+	e := New(1)
+	var got []uint64
+	h := func(_ float64, arg uint64) {
+		got = append(got, arg)
+		if len(got) == 3 {
+			e.Stop()
+			e.Stop() // a second Stop in the same handler changes nothing
+		}
+	}
+	book(e, h)
+	if n := e.Run(10); n != 3 {
+		t.Fatalf("stopped Run fired %d events, want 3", n)
+	}
+	if e.Now() != 1 || e.Pending() != 3 {
+		t.Fatalf("after Stop: now %v pending %d, want 1 and 3", e.Now(), e.Pending())
+	}
+	if n := e.Run(10); n != 3 {
+		t.Fatalf("resumed Run fired %d events, want 3", n)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("stop and resume fired %v, uninterrupted run %v", got, want)
+	}
+}
+
+func TestStopOutsideRunIsIgnored(t *testing.T) {
+	e := New(1)
+	var got []uint64
+	h := labelled(&got)
+	e.ScheduleCall(1, 0, h, 1)
+	e.ScheduleCall(2, 0, h, 2)
+	e.Stop()
+	if n := e.Run(10); n != 2 {
+		t.Errorf("Run after a Stop outside any run fired %d events, want 2", n)
+	}
+	// A Stop from a handler that Step fired does not carry over either.
+	e.Schedule(3, 0, func(float64) { e.Stop() })
+	e.ScheduleCall(4, 0, h, 4)
+	e.Step()
+	if n := e.Run(10); n != 1 {
+		t.Errorf("Run after a Stop inside Step fired %d events, want 1", n)
+	}
+}
+
+func TestStopBoundsAZeroDelayChain(t *testing.T) {
+	// A handler that reschedules itself at the current instant never
+	// lets the clock or the horizon end Run; an event budget counted in
+	// the handler and enforced with Stop does.
+	const budget = 1000
+	for _, deferred := range []bool{false, true} {
+		e := New(1)
+		fired := 0
+		var h Handler
+		h = func(now float64, _ uint64) {
+			if fired++; fired == budget {
+				e.Stop()
+			}
+			if deferred {
+				e.Defer(now, 0, h, 0)
+			} else {
+				e.ScheduleCall(now, 0, h, 0)
+			}
+		}
+		e.ScheduleCall(0, 0, h, 0)
+		if n := e.Run(math.Inf(1)); n != budget || fired != budget {
+			t.Errorf("deferred=%v: Run fired %d events (%d handler calls), want %d", deferred, n, fired, budget)
+		}
+		if e.Now() != 0 || e.Pending() != 1 {
+			t.Errorf("deferred=%v: now %v pending %d, want 0 and 1", deferred, e.Now(), e.Pending())
+		}
+	}
+}
