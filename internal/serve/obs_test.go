@@ -2,7 +2,9 @@ package serve
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -195,6 +197,21 @@ func TestObserverDisabledAllocationFree(t *testing.T) {
 	}
 }
 
+// retryCluster is two KV-on pools held to six decode slots each, so
+// both fall behind and their clients time out and retry throughout.
+func retryCluster(t *testing.T) (ClusterConfig, []trace.Request, units.Seconds) {
+	t.Helper()
+	cfg := smallConfig()
+	cfg.MaxDecodeBatch = 6
+	cfg.KV = kv.Config{Policy: kv.Recompute}
+	cfg.Client = ClientConfig{Default: ClientBehavior{Timeout: 10, Retries: 2}}
+	reqs, err := trace.ConversationWorkload(24, 5).Generate(120)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return clusterOf(cfg, cfg), reqs, 120
+}
+
 // TestRetryIDsAreClusterUnique pins retry IDs as unique across pools.
 // The observer keys its live timelines by request ID alone, so two
 // pools handing out the same retry ID would splice one pool's retries
@@ -202,16 +219,8 @@ func TestObserverDisabledAllocationFree(t *testing.T) {
 // each fall behind, so both time out and retry throughout; in the
 // exported timeline JSON every request ID must stay under one pool.
 func TestRetryIDsAreClusterUnique(t *testing.T) {
-	cfg := smallConfig()
-	cfg.MaxDecodeBatch = 6
-	cfg.KV = kv.Config{Policy: kv.Recompute}
-	cfg.Client = ClientConfig{Default: ClientBehavior{Timeout: 10, Retries: 2}}
-	cc := clusterOf(cfg, cfg)
-	reqs, err := trace.ConversationWorkload(24, 5).Generate(120)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cm, timeline, _ := runObserved(t, cc, reqs, 120)
+	cc, reqs, horizon := retryCluster(t)
+	cm, timeline, _ := runObserved(t, cc, reqs, horizon)
 	for _, pm := range cm.Pools {
 		if pm.Metrics.ClientRetries == 0 {
 			t.Fatalf("pool %s made no retries; the scenario no longer exercises them", pm.Name)
@@ -240,4 +249,35 @@ func TestRetryIDsAreClusterUnique(t *testing.T) {
 	if len(poolOf) == 0 {
 		t.Fatal("the timeline holds no lifecycle events")
 	}
+}
+
+// observerGoldenFile pins the observer's exports across revisions: one
+// SHA-256 line each for the timeline JSON and the probe CSV of every
+// observed scenario. TestObservedRunsAreDeterministic compares two runs
+// of one build; this file compares a build against the exports of the
+// build that captured it, so a change to how the Recorder stores its
+// timelines must leave it byte-identical. Regenerate (only when
+// knowingly changing what the observer exports) with:
+//
+//	LITEGPU_UPDATE_GOLDENS=1 go test ./internal/serve -run Golden
+const observerGoldenFile = "testdata/observer_goldens.txt"
+
+// TestObserverExportGoldens hashes the exports of the chaos cluster
+// under every scheduler and of the two-pool retry cluster, whose
+// retries re-key sampled timelines through Adopt.
+func TestObserverExportGoldens(t *testing.T) {
+	var b strings.Builder
+	hash := func(name, timeline, probes string) {
+		fmt.Fprintf(&b, "%s.timeline_json=%x\n", name, sha256.Sum256([]byte(timeline)))
+		fmt.Fprintf(&b, "%s.probe_csv=%x\n", name, sha256.Sum256([]byte(probes)))
+	}
+	for _, pol := range SchedulerPolicies() {
+		cc, reqs, horizon := observedChaosCluster(t, pol)
+		_, timeline, probes := runObserved(t, cc, reqs, horizon)
+		hash("chaos/"+pol.String(), timeline, probes)
+	}
+	cc, reqs, horizon := retryCluster(t)
+	_, timeline, probes := runObserved(t, cc, reqs, horizon)
+	hash("retry-two-pool", timeline, probes)
+	compareGoldens(t, observerGoldenFile, b.String())
 }
