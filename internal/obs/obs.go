@@ -83,13 +83,30 @@ type Event struct {
 	Val  float64
 }
 
-// slot is one reservoir entry: a sampled request's full timeline. The
-// events buffer is retained across evictions, so a long run cycles
-// through a fixed arena.
+// slot is one reservoir entry: a sampled request's timeline, held as a
+// chain of chunks from the recorder's slab. Evicting the slot returns
+// its chain to the slab's free list, so a long run cycles through the
+// chunks its largest working set needed.
 type slot struct {
-	id      int64
-	arrival float64
-	events  []Event
+	id         int64
+	arrival    float64
+	head, tail *chunk
+	n          int // events held; the tail holds the last, at (n-1)%chunkEvents
+}
+
+// Slab sizes: a chunk holds chunkEvents events of one timeline, and the
+// slab allocates chunks blockChunks at a time. A traced overload run
+// holds a median of about 19 events per timeline, so most timelines fit
+// in two chunks.
+const (
+	chunkEvents = 16
+	blockChunks = 64
+)
+
+// chunk is one link of a slot's event chain, or of the free list.
+type chunk struct {
+	events [chunkEvents]Event
+	next   *chunk
 }
 
 // DefaultSampleTargets bounds the reservoir: at most this many request
@@ -125,8 +142,15 @@ type Recorder struct {
 	seen int
 
 	slots   []slot
-	live    map[int64]int32 // request id → slot, for tracked requests
-	cluster []Event         // instance-scoped events
+	live    idIndex // request id → slot, for tracked requests
+	cluster []Event // instance-scoped events
+
+	// The chunk slab: blocks are never re-copied, and the chunks of
+	// evicted slots wait on free for reuse before block is drawn on.
+	block  *[blockChunks]chunk
+	used   int // chunks of block handed out
+	free   *chunk
+	blocks int // blocks allocated
 
 	probeInterval float64
 	probes        []ProbeSample
@@ -147,7 +171,8 @@ func New(o Options) *Recorder {
 	return &Recorder{
 		k:             k,
 		rng:           mathx.NewRNG(mathx.DeriveSeed(o.Seed, 0x0b5e)),
-		live:          make(map[int64]int32),
+		slots:         make([]slot, 0, k),
+		live:          newIDIndex(k),
 		probeInterval: o.ProbeInterval,
 		heartbeat:     o.Heartbeat,
 		poolNames:     nil,
@@ -175,49 +200,105 @@ func (r *Recorder) ProbeInterval() float64 { return r.probeInterval }
 
 // Request records one request-scoped event. An Arrival runs the
 // reservoir admission decision; every other kind is recorded only when
-// the request is currently tracked. Untracked requests cost one map
-// lookup. The method allocates only amortized slab growth, never per
-// event at steady state.
+// the request is currently tracked. Untracked requests cost one probe
+// of the id index. Recording allocates only when the slab runs out of
+// chunks: once the reservoir is full, evicted timelines supply them.
+//
+//litegpu:hotpath
 func (r *Recorder) Request(kind Kind, t float64, pool, inst int32, req int64, val float64) {
 	var idx int32
 	if kind == Arrival {
 		idx = r.admit(req, t)
-	} else if kind == Complete {
-		r.completed++
-		if r.heartbeat != nil {
-			r.heartbeat(t, r.completed)
-		}
-		var ok bool
-		idx, ok = r.live[req]
-		if !ok {
-			return
-		}
 	} else {
-		var ok bool
-		idx, ok = r.live[req]
-		if !ok {
-			return
+		if kind == Complete {
+			r.completed++
+			if r.heartbeat != nil {
+				r.heartbeat(t, r.completed)
+			}
 		}
+		idx = r.live.get(req)
 	}
 	if idx < 0 {
 		return
 	}
-	s := &r.slots[idx]
-	s.events = append(s.events, Event{T: t, Kind: kind, Pool: pool, Inst: inst, Req: req, Val: val})
+	r.record(&r.slots[idx], Event{T: t, Kind: kind, Pool: pool, Inst: inst, Req: req, Val: val})
+}
+
+// record appends e to s's chain, starting a new chunk when the tail is
+// full.
+//
+//litegpu:hotpath
+func (r *Recorder) record(s *slot, e Event) {
+	i := s.n % chunkEvents
+	if i == 0 {
+		c := r.newChunk()
+		if s.tail == nil {
+			s.head = c
+		} else {
+			s.tail.next = c
+		}
+		s.tail = c
+	}
+	s.tail.events[i] = e
+	s.n++
+}
+
+// newChunk takes a chunk from the free list, or else from the current
+// block, allocating a fresh block when that one is spent.
+//
+//litegpu:hotpath
+func (r *Recorder) newChunk() *chunk {
+	if c := r.free; c != nil {
+		r.free = c.next
+		c.next = nil
+		return c
+	}
+	if r.block == nil || r.used == blockChunks {
+		r.block = new([blockChunks]chunk) //litegpu:alloc-ok slab block: one per blockChunks chunks, and evicted chains are reused first
+		r.used = 0
+		r.blocks++
+	}
+	c := &r.block[r.used]
+	r.used++
+	return c
+}
+
+// release empties s, handing its whole chain to the free list.
+//
+//litegpu:hotpath
+func (r *Recorder) release(s *slot) {
+	if s.head != nil {
+		s.tail.next = r.free
+		r.free = s.head
+	}
+	s.head, s.tail, s.n = nil, nil, 0
+}
+
+// appendEvents appends s's timeline to dst in recording order.
+func (s *slot) appendEvents(dst []Event) []Event {
+	rest := s.n
+	for c := s.head; rest > 0; c = c.next {
+		k := min(chunkEvents, rest)
+		dst = append(dst, c.events[:k]...)
+		rest -= k
+	}
+	return dst
 }
 
 // Adopt re-keys a tracked request's timeline to a retry submission's
 // fresh id, so the retries of a sampled request extend the same span
 // instead of re-entering the reservoir. Untracked requests are a
 // no-op.
+//
+//litegpu:hotpath
 func (r *Recorder) Adopt(oldID, newID int64) {
-	idx, ok := r.live[oldID]
-	if !ok {
+	idx := r.live.get(oldID)
+	if idx < 0 {
 		return
 	}
-	delete(r.live, oldID)
+	r.live.del(oldID)
 	r.slots[idx].id = newID
-	r.live[newID] = idx
+	r.live.put(newID, idx)
 }
 
 // Cluster records one instance-scoped event (failure, recovery,
@@ -231,13 +312,15 @@ func (r *Recorder) Cluster(kind Kind, t float64, pool, inst int32, val float64) 
 // the first k arrivals fill the reservoir; arrival i>k replaces a
 // uniformly chosen victim with probability k/i. Returns the slot
 // index, or -1 when the arrival is not sampled.
+//
+//litegpu:hotpath
 func (r *Recorder) admit(id int64, t float64) int32 {
 	i := r.seen
 	r.seen++
 	if len(r.slots) < r.k {
 		r.slots = append(r.slots, slot{id: id, arrival: t})
 		idx := int32(len(r.slots) - 1)
-		r.live[id] = idx
+		r.live.put(id, idx)
 		return idx
 	}
 	j := r.rng.Intn(i + 1)
@@ -245,11 +328,11 @@ func (r *Recorder) admit(id int64, t float64) int32 {
 		return -1
 	}
 	v := &r.slots[j]
-	delete(r.live, v.id)
+	r.live.del(v.id)
+	r.release(v)
 	v.id = id
 	v.arrival = t
-	v.events = v.events[:0]
-	r.live[id] = int32(j)
+	r.live.put(id, int32(j))
 	return int32(j)
 }
 

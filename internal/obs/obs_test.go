@@ -36,15 +36,8 @@ func TestReservoirBoundsAndDeterminism(t *testing.T) {
 	if seen != 10_000 {
 		t.Fatalf("seen %d arrivals, want 10000", seen)
 	}
-	// Live map must exactly mirror the slots.
-	if len(r.live) != 64 {
-		t.Fatalf("live map has %d entries, want 64", len(r.live))
-	}
-	for id, idx := range r.live {
-		if r.slots[idx].id != id {
-			t.Fatalf("live[%d] -> slot %d which holds id %d", id, idx, r.slots[idx].id)
-		}
-	}
+	// The id index must exactly mirror the slots.
+	checkLive(t, r, 64)
 
 	// Same seed, same feed: byte-identical exports.
 	r2 := New(Options{Seed: 42, SampleTargets: 64})
@@ -103,25 +96,31 @@ func TestAdoptExtendsTimelineAcrossRetry(t *testing.T) {
 	r.Request(Retry, 22, 0, -1, 2, 0)
 	r.Request(Complete, 30, 0, 0, 2, 8)
 
-	if _, ok := r.live[1]; ok {
+	if r.live.get(1) >= 0 {
 		t.Fatal("old id still tracked after Adopt")
 	}
-	idx, ok := r.live[2]
-	if !ok {
+	idx := r.live.get(2)
+	if idx < 0 {
 		t.Fatal("new id not tracked after Adopt")
 	}
-	s := r.slots[idx]
+	s := &r.slots[idx]
 	if s.id != 2 {
 		t.Fatalf("slot id = %d, want re-keyed to 2", s.id)
 	}
-	if len(s.events) != 4 {
-		t.Fatalf("timeline has %d events, want 4 (arrival..complete on one slot)", len(s.events))
+	var kinds []Kind
+	for _, e := range s.appendEvents(nil) {
+		kinds = append(kinds, e.Kind)
 	}
+	if want := []Kind{Arrival, Timeout, Retry, Complete}; !reflect.DeepEqual(kinds, want) {
+		t.Fatalf("timeline holds %v, want %v (arrival..complete on one slot)", kinds, want)
+	}
+	checkLive(t, r, 1)
 	// Adopting an untracked id is a no-op.
 	r.Adopt(99, 100)
-	if _, ok := r.live[100]; ok {
+	if r.live.get(100) >= 0 {
 		t.Fatal("Adopt of untracked id created a live entry")
 	}
+	checkLive(t, r, 1)
 }
 
 func TestAdoptSurvivesEviction(t *testing.T) {
@@ -135,14 +134,97 @@ func TestAdoptSurvivesEviction(t *testing.T) {
 	for i := int64(4); i < 5000; i++ {
 		r.Request(Arrival, float64(i), 0, -1, i, 1)
 	}
-	if len(r.live) != 4 {
-		t.Fatalf("live map has %d entries, want 4", len(r.live))
+	checkLive(t, r, 4)
+	if idx := r.live.get(1002); idx >= 0 && r.slots[idx].id != 1002 {
+		t.Fatalf("stale alias: 1002 -> slot holding id %d", r.slots[idx].id)
 	}
-	for id, idx := range r.live {
-		if r.slots[idx].id != id {
-			t.Fatalf("stale alias: live[%d] -> slot holding id %d", id, r.slots[idx].id)
+}
+
+// checkLive requires the id index to mirror the held slots exactly:
+// one entry per held slot, every entry naming a slot that holds its id,
+// and every entry found again by a lookup of its id.
+func checkLive(t *testing.T, r *Recorder, want int) {
+	t.Helper()
+	if held, _ := r.Sampled(); held != want {
+		t.Fatalf("reservoir holds %d timelines, want %d", held, want)
+	}
+	entries := 0
+	for _, b := range r.live.buckets {
+		if b.ref == 0 {
+			continue
+		}
+		entries++
+		idx := b.ref - 1
+		if r.slots[idx].id != b.id {
+			t.Fatalf("stale alias: id %d -> slot %d holding id %d", b.id, idx, r.slots[idx].id)
+		}
+		if got := r.live.get(b.id); got != idx {
+			t.Fatalf("lookup of id %d found slot %d, its entry names %d", b.id, got, idx)
 		}
 	}
+	if entries != want || r.live.n != want {
+		t.Fatalf("id index holds %d entries (counts %d), want one per held slot, %d", entries, r.live.n, want)
+	}
+}
+
+// feedLong records n request lifecycles of 20 events each, ids from
+// first on: the arrival, prefill and first token, 14 KV growths and the
+// completion, as a long decode records them.
+func feedLong(r *Recorder, first int64, n int) {
+	for id := first; id < first+int64(n); id++ {
+		t := float64(id)
+		r.Request(Arrival, t, 0, -1, id, 512)
+		r.Request(Enqueue, t, 0, -1, id, 0)
+		r.Request(PrefillStart, t+0.1, 0, 1, id, 4)
+		r.Request(PrefillEnd, t+0.2, 0, 1, id, 0)
+		r.Request(FirstToken, t+0.3, 0, 1, id, 0.3)
+		for g := 0; g < 14; g++ {
+			r.Request(KVGrow, t+0.4+float64(g), 0, 1, id, float64(g))
+		}
+		r.Request(Complete, t+15, 0, 1, id, 15)
+	}
+}
+
+// recorderSink keeps a recorder built inside an allocation count alive.
+var recorderSink *Recorder
+
+// TestRecorderAllocatesPerChunkNotPerEvent pins the slab's cost: past
+// New, whose fixed allocations include the id index sized once for the
+// reservoir, a run allocates only slab blocks, as many as its largest
+// working set of chunks needs, and once the reservoir is full and
+// evictions have primed the free list, recording allocates nothing.
+func TestRecorderAllocatesPerChunkNotPerEvent(t *testing.T) {
+	opts := Options{Seed: 3, SampleTargets: 64}
+	newOnly := testing.AllocsPerRun(5, func() { recorderSink = New(opts) })
+	whole := testing.AllocsPerRun(5, func() {
+		recorderSink = New(opts)
+		feedLong(recorderSink, 0, 10_000)
+	})
+	r := recorderSink
+	if held, seen := r.Sampled(); held != 64 || seen != 10_000 {
+		t.Fatalf("held/seen = %d/%d, want 64/10000", held, seen)
+	}
+	// Each timeline spans two chunks, and an evicted one frees its two
+	// before its successor needs them.
+	maxBlocks := (64*2 + blockChunks - 1) / blockChunks
+	if r.blocks == 0 || r.blocks > maxBlocks {
+		t.Fatalf("slab allocated %d blocks, want 1..%d", r.blocks, maxBlocks)
+	}
+	if got := whole - newOnly; got != float64(r.blocks) {
+		t.Fatalf("10k arrivals cost %v allocations past New, want exactly the %d slab blocks", got, r.blocks)
+	}
+	if want := 256; len(r.live.buckets) != want {
+		t.Fatalf("id index has %d buckets, want %d (the power of two ≥ 4×64, never grown)", len(r.live.buckets), want)
+	}
+
+	next := int64(10_000)
+	if a := testing.AllocsPerRun(200, func() {
+		feedLong(r, next, 1)
+		next++
+	}); a != 0 {
+		t.Fatalf("steady-state recording allocates %v per request lifecycle, want 0", a)
+	}
+	checkLive(t, r, 64)
 }
 
 func TestProbeExports(t *testing.T) {

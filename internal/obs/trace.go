@@ -58,8 +58,10 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 			metaThreads = append(metaThreads, int64(pool)<<32|int64(uint32(inst+1)))
 		}
 	}
+	var events []Event // one slot's timeline, gathered from its chain
 	for _, si := range order {
-		for _, e := range r.slots[si].events {
+		events = r.slots[si].appendEvents(events[:0])
+		for _, e := range events {
 			note(e.Pool, -1)
 			note(e.Pool, e.Inst)
 		}
@@ -81,18 +83,19 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 
 	for _, si := range order {
 		s := &r.slots[si]
-		if len(s.events) == 0 {
+		events = s.appendEvents(events[:0])
+		if len(events) == 0 {
 			continue
 		}
-		first, last := s.events[0], s.events[len(s.events)-1]
+		first, last := events[0], events[len(events)-1]
 		reqName := "req " + strconv.FormatInt(s.id, 10)
 		// Request lifetime span on the frontend thread.
 		tw.span(reqName, "request", int(first.Pool)+1, 0, s.arrival, last.T-s.arrival, s.id)
 		// Flow arrow arrival → completion.
 		var done *Event
-		for i := range s.events {
-			if s.events[i].Kind == Complete {
-				done = &s.events[i]
+		for i := range events {
+			if events[i].Kind == Complete {
+				done = &events[i]
 			}
 		}
 		if done != nil {
@@ -101,13 +104,13 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 		}
 		// Prefill spans: each PrefillStart pairs with the next
 		// PrefillEnd or Chunk on the same instance.
-		for i := range s.events {
-			e := &s.events[i]
+		for i := range events {
+			e := &events[i]
 			if e.Kind != PrefillStart {
 				continue
 			}
-			for j := i + 1; j < len(s.events); j++ {
-				f := &s.events[j]
+			for j := i + 1; j < len(events); j++ {
+				f := &events[j]
 				if (f.Kind == PrefillEnd || f.Kind == Chunk) && f.Inst == e.Inst {
 					tw.span("prefill", "phase", int(e.Pool)+1, int(e.Inst)+1, e.T, f.T-e.T, s.id)
 					break
@@ -115,8 +118,8 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 			}
 		}
 		// Every event as an instant on its thread.
-		for i := range s.events {
-			e := &s.events[i]
+		for i := range events {
+			e := &events[i]
 			tw.instant(e.Kind.String(), "lifecycle", int(e.Pool)+1, int(e.Inst)+1, e.T, e.Req, e.Val)
 		}
 	}
