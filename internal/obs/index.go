@@ -7,15 +7,14 @@ import "math/bits"
 // two at least four times the reservoir, and it never grows: every
 // entry names a slot holding that id, so at most one entry per slot is
 // live and the table stays at most a quarter full. Most lookups are
-// misses, for requests the reservoir did not sample, and at that load a
-// miss ends after about 1.4 probes on average, against 2.5 at half
-// full. Ids are arbitrary caller-supplied integers (retry ids are
+// misses, for requests the reservoir did not sample; by Knuth's
+// estimate for linear probing, a miss at that load takes about 1.4
+// probes, against 2.5 at half full. Ids are arbitrary caller-supplied integers (retry ids are
 // negative), so no id value is reserved; an empty bucket is one whose
 // ref is 0.
 type idIndex struct {
 	buckets []bucket
 	shift   uint // 64 - log2(len(buckets))
-	n       int  // live entries
 }
 
 type bucket struct {
@@ -34,39 +33,32 @@ func (x *idIndex) home(id int64) int {
 	return int(uint64(id) * 0x9e3779b97f4a7c15 >> x.shift)
 }
 
+// find returns the bucket holding id or, when id is not tracked, the
+// empty bucket that ends id's probe run, where a put of id goes.
+//
+//litegpu:hotpath
+func (x *idIndex) find(id int64) int {
+	mask := len(x.buckets) - 1
+	i := x.home(id)
+	for x.buckets[i].ref != 0 && x.buckets[i].id != id {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
 // get returns id's slot, or -1 when id is not tracked.
 //
 //litegpu:hotpath
 func (x *idIndex) get(id int64) int32 {
-	mask := len(x.buckets) - 1
-	for i := x.home(id); ; i = (i + 1) & mask {
-		b := &x.buckets[i]
-		if b.ref == 0 {
-			return -1
-		}
-		if b.id == id {
-			return b.ref - 1
-		}
-	}
+	return x.buckets[x.find(id)].ref - 1
 }
 
 // put maps id to slot, replacing any slot id already maps to.
 //
 //litegpu:hotpath
 func (x *idIndex) put(id int64, slot int32) {
-	mask := len(x.buckets) - 1
-	for i := x.home(id); ; i = (i + 1) & mask {
-		b := &x.buckets[i]
-		if b.ref == 0 {
-			b.id, b.ref = id, slot+1
-			x.n++
-			return
-		}
-		if b.id == id {
-			b.ref = slot + 1
-			return
-		}
-	}
+	b := &x.buckets[x.find(id)]
+	b.id, b.ref = id, slot+1
 }
 
 // del removes id, if present. It shifts later entries of the probe run
@@ -76,19 +68,11 @@ func (x *idIndex) put(id int64, slot int32) {
 //
 //litegpu:hotpath
 func (x *idIndex) del(id int64) {
-	mask := len(x.buckets) - 1
-	hole := x.home(id)
-	for {
-		b := &x.buckets[hole]
-		if b.ref == 0 {
-			return
-		}
-		if b.id == id {
-			break
-		}
-		hole = (hole + 1) & mask
+	hole := x.find(id)
+	if x.buckets[hole].ref == 0 {
+		return
 	}
-	x.n--
+	mask := len(x.buckets) - 1
 	for i := (hole + 1) & mask; x.buckets[i].ref != 0; i = (i + 1) & mask {
 		if (i-x.home(x.buckets[i].id))&mask >= (i-hole)&mask {
 			x.buckets[hole] = x.buckets[i]

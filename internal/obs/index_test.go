@@ -107,8 +107,8 @@ func FuzzRecorderIndex(f *testing.F) {
 					held++
 				}
 			}
-			if held != len(ref) || x.n != len(ref) {
-				t.Fatalf("op %d: table holds %d entries (counts %d), map holds %d", pc/2, held, x.n, len(ref))
+			if held != len(ref) {
+				t.Fatalf("op %d: table holds %d entries, map holds %d", pc/2, held, len(ref))
 			}
 			for k, v := range ref {
 				if got := x.get(k); got != v {
