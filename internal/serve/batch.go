@@ -379,7 +379,7 @@ func (c *batchCore) grow(j int, now float64) {
 //litegpu:hotpath
 func (c *batchCore) preempt(j int, victim *activeReq, now float64) {
 	p := c.pool
-	p.kvPreempt++
+	p.m.KVPreemptions++
 	tokens := kvTokens(victim)
 	if p.rec != nil {
 		p.rec.Request(obs.KVPreempt, now, int32(p.idx), int32(c.base+j), int64(victim.req.ID), float64(tokens))
@@ -389,7 +389,7 @@ func (c *batchCore) preempt(j int, victim *activeReq, now float64) {
 		c.startSwap(j, victim, now, tokens)
 		return
 	}
-	p.kvRecompute += tokens
+	p.m.KVRecomputeTokens += tokens
 	c.owner.rebuild(victim)
 }
 

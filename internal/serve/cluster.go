@@ -184,12 +184,16 @@ type PoolMetrics struct {
 }
 
 // ClusterMetrics is the outcome of a cluster simulation: per-pool
-// metrics in pool order, plus the aggregate across pools. Aggregate
-// latency summaries are computed over the union of per-pool samples;
-// utilization is weighted by the GPUs behind each busy-second, and the
-// cross-pool Availability/BlastRadius aggregates weight capacity by
-// per-GPU compute and failure odds by per-GPU AFR, so a Lite GPU
-// counts as neither as capable nor as failure-prone as an H100.
+// metrics in pool order, plus the aggregate across pools. Total is the
+// merge of the pools: counts sum; every ratio is recomputed from summed
+// numerators and denominators, never averaged across pools; latency
+// and transfer summaries cover the union of per-pool samples; and
+// KVPeakBlocks, KVMeanBlocks and MeanLiveInstances sum the pool values.
+// Only the capacity-weighted fields follow their own cluster rule:
+// utilization is weighted by the GPUs behind each busy-second, and
+// Availability/BlastRadius weight capacity by per-GPU compute and
+// failure odds by per-GPU AFR, so a Lite GPU counts as neither as
+// capable nor as failure-prone as an H100.
 type ClusterMetrics struct {
 	Total Metrics
 	Pools []PoolMetrics

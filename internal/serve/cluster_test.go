@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"slices"
@@ -9,6 +10,7 @@ import (
 	"litegpu/internal/failure"
 	"litegpu/internal/hw"
 	"litegpu/internal/inference"
+	"litegpu/internal/kv"
 	"litegpu/internal/model"
 	"litegpu/internal/trace"
 	"litegpu/internal/units"
@@ -435,5 +437,171 @@ func TestBlastRadiusScalesWithInstanceCount(t *testing.T) {
 	}
 	if math.Abs(mLite.BlastRadius-0.125) > 1e-12 {
 		t.Errorf("8-instance blast radius = %v, want 1/8", mLite.BlastRadius)
+	}
+}
+
+// mergeTrace is a two-tenant stream for the merge test: a priority
+// paid tier and a heavier free tier with a mid-run flash crowd.
+func mergeTrace(t *testing.T, seed uint64) []trace.Request {
+	t.Helper()
+	mg := trace.MultiGenerator{
+		Classes: []trace.TenantClass{
+			{Name: "paid", Gen: trace.ConversationWorkload(4, 0), Priority: 1},
+			{Name: "free", Gen: trace.ConversationWorkload(12, 0), Priority: 0},
+		},
+		Envelope: trace.Envelope{Flash: []trace.FlashCrowd{{At: 30, Duration: 30, Factor: 3}}},
+		Seed:     seed,
+	}
+	reqs, err := mg.Generate(90)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reqs
+}
+
+// mergeCluster builds a cluster of the given pools, each a copy of an
+// H100 or Lite deployment with tenant classes, closed-loop clients,
+// adaptive admission and scarce KV memory, on a packet fabric with
+// accelerated failures. The last pool autoscales its decode fleet.
+func mergeCluster(seed uint64, gpus ...hw.GPU) ClusterConfig {
+	var cc ClusterConfig
+	for i, g := range gpus {
+		cfg := smallConfig()
+		if g.Name != cfg.GPU.Name {
+			cfg = lite4Of(cfg)
+		}
+		cfg.DecodeInstances = 2
+		cfg.KV = kv.Config{Policy: kv.Recompute, Blocks: 600}
+		cfg.Client = ClientConfig{
+			Classes: []ClientBehavior{
+				{Timeout: 20, Retries: 2, BackoffBase: 1, TTFTSLO: 2},
+				{Timeout: 10, Retries: 1, BackoffBase: 2},
+			},
+			Seed: seed,
+		}
+		cfg.Admission = AdmissionConfig{Policy: AdmitAdaptive, QueueLimit: 16, Levels: 2}
+		if i == len(gpus)-1 {
+			cfg.Autoscale = AutoscaleConfig{
+				Enabled: true, Interval: 5, HighWater: 6, LowWater: 1, MinInstances: 1, WarmUp: 5,
+			}
+		}
+		cc.Pools = append(cc.Pools, Pool{Config: cfg})
+	}
+	cc.Router = JoinShortestQueue
+	cc.Network = pluggablePacket()
+	cc.Failures = acceleratedFailures(1)
+	cc.Failures.Seed = seed
+	return cc
+}
+
+// sumInts checks that every int field of total equals the sum of that
+// field over parts.
+func sumInts(t *testing.T, what string, total any, parts []any) {
+	t.Helper()
+	tv := reflect.ValueOf(total)
+	for f := 0; f < tv.NumField(); f++ {
+		if tv.Field(f).Kind() != reflect.Int || tv.Type().Field(f).Name == "Class" {
+			continue
+		}
+		sum := int64(0)
+		for _, p := range parts {
+			sum += reflect.ValueOf(p).Field(f).Int()
+		}
+		if got := tv.Field(f).Int(); got != sum {
+			t.Errorf("%s.%s = %d, want the pools' sum %d", what, tv.Type().Field(f).Name, got, sum)
+		}
+	}
+}
+
+// TestClusterTotalIsMergeOfPools pins the aggregation rule on mixed
+// H100 and Lite clusters that no golden covers: the total's counts and
+// sample counts are the sums over its pools, a one-pool total is its
+// pool apart from the capacity-weighted fields, and a pool's Classes
+// never alias the total's.
+func TestClusterTotalIsMergeOfPools(t *testing.T) {
+	if inference.MaxFeasibleBatch(hw.Lite(), model.Llama3_8B(), inference.Decode, 4, inference.DefaultOptions()) < 1 {
+		t.Skip("Llama3-8B no longer fits four Lite GPUs")
+	}
+	h100, lite := hw.H100(), hw.Lite()
+	shapes := [][]hw.GPU{{h100, lite}, {lite, h100, lite}}
+	var shed, failures, transfers, preempts int
+	for _, seed := range []uint64{1, 2, 3} {
+		reqs := mergeTrace(t, seed)
+		for _, gpus := range shapes {
+			cm, err := RunCluster(mergeCluster(seed, gpus...), reqs, 120)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("seed %d, %d pools", seed, len(gpus))
+			tot := cm.Total
+			shed += tot.Shed
+			failures += tot.FailureEvents
+			transfers += tot.NetTransfers
+			preempts += tot.KVPreemptions
+
+			var pools, classes []any
+			var ttftN, tbtN, e2eN, xferN int
+			var kvMean, live float64
+			nClasses := 0
+			for _, pm := range cm.Pools {
+				m := pm.Metrics
+				pools = append(pools, m)
+				ttftN += m.TTFT.N
+				tbtN += m.TBT.N
+				e2eN += m.E2E.N
+				xferN += m.TransferTime.N
+				kvMean += m.KVMeanBlocks
+				live += m.MeanLiveInstances
+				nClasses = max(nClasses, len(m.Classes))
+			}
+			sumInts(t, name+": Total", tot, pools)
+			if tot.TTFT.N != ttftN || tot.TBT.N != tbtN || tot.E2E.N != e2eN || tot.TransferTime.N != xferN {
+				t.Errorf("%s: total sample counts TTFT %d TBT %d E2E %d transfers %d, pools sum to %d %d %d %d",
+					name, tot.TTFT.N, tot.TBT.N, tot.E2E.N, tot.TransferTime.N, ttftN, tbtN, e2eN, xferN)
+			}
+			if tot.KVMeanBlocks != kvMean || tot.MeanLiveInstances != live {
+				t.Errorf("%s: KVMeanBlocks %v MeanLiveInstances %v, pools sum to %v %v",
+					name, tot.KVMeanBlocks, tot.MeanLiveInstances, kvMean, live)
+			}
+			if len(tot.Classes) != nClasses || nClasses == 0 {
+				t.Fatalf("%s: total has %d classes, pools up to %d", name, len(tot.Classes), nClasses)
+			}
+			for ci, c := range tot.Classes {
+				classes = classes[:0]
+				for _, pm := range cm.Pools {
+					if ci < len(pm.Metrics.Classes) {
+						classes = append(classes, pm.Metrics.Classes[ci])
+					} else {
+						classes = append(classes, ClassMetrics{})
+					}
+				}
+				sumInts(t, fmt.Sprintf("%s: Total.Classes[%d]", name, ci), c, classes)
+			}
+		}
+
+		// One pool: the total is the pool, except where the cluster
+		// weighs capacity its own way.
+		cm, err := RunCluster(mergeCluster(seed, lite), reqs, 120)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tot, pool := cm.Total, cm.Pools[0].Metrics
+		for _, m := range []*Metrics{&tot, &pool} {
+			m.PrefillUtilization, m.DecodeUtilization, m.Availability, m.BlastRadius = 0, 0, 0, 0
+		}
+		if !reflect.DeepEqual(tot, pool) {
+			t.Errorf("seed %d: one-pool total diverges from its pool:\n%+v\nvs\n%+v", seed, tot, pool)
+		}
+		want := slices.Clone(cm.Total.Classes)
+		for i := range cm.Pools[0].Metrics.Classes {
+			cm.Pools[0].Metrics.Classes[i].Arrived = -1
+		}
+		if !reflect.DeepEqual(cm.Total.Classes, want) {
+			t.Errorf("seed %d: writing a pool's Classes changed the total's", seed)
+		}
+	}
+	if shed == 0 || failures == 0 || transfers == 0 || preempts == 0 {
+		t.Errorf("clusters too tame to test the merge: shed %d, failures %d, transfers %d, preemptions %d",
+			shed, failures, transfers, preempts)
 	}
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"litegpu/internal/failure"
@@ -180,13 +181,10 @@ type poolSim struct {
 	// integral across the pool's allocators.
 	kvBlockTokens int
 	kvInUse       int
-	kvPeak        int
 	kvBlockSec    float64
 	kvLastT       float64
 	kvHits        int
 	kvLookups     int
-	kvPreempt     int
-	kvRecompute   int
 
 	// Closed-loop client state (all empty with Config.Client timeouts
 	// off). trackArena/freeTracks recycle clientTrack slots; tracks maps
@@ -326,8 +324,8 @@ func (p *poolSim) kvAccount(now float64, delta int) {
 	p.kvBlockSec += float64(p.kvInUse) * (now - p.kvLastT)
 	p.kvLastT = now
 	p.kvInUse += delta
-	if p.kvInUse > p.kvPeak {
-		p.kvPeak = p.kvInUse
+	if p.kvInUse > p.m.KVPeakBlocks {
+		p.m.KVPeakBlocks = p.kvInUse
 	}
 }
 
@@ -487,7 +485,7 @@ func (p *poolSim) emitToken(a *activeReq, now float64) bool {
 	}
 	if p.classesOn {
 		acc := p.classAt(a.req.Class)
-		acc.completed++
+		acc.Completed++
 		acc.goodTokens += a.req.OutputTokens
 	}
 	p.clientSettle(a.req.ID)
@@ -1027,7 +1025,7 @@ func (s *clusterSim) route() *poolSim {
 func (s *clusterSim) acceptArrival(p *poolSim, r trace.Request, now float64) {
 	p.m.Arrived++
 	if p.classesOn {
-		p.classAt(r.Class).arrived++
+		p.classAt(r.Class).Arrived++
 	}
 	if p.rec != nil {
 		p.rec.Request(obs.Arrival, now, int32(p.idx), -1, int64(r.ID), float64(r.PromptTokens))
@@ -1035,7 +1033,7 @@ func (s *clusterSim) acceptArrival(p *poolSim, r trace.Request, now float64) {
 	if p.cfg.Admission.Policy != AdmitAll && p.shouldShed(r) {
 		p.m.Shed++
 		if p.classesOn {
-			p.classAt(r.Class).shed++
+			p.classAt(r.Class).Shed++
 		}
 		if p.rec != nil {
 			p.rec.Request(obs.Shed, now, int32(p.idx), -1, int64(r.ID), float64(r.Class))
@@ -1055,7 +1053,7 @@ func (s *clusterSim) acceptArrival(p *poolSim, r trace.Request, now float64) {
 			if b.Timeout > 0 {
 				p.m.Abandoned++
 				if p.classesOn {
-					p.classAt(r.Class).abandoned++
+					p.classAt(r.Class).Abandoned++
 				}
 				if p.rec != nil {
 					p.rec.Request(obs.Abandon, now, int32(p.idx), -1, int64(r.ID), 0)
@@ -1220,104 +1218,63 @@ func (s *clusterSim) recoverInstance(p *poolSim, id int, now float64) {
 
 // --- metrics assembly --------------------------------------------------
 
-// assemble folds per-pool accumulators into ClusterMetrics in pool
-// order; float summation order is part of the byte-identity contract.
+// assemble reports each pool's metrics and the cluster total. Both come
+// from finish, so the total is the merge of the pools; only the
+// capacity-weighted fields (utilization, Availability, BlastRadius)
+// have a pool formula and a cluster formula, both here. Accumulation
+// runs in pool order; float summation order is part of the
+// byte-identity contract.
 func (s *clusterSim) assemble() ClusterMetrics {
 	pools, h := s.pools, s.h
-	var cm ClusterMetrics
-	var (
-		allTTFT, allTBT, allE2E []*mathx.Samples
-		allXferT, allXferB      []*mathx.Samples
-		nTTFT, nTBT, nE2E       int
-		nXferT, nXferB          int
-		ttftOK, tbtOK           int
-		pBusyGPU, dBusyGPU      float64
-		pGPUs, dGPUs            int
-		downFLOPSec             float64
-		totalFLOPs              float64
-		totalRate               float64
-		blastLoss               float64
-		goodTokens              int
-		usefulTokens            int
-		netSec, e2eSec          float64
-		kvHits, kvLookups       int
-		classTotals             []classAcc
-	)
-	for _, p := range pools {
-		allTTFT = append(allTTFT, &p.ttfts)
-		allTBT = append(allTBT, &p.tbts)
-		allE2E = append(allE2E, &p.e2es)
-		allXferT = append(allXferT, &p.xferT)
-		allXferB = append(allXferB, &p.xferB)
-		nTTFT += p.ttfts.Len()
-		nTBT += p.tbts.Len()
-		nE2E += p.e2es.Len()
-		nXferT += p.xferT.Len()
-		nXferB += p.xferB.Len()
-	}
 	// Every summary gathers its sample into this one array and selects
-	// there; a union across pools is at least as long as any pool's own.
-	scratch := make([]float64, 0, max(nTTFT, nTBT, nE2E, nXferT, nXferB))
+	// there; no union is longer than the pools' largest samples summed.
+	n := 0
 	for _, p := range pools {
-		m := &p.m
-		m.TTFT = mathx.SummarizeSamples(scratch, &p.ttfts)
-		m.TBT = mathx.SummarizeSamples(scratch, &p.tbts)
-		m.E2E = mathx.SummarizeSamples(scratch, &p.e2es)
-		m.TTFTAttainmentCompleted = ratio(p.ttftOK, p.ttfts.Len())
-		m.TTFTAttainment = ratio(p.ttftOK, m.Arrived-m.Dropped)
-		m.TBTAttainment = ratio(p.tbtOK, p.tbts.Len())
-		m.TransferBytes = mathx.SummarizeSamples(scratch, &p.xferB)
-		m.TransferTime = mathx.SummarizeSamples(scratch, &p.xferT)
-		poolE2E := p.e2es.Sum()
-		if p.netSec > 0 && poolE2E > 0 {
-			m.NetworkBoundFraction = p.netSec / poolE2E
+		n += max(p.ttfts.Len(), p.tbts.Len(), p.e2es.Len(), p.xferT.Len(), p.xferB.Len())
+	}
+	scratch := make([]float64, 0, n)
+	cm := ClusterMetrics{Total: finish(h, scratch, pools), Pools: make([]PoolMetrics, len(pools))}
+	var (
+		pBusyGPU, dBusyGPU float64
+		pGPUs, dGPUs       int
+		downFLOPSec        float64
+		totalFLOPs         float64
+		totalRate          float64
+		blastLoss          float64
+	)
+	for i, p := range pools {
+		pm := &cm.Pools[i]
+		pm.Name = p.name
+		if len(pools) == 1 {
+			// One pool: the total IS the pool; copy it rather than
+			// re-summarize the same samples.
+			pm.Metrics = cm.Total
+			pm.Metrics.Classes = slices.Clone(cm.Total.Classes)
+		} else {
+			pm.Metrics = finish(h, scratch, pools[i:i+1])
 		}
-		// KV occupancy: close the time-weighted integral at the horizon
-		// without mutating the accumulators.
-		m.KVPreemptions = p.kvPreempt
-		m.KVRecomputeTokens = p.kvRecompute
-		m.KVPeakBlocks = p.kvPeak
-		m.KVCacheHitRate = ratio(p.kvHits, p.kvLookups)
-		if h > 0 {
-			m.KVMeanBlocks = (p.kvBlockSec + float64(p.kvInUse)*(h-p.kvLastT)) / h
-		}
+		m := &pm.Metrics
 
 		shape := p.sched.shape()
 		poolPBusy, poolDBusy := p.sched.busy()
 		if h > 0 {
 			m.PrefillUtilization = poolPBusy / (h * float64(shape.prefillInstances))
 			m.DecodeUtilization = poolDBusy / (h * float64(shape.decodeInstances))
-			m.Goodput = float64(p.goodTokens) / h
-			m.UsefulGoodput = float64(p.usefulTokens) / h
 		}
-
-		// Closed-loop / autoscale reporting. Utilization denominators
-		// above deliberately stay provisioned-fleet based — parked
-		// capacity is still paid for; MeanLiveInstances reports what was
-		// actually serving. Classes is rebuilt from the raw accumulators
-		// on every assemble.
-		if p.scaleOn && h > 0 {
-			parked := 0.0
-			for id := p.scaleLo; id < p.scaleHi; id++ {
-				st := p.sched.state(id)
-				parked += st.parkedSec
-				if st.parked {
-					parked += h - st.parkedAt
-				}
-			}
-			m.MeanLiveInstances = float64(p.sched.numInstances()) - parked/h
-		}
-		if p.classesOn {
-			m.Classes = buildClassMetrics(p, h)
-		}
+		// Weight busy time by the GPUs behind it so the total stays
+		// GPU-weighted across heterogeneous pools (within one pool the
+		// two weightings coincide).
+		pBusyGPU += poolPBusy * float64(shape.prefillGPUs)
+		dBusyGPU += poolDBusy * float64(shape.decodeGPUs)
+		pGPUs += shape.prefillInstances * shape.prefillGPUs
+		dGPUs += shape.decodeInstances * shape.decodeGPUs
 
 		// Availability: GPU-weighted uptime over the horizon, counting
-		// instances still down at the end. blastRate/blastLoss accumulate
-		// Σ P(instance i fails next)·(capacity share lost): within a pool
-		// failure odds and capacity are both proportional to GPU count.
+		// instances still down at the end. BlastRadius: Σ P(instance i
+		// fails next)·(capacity share lost); within a pool failure odds
+		// and capacity are both proportional to GPU count.
 		poolGPUs := p.sched.totalGPUs()
-		var poolDown float64
-		var poolBlast float64
+		var poolDown, poolBlast float64
 		for id := 0; id < p.sched.numInstances(); id++ {
 			st := p.sched.state(id)
 			down := st.downSec
@@ -1335,56 +1292,6 @@ func (s *clusterSim) assemble() ClusterMetrics {
 		if poolGPUs > 0 {
 			m.BlastRadius = poolBlast / float64(poolGPUs*poolGPUs)
 		}
-
-		cm.Pools = append(cm.Pools, PoolMetrics{Name: p.name, Metrics: *m})
-
-		// Aggregate accumulators.
-		cm.Total.Arrived += m.Arrived
-		cm.Total.Completed += m.Completed
-		cm.Total.Dropped += m.Dropped
-		cm.Total.TokensGenerated += m.TokensGenerated
-		cm.Total.FailureEvents += m.FailureEvents
-		cm.Total.Requeued += m.Requeued
-		cm.Total.DroppedOnFailure += m.DroppedOnFailure
-		cm.Total.NetTransfers += m.NetTransfers
-		cm.Total.KVPreemptions += m.KVPreemptions
-		cm.Total.KVRecomputeTokens += m.KVRecomputeTokens
-		cm.Total.KVPeakBlocks += m.KVPeakBlocks
-		cm.Total.KVMeanBlocks += m.KVMeanBlocks
-		cm.Total.ClientTimeouts += m.ClientTimeouts
-		cm.Total.ClientRetries += m.ClientRetries
-		cm.Total.Abandoned += m.Abandoned
-		cm.Total.Shed += m.Shed
-		cm.Total.ScaleUps += m.ScaleUps
-		cm.Total.ScaleDowns += m.ScaleDowns
-		cm.Total.MeanLiveInstances += m.MeanLiveInstances
-		for ci := range p.classes {
-			for len(classTotals) <= ci {
-				classTotals = append(classTotals, classAcc{})
-			}
-			src, dst := &p.classes[ci], &classTotals[ci]
-			dst.arrived += src.arrived
-			dst.completed += src.completed
-			dst.shed += src.shed
-			dst.timedOut += src.timedOut
-			dst.retries += src.retries
-			dst.abandoned += src.abandoned
-			dst.ttftOK += src.ttftOK
-			dst.goodTokens += src.goodTokens
-		}
-		kvHits += p.kvHits
-		kvLookups += p.kvLookups
-		netSec += p.netSec
-		e2eSec += poolE2E
-		ttftOK += p.ttftOK
-		tbtOK += p.tbtOK
-		// Weight busy time by the GPUs behind it so the aggregate stays
-		// GPU-weighted across heterogeneous pools (within one pool the
-		// two weightings coincide).
-		pBusyGPU += poolPBusy * float64(shape.prefillGPUs)
-		dBusyGPU += poolDBusy * float64(shape.decodeGPUs)
-		pGPUs += shape.prefillInstances * shape.prefillGPUs
-		dGPUs += shape.decodeInstances * shape.decodeGPUs
 		// Cross-pool weights: a pool's failure odds scale with its per-GPU
 		// AFR and its capacity with its per-GPU compute — one Lite GPU is
 		// neither as failure-prone nor as capable as one H100.
@@ -1396,36 +1303,12 @@ func (s *clusterSim) assemble() ClusterMetrics {
 			totalRate += rateW
 			blastLoss += rateW * g * p.flopsPerGPU // ÷ totalFLOPs below
 		}
-		goodTokens += p.goodTokens
-		usefulTokens += p.usefulTokens
 	}
 
 	t := &cm.Total
-	if len(pools) == 1 {
-		// One pool: the union IS the pool's sample; reuse its summaries
-		// instead of re-sorting the same data.
-		m := &cm.Pools[0].Metrics
-		t.TTFT, t.TBT, t.E2E = m.TTFT, m.TBT, m.E2E
-		t.TransferBytes, t.TransferTime = m.TransferBytes, m.TransferTime
-	} else {
-		t.TTFT = mathx.SummarizeSamples(scratch, allTTFT...)
-		t.TBT = mathx.SummarizeSamples(scratch, allTBT...)
-		t.E2E = mathx.SummarizeSamples(scratch, allE2E...)
-		t.TransferBytes = mathx.SummarizeSamples(scratch, allXferB...)
-		t.TransferTime = mathx.SummarizeSamples(scratch, allXferT...)
-	}
-	if netSec > 0 && e2eSec > 0 {
-		t.NetworkBoundFraction = netSec / e2eSec
-	}
-	t.TTFTAttainmentCompleted = ratio(ttftOK, nTTFT)
-	t.TTFTAttainment = ratio(ttftOK, t.Arrived-t.Dropped)
-	t.TBTAttainment = ratio(tbtOK, nTBT)
-	t.KVCacheHitRate = ratio(kvHits, kvLookups)
 	if h > 0 {
 		t.PrefillUtilization = pBusyGPU / (h * float64(pGPUs))
 		t.DecodeUtilization = dBusyGPU / (h * float64(dGPUs))
-		t.Goodput = float64(goodTokens) / h
-		t.UsefulGoodput = float64(usefulTokens) / h
 	}
 	t.Availability = 1
 	if h > 0 && totalFLOPs > 0 {
@@ -1438,26 +1321,115 @@ func (s *clusterSim) assemble() ClusterMetrics {
 	if totalRate > 0 && totalFLOPs > 0 {
 		t.BlastRadius = blastLoss / totalRate / totalFLOPs
 	}
-	// Cross-pool class totals: ratios recomputed from the merged raw
-	// accumulators, never averaged across pools.
-	if len(classTotals) > 0 {
-		t.Classes = make([]ClassMetrics, len(classTotals))
-		for i := range classTotals {
-			acc := &classTotals[i]
-			t.Classes[i] = ClassMetrics{
-				Class:          i,
-				Arrived:        acc.arrived,
-				Completed:      acc.completed,
-				Shed:           acc.shed,
-				TimedOut:       acc.timedOut,
-				Retries:        acc.retries,
-				Abandoned:      acc.abandoned,
-				TTFTAttainment: ratio(acc.ttftOK, acc.arrived),
+	return cm
+}
+
+// finish computes the metrics of pools taken as one pool, leaving the
+// capacity-weighted fields to assemble. Counts and ratio numerators are
+// summed in pool order and every ratio is recomputed from the sums;
+// every summary covers the union of the pools' samples. KVMeanBlocks
+// and MeanLiveInstances sum each pool's own time average, and the
+// NetworkBoundFraction denominator sums each pool's E2E total.
+func finish(h float64, scratch []float64, pools []*poolSim) Metrics {
+	var (
+		m                  Metrics
+		ttftOK, tbtOK      int
+		kvHits, kvLookups  int
+		goodTok, usefulTok int
+		netSec, e2eSec     float64
+		classes            []classAcc
+	)
+	for _, p := range pools {
+		m.addCounts(&p.m)
+		ttftOK += p.ttftOK
+		tbtOK += p.tbtOK
+		kvHits += p.kvHits
+		kvLookups += p.kvLookups
+		goodTok += p.goodTokens
+		usefulTok += p.usefulTokens
+		netSec += p.netSec
+		e2eSec += p.e2es.Sum()
+		for ci := range p.classes {
+			if ci == len(classes) {
+				classes = append(classes, classAcc{})
 			}
-			if h > 0 {
-				t.Classes[i].Goodput = float64(acc.goodTokens) / h
+			classes[ci].add(&p.classes[ci])
+		}
+		if h > 0 {
+			// Close the time-weighted integrals at the horizon without
+			// mutating the accumulators.
+			m.KVMeanBlocks += (p.kvBlockSec + float64(p.kvInUse)*(h-p.kvLastT)) / h
+			if p.scaleOn {
+				parked := 0.0
+				for id := p.scaleLo; id < p.scaleHi; id++ {
+					st := p.sched.state(id)
+					parked += st.parkedSec
+					if st.parked {
+						parked += h - st.parkedAt
+					}
+				}
+				m.MeanLiveInstances += float64(p.sched.numInstances()) - parked/h
 			}
 		}
 	}
-	return cm
+
+	parts := make([]*mathx.Samples, len(pools))
+	union := func(pick func(*poolSim) *mathx.Samples) mathx.Summary {
+		for i, p := range pools {
+			parts[i] = pick(p)
+		}
+		return mathx.SummarizeSamples(scratch, parts...)
+	}
+	m.TTFT = union(func(p *poolSim) *mathx.Samples { return &p.ttfts })
+	m.TBT = union(func(p *poolSim) *mathx.Samples { return &p.tbts })
+	m.E2E = union(func(p *poolSim) *mathx.Samples { return &p.e2es })
+	m.TransferBytes = union(func(p *poolSim) *mathx.Samples { return &p.xferB })
+	m.TransferTime = union(func(p *poolSim) *mathx.Samples { return &p.xferT })
+
+	m.TTFTAttainmentCompleted = ratio(ttftOK, m.TTFT.N)
+	m.TTFTAttainment = ratio(ttftOK, m.Arrived-m.Dropped)
+	m.TBTAttainment = ratio(tbtOK, m.TBT.N)
+	m.KVCacheHitRate = ratio(kvHits, kvLookups)
+	if netSec > 0 && e2eSec > 0 {
+		m.NetworkBoundFraction = netSec / e2eSec
+	}
+	if h > 0 {
+		m.Goodput = float64(goodTok) / h
+		m.UsefulGoodput = float64(usefulTok) / h
+	}
+	if len(classes) > 0 {
+		m.Classes = make([]ClassMetrics, len(classes))
+		for i := range classes {
+			acc := &classes[i]
+			c := &m.Classes[i]
+			*c = acc.ClassMetrics
+			c.Class = i
+			c.TTFTAttainment = ratio(acc.ttftOK, acc.Arrived)
+			if h > 0 {
+				c.Goodput = float64(acc.goodTokens) / h
+			}
+		}
+	}
+	return m
+}
+
+// addCounts adds o's event counts to m.
+func (m *Metrics) addCounts(o *Metrics) {
+	m.Arrived += o.Arrived
+	m.Completed += o.Completed
+	m.Dropped += o.Dropped
+	m.TokensGenerated += o.TokensGenerated
+	m.FailureEvents += o.FailureEvents
+	m.Requeued += o.Requeued
+	m.DroppedOnFailure += o.DroppedOnFailure
+	m.NetTransfers += o.NetTransfers
+	m.KVPreemptions += o.KVPreemptions
+	m.KVRecomputeTokens += o.KVRecomputeTokens
+	m.KVPeakBlocks += o.KVPeakBlocks
+	m.ClientTimeouts += o.ClientTimeouts
+	m.ClientRetries += o.ClientRetries
+	m.Abandoned += o.Abandoned
+	m.Shed += o.Shed
+	m.ScaleUps += o.ScaleUps
+	m.ScaleDowns += o.ScaleDowns
 }

@@ -378,16 +378,25 @@ type ClassMetrics struct {
 	Goodput float64
 }
 
-// classAcc is a pool's per-class accumulator (index = class).
+// classAcc is a pool's per-class accumulator (index = class). The
+// embedded ClassMetrics holds the counts; finish sets its ratios from
+// ttftOK and goodTokens.
 type classAcc struct {
-	arrived    int
-	completed  int
-	shed       int
-	timedOut   int
-	retries    int
-	abandoned  int
+	ClassMetrics
 	ttftOK     int
 	goodTokens int
+}
+
+// add folds o's counts into a.
+func (a *classAcc) add(o *classAcc) {
+	a.Arrived += o.Arrived
+	a.Completed += o.Completed
+	a.Shed += o.Shed
+	a.TimedOut += o.TimedOut
+	a.Retries += o.Retries
+	a.Abandoned += o.Abandoned
+	a.ttftOK += o.ttftOK
+	a.goodTokens += o.goodTokens
 }
 
 // clientTrack is one tracked request attempt's client-side state. Live
@@ -573,7 +582,7 @@ func (s *clusterSim) onDeadline(now float64, arg uint64) {
 	delete(p.tracks, tr.id)
 	p.m.ClientTimeouts++
 	if p.classesOn {
-		p.classAt(int(tr.class)).timedOut++
+		p.classAt(int(tr.class)).TimedOut++
 	}
 	if p.rec != nil {
 		p.rec.Request(obs.Timeout, now, int32(p.idx), -1, int64(tr.id), float64(tr.attempts))
@@ -592,7 +601,7 @@ func (s *clusterSim) onDeadline(now float64, arg uint64) {
 	} else {
 		p.m.Abandoned++
 		if p.classesOn {
-			p.classAt(int(tr.class)).abandoned++
+			p.classAt(int(tr.class)).Abandoned++
 		}
 		if p.rec != nil {
 			p.rec.Request(obs.Abandon, now, int32(p.idx), -1, int64(tr.id), float64(tr.attempts))
@@ -638,7 +647,7 @@ func (s *clusterSim) scheduleRetry(p *poolSim, idx int, now float64, b ClientBeh
 	tr := &p.trackArena[idx]
 	p.m.ClientRetries++
 	if p.classesOn {
-		p.classAt(int(tr.class)).retries++
+		p.classAt(int(tr.class)).Retries++
 	}
 	backoff := b.backoffBase()
 	limit := b.backoffCap()
@@ -685,7 +694,7 @@ func (s *clusterSim) onRetry(now float64, arg uint64) {
 	if p.cfg.Admission.Policy != AdmitAll && p.shouldShed(r) {
 		p.m.Shed++
 		if p.classesOn {
-			p.classAt(int(tr.class)).shed++
+			p.classAt(int(tr.class)).Shed++
 		}
 		if p.rec != nil {
 			p.rec.Request(obs.Shed, now, int32(p.idx), -1, int64(r.ID), float64(tr.class))
@@ -697,7 +706,7 @@ func (s *clusterSim) onRetry(now float64, arg uint64) {
 		}
 		p.m.Abandoned++
 		if p.classesOn {
-			p.classAt(int(tr.class)).abandoned++
+			p.classAt(int(tr.class)).Abandoned++
 		}
 		if p.rec != nil {
 			p.rec.Request(obs.Abandon, now, int32(p.idx), -1, int64(r.ID), float64(tr.attempts))
@@ -843,30 +852,4 @@ func (s *clusterSim) onWarm(now float64, arg uint64) {
 	st.parked = false
 	st.parkedSec += now - st.parkedAt
 	s.requestDispatch(p, now)
-}
-
-// buildClassMetrics folds a pool's per-class accumulators into the
-// reported slice; nil when no class ever arrived.
-func buildClassMetrics(p *poolSim, h float64) []ClassMetrics {
-	if len(p.classes) == 0 {
-		return nil
-	}
-	out := make([]ClassMetrics, len(p.classes))
-	for i := range p.classes {
-		acc := &p.classes[i]
-		out[i] = ClassMetrics{
-			Class:          i,
-			Arrived:        acc.arrived,
-			Completed:      acc.completed,
-			Shed:           acc.shed,
-			TimedOut:       acc.timedOut,
-			Retries:        acc.retries,
-			Abandoned:      acc.abandoned,
-			TTFTAttainment: ratio(acc.ttftOK, acc.arrived),
-		}
-		if h > 0 {
-			out[i].Goodput = float64(acc.goodTokens) / h
-		}
-	}
-	return out
 }

@@ -331,12 +331,13 @@ type Metrics struct {
 	// lookups at admission — an aggregate ratio over the run, zero when
 	// prefix caching is off or no request declared a shared prefix.
 	KVCacheHitRate float64
-	// KVPeakBlocks is the high-water mark of blocks in use. For a pool
-	// it sums per-instance peaks (instances peak at different times, so
-	// this is an upper bound on the pool-wide instantaneous peak).
+	// KVPeakBlocks is the high-water mark of blocks in use across a
+	// pool's instances. The cluster total sums pool peaks (pools peak
+	// at different times, so it bounds the cluster-wide peak from
+	// above).
 	KVPeakBlocks int
 	// KVMeanBlocks is the time-averaged number of blocks in use over the
-	// horizon, summed across instances.
+	// horizon, summed across instances and, in the total, across pools.
 	KVMeanBlocks float64
 	// KVRecomputeTokens counts tokens re-prefetched through prefill
 	// because a preempted sequence's KV was discarded (Recompute
@@ -364,9 +365,11 @@ type Metrics struct {
 	ScaleUps   int
 	ScaleDowns int
 	// MeanLiveInstances is the time-averaged unparked instance count
-	// under autoscaling; zero when the autoscaler is off. Utilization
-	// fields stay normalized by the provisioned fleet — parked silicon
-	// is still paid for.
+	// under autoscaling; zero when the autoscaler is off. The cluster
+	// total sums autoscaled pools only: a pool that does not scale
+	// contributes 0, not its instance count. Utilization fields stay
+	// normalized by the provisioned fleet — parked silicon is still
+	// paid for.
 	MeanLiveInstances float64
 	// UsefulGoodput is Goodput restricted to completions a client would
 	// have waited for: output tokens of requests finishing within their
