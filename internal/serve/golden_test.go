@@ -254,12 +254,8 @@ func TestStaticSchedulerMatchesPreRefactorGoldens(t *testing.T) {
 // of the RunCluster run: the streamed path is the one behind ServeFrom
 // and the benchmark's million-request run.
 func TestStreamedRunsMatchMaterialized(t *testing.T) {
-	corpora := [][]goldenScenario{
-		goldenScenarios(t), kvGoldenScenarios(t), networkGoldenScenarios(t),
-		overloadGoldenScenarios(t), schedulerGoldenScenarios(t),
-	}
 	runs := 0
-	for _, scenarios := range corpora {
+	for _, scenarios := range goldenCorpora(t) {
 		for _, sc := range scenarios {
 			if len(sc.cluster.Pools) != 1 {
 				continue
