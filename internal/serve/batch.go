@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"math"
+
 	"litegpu/internal/kv"
 	"litegpu/internal/mathx"
 	"litegpu/internal/obs"
@@ -40,13 +42,15 @@ type batchEngine struct {
 // prefill/decode second split (for busy accounting and failure
 // un-counting), how many pending entries its prefill part completes,
 // and — for chunked steps — how many head-of-line prompt tokens it
-// processes.
+// processes. runLeft counts the steps of a decode run still to follow
+// the in-flight one (see startStep).
 type stepState struct {
 	stepEnd     float64 // 0 when idle
 	stepPfx     float64
 	stepDec     float64
 	stepPrefill int
 	stepChunk   int
+	runLeft     int
 }
 
 // batchOwner is the scheduler a batchCore serves: it decides where work
@@ -82,6 +86,12 @@ type batchCore struct {
 	// passes that stall the engine's decodes.
 	chunk int
 	cost  stepCost
+	// runs allows decode runs longer than one step: only when nothing
+	// but the engine's own clock can change its next step — no KV
+	// allocator (growth is per token), no client deadlines, no
+	// autoscaler, and no observer (probe rows carry the event count
+	// and the busy seconds).
+	runs bool
 
 	stepDoneH sim.Handler
 }
@@ -97,6 +107,7 @@ func (c *batchCore) init(cs *clusterSim, pool *poolSim, owner batchOwner, n, gpu
 	c.cost = newStepCost(cfg, gpus)
 	c.cap = c.cost.decodeCap(cfg.MaxDecodeBatch)
 	c.stepDoneH = c.onStepDone
+	c.runs = !cfg.KV.Enabled() && !cfg.Client.enabled() && !cfg.Autoscale.Enabled && cs.rec == nil
 	if cfg.KV.Enabled() {
 		blocks, err := kvBlocksPerInstance(cfg, gpus)
 		if err != nil {
@@ -131,14 +142,115 @@ func (c *batchCore) busy() (prefill, decode float64) {
 	return prefill, decode
 }
 
+// dispatch starts a step on every idle engine, in index order. An
+// engine in a decode run is first brought up to now (runTo), which
+// leaves it idle when a step of the run ends exactly now, so the pass
+// restarts it in index order as it would any engine. A run that goes
+// on is cut at the end of its in-flight step when the queue holds work
+// and the engine has a free slot: the next step would admit it. Every
+// push into the queue requests a pass at that instant, so this is the
+// only place a run needs cutting.
+//
 //litegpu:hotpath
 func (c *batchCore) dispatch(now float64) {
 	for j := range c.engines {
 		e := &c.engines[j]
+		if e.runLeft > 0 {
+			c.runTo(j, now)
+			if e.runLeft > 0 && c.q.Len() > 0 && len(e.active)+e.pending.Len() < c.cap {
+				c.cs.eng.Cancel(e.doneEv)
+				e.runLeft = 0
+				e.doneEv = c.cs.eng.ScheduleCall(e.stepEnd, prioDecode+e.prio, c.stepDoneH, uint64(j))
+			}
+		}
 		if e.up && !e.parked && mathx.ExactEq(e.stepEnd, 0) {
 			c.startStep(j, now)
 		}
 	}
+}
+
+// runTo applies engine j's run boundaries that lie before now. A step
+// of the run that ends exactly now also completes: its own event would
+// have fired before any dispatch pass or failure at now. The engine is
+// then idle, and its run event is cancelled.
+//
+//litegpu:hotpath
+func (c *batchCore) runTo(j int, now float64) {
+	e := &c.engines[j]
+	for e.runLeft > 0 && e.stepEnd < now {
+		c.runStep(e)
+	}
+	if e.runLeft > 0 && mathx.ExactEq(e.stepEnd, now) {
+		c.runTokens(e)
+		c.cs.eng.Cancel(e.doneEv)
+		e.doneEv = 0
+		e.stepState = stepState{}
+	}
+}
+
+// endRuns applies, once the calendar has stopped at the event (at,
+// prio), every run boundary that fired before it: prio is math.MaxInt
+// for a Run that reached its horizon. A boundary at exactly at had its
+// tokens emitted when its own (decode band) event preceded the
+// stopping one, and its next step started when the dispatch pass at at
+// ran too.
+func (c *batchCore) endRuns(at float64, prio int) {
+	for j := range c.engines {
+		e := &c.engines[j]
+		for e.runLeft > 0 && e.stepEnd < at {
+			c.runStep(e)
+		}
+		if e.runLeft > 0 && mathx.ExactEq(e.stepEnd, at) {
+			switch {
+			case prio >= prioDispatch:
+				c.runStep(e)
+			case prioDecode+e.prio < prio:
+				c.runTokens(e)
+			}
+		}
+	}
+}
+
+// runStep applies one interior boundary of a decode run, as the step's
+// completion and the next step's start would have: every member emits
+// a token, and the next step is counted busy and timed by the same
+// float addition startStep makes.
+//
+//litegpu:hotpath
+func (c *batchCore) runStep(e *batchEngine) {
+	c.runTokens(e)
+	e.dBusy += e.stepDec
+	e.stepEnd += e.stepDec
+	e.runLeft--
+}
+
+// runTokens emits one token for every member of a run's batch. No
+// member completes or emits its first token at an interior boundary,
+// so this is all emitToken would do.
+//
+//litegpu:hotpath
+func (c *batchCore) runTokens(e *batchEngine) {
+	for _, a := range e.active {
+		a.remaining--
+	}
+	c.pool.m.TokensGenerated += len(e.active)
+}
+
+// runSteps returns how many steps a decode-only step over active can
+// run as one: the fewest tokens any member has left, so the run's last
+// step is the first that completes a request. A member that has not
+// emitted its first token yet keeps the step to one.
+//
+//litegpu:hotpath
+func runSteps(active []*activeReq) int {
+	k := math.MaxInt
+	for _, a := range active {
+		if !a.emitted {
+			return 1
+		}
+		k = min(k, a.remaining)
+	}
+	return k
 }
 
 // swapReturn puts a preempted sequence back at the head of the queue
@@ -215,6 +327,13 @@ func (c *batchCore) admit(e *batchEngine, now float64) {
 // chunked engine fuses one prompt chunk with the decode step so both
 // phases progress together. A draining engine admits nothing — it
 // finishes its in-flight work and parks.
+//
+// A decode-only step becomes a run of runSteps steps when c.runs
+// allows it: the calendar gets one completion event, at the end of the
+// run's last step, and the steps before it are applied lazily (runTo,
+// endRuns, onStepDone) exactly as their own events would have been.
+// Nothing can change an engine's next step while it runs except its
+// queue gaining work, which dispatch answers by cutting the run.
 //
 //litegpu:hotpath
 func (c *batchCore) startStep(j int, now float64) {
@@ -294,7 +413,14 @@ func (c *batchCore) startStep(j int, now float64) {
 	if mathx.ExactEq(dDt, 0) {
 		prio = prioPrefill + e.prio
 	}
-	e.doneEv = c.cs.eng.ScheduleCall(e.stepEnd, prio, c.stepDoneH, uint64(j))
+	end := e.stepEnd
+	if c.runs && nPrefill == 0 {
+		e.runLeft = runSteps(e.active) - 1
+		for k := 0; k < e.runLeft; k++ {
+			end += dt
+		}
+	}
+	e.doneEv = c.cs.eng.ScheduleCall(end, prio, c.stepDoneH, uint64(j))
 }
 
 // prefillPass prices a whole-prompt pass over the head of the pending
@@ -423,9 +549,16 @@ func (c *batchCore) startSwap(j int, a *activeReq, now float64, tokens int) {
 	}
 }
 
+// onStepDone fires at the end of a step, or of a run's last step:
+// the run's earlier boundaries are applied first.
+//
 //litegpu:hotpath
 func (c *batchCore) onStepDone(now float64, arg uint64) {
-	c.completeStep(int(arg), now)
+	j := int(arg)
+	for e := &c.engines[j]; e.runLeft > 0; {
+		c.runStep(e)
+	}
+	c.completeStep(j, now)
 }
 
 //litegpu:hotpath

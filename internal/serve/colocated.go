@@ -93,6 +93,7 @@ func (c *colocSched) rebuild(a *activeReq) {
 //
 //litegpu:hotpath
 func (c *colocSched) fail(id int, now float64, drop bool) {
+	c.runTo(id, now)
 	e := &c.engines[id]
 	if total := e.stepPfx + e.stepDec; e.stepEnd > 0 && total > 0 {
 		frac := (e.stepEnd - now) / total

@@ -878,6 +878,17 @@ func (s *clusterSim) run(reqs []trace.Request) ClusterMetrics {
 func (s *clusterSim) runFrom(src RequestSource) ClusterMetrics {
 	s.start(src)
 	s.eng.Run(s.h)
+	// A Run ends at its horizon unless a pool settled it, in which case
+	// it stopped right after the settling event.
+	at, prio := s.h, math.MaxInt
+	for _, p := range s.pools {
+		if p.settled {
+			at, prio = s.eng.Now(), s.eng.NowPrio()
+		}
+	}
+	for _, p := range s.pools {
+		p.sched.endRuns(at, prio)
+	}
 	return s.assemble()
 }
 

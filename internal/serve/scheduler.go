@@ -107,9 +107,14 @@ type scheduler interface {
 	// colocated schedulers panic, because a handoff to them is a
 	// simulator bug.
 	deliverKV(a *activeReq, now float64)
-	// dispatch hands queued work to idle instances; called exactly once
-	// per event timestamp, after all completions at that time.
+	// dispatch hands queued work to idle instances and cuts a decode run
+	// short when its engine could admit queued work; called at most once
+	// per event timestamp, after all completions at that time, and only
+	// when something at that time asked for it.
 	dispatch(now float64)
+	// endRuns applies the decode-run boundaries the calendar fired
+	// before it stopped at the event (at, prio); see batchCore.endRuns.
+	endRuns(at float64, prio int)
 	// swapReturn accepts a preempted sequence whose KV just finished its
 	// swap round-trip or recompute handoff: it rejoins the decode path
 	// at the head of the queue, holding no blocks and stamping no TTFT

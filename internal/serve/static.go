@@ -400,6 +400,7 @@ func (sc *staticSched) fail(id int, now float64, drop bool) {
 	p := sc.pool
 	if id >= len(sc.prefills) {
 		j := id - len(sc.prefills)
+		sc.runTo(j, now)
 		if e := &sc.engines[j]; e.stepEnd > 0 {
 			e.dBusy -= e.stepEnd - now
 		}

@@ -76,6 +76,7 @@ type heapEnt struct {
 // pending events. The zero value is not usable; call New.
 type Engine struct {
 	now   float64
+	prio  int32 // priority of the event that set now (see NowPrio)
 	seq   uint64
 	fired uint64
 	heap  []heapEnt
@@ -119,6 +120,13 @@ func (e *Engine) Pending() int {
 	}
 	return len(e.heap)
 }
+
+// NowPrio returns the priority of the event that set the clock: the
+// event firing now when called from a handler, the last one fired
+// otherwise. With Now it places a stopped Run exactly in the calendar
+// order, so a simulator can tell which events at the stopping instant
+// had fired before it.
+func (e *Engine) NowPrio() int { return int(e.prio) }
 
 // EventsFired returns the count of events executed so far — a cheap
 // progress measure for observability probes and heartbeats.
@@ -289,13 +297,14 @@ func (e *Engine) Step() bool {
 //litegpu:hotpath
 func (e *Engine) fireNext(until float64) bool {
 	var at float64
+	var prio int32
 	var h Handler
 	var arg uint64
 	if e.deferredFirst() {
 		if e.def.at > until {
 			return false
 		}
-		at, h, arg = e.def.at, e.defH, e.defArg
+		at, prio, h, arg = e.def.at, e.def.prio, e.defH, e.defArg
 		e.deferred, e.defH = false, nil
 	} else {
 		if len(e.heap) == 0 || e.heap[0].at > until {
@@ -303,10 +312,10 @@ func (e *Engine) fireNext(until float64) bool {
 		}
 		top := e.heap[0]
 		ev := &e.slab[top.slot]
-		at, h, arg = top.at, ev.h, ev.arg
+		at, prio, h, arg = top.at, top.prio, ev.h, ev.arg
 		e.removeAt(0)
 	}
-	e.now = at
+	e.now, e.prio = at, prio
 	e.fired++
 	h(at, arg)
 	return true

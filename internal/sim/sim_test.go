@@ -536,3 +536,28 @@ func TestStopBoundsAZeroDelayChain(t *testing.T) {
 		}
 	}
 }
+
+func TestNowPrioNamesTheFiringEvent(t *testing.T) {
+	// Inside a handler NowPrio is the firing event's priority, heap
+	// entry or deferred call alike; after a stopped Run it names the
+	// event that stopped it.
+	e := New(1)
+	var got []int
+	h := func(_ float64, arg uint64) {
+		got = append(got, e.NowPrio())
+		if arg == 3 {
+			e.Stop()
+		}
+	}
+	e.ScheduleCall(1, 7, h, 1)
+	e.Defer(1, 5, h, 2)
+	e.ScheduleCall(1, 9, h, 3)
+	e.ScheduleCall(1, 11, h, 4)
+	e.Run(10)
+	if want := []int{5, 7, 9}; !reflect.DeepEqual(got, want) {
+		t.Errorf("handlers saw priorities %v, want %v", got, want)
+	}
+	if e.Now() != 1 || e.NowPrio() != 9 {
+		t.Errorf("stopped at (%v, %d), want (1, 9)", e.Now(), e.NowPrio())
+	}
+}
