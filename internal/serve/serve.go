@@ -442,15 +442,23 @@ func runPool(cfg Config, f FailureConfig, reqs []trace.Request, horizon units.Se
 	p := s.pools[0]
 	var r poolRun
 	if budget != nil {
-		p.settleOnDrop = true
-		if n := arrivalsWithin(reqs, horizon); n > 0 && !cfg.Client.canRetry() {
-			p.ttftMissLeft = missAllowance(n, budget.TTFTAttainment)
-			r.ttftRule = true
-		}
+		r.ttftRule = p.armBudget(reqs, horizon, *budget)
 	}
 	r.m = s.run(reqs).Pools[0].Metrics
 	r.settled, r.settledAt = p.settled, p.settledAt
 	return r, nil
+}
+
+// armBudget arms the pool's verdict budget for a sizing run over reqs
+// to the horizon (see runPool), and reports whether the TTFT rule is
+// armed.
+func (p *poolSim) armBudget(reqs []trace.Request, horizon units.Seconds, budget SLO) bool {
+	p.settleOnDrop = true
+	if n := arrivalsWithin(reqs, horizon); n > 0 && !p.cfg.Client.canRetry() {
+		p.ttftMissLeft = missAllowance(n, budget.TTFTAttainment)
+		return true
+	}
+	return false
 }
 
 // arrivalsWithin counts the requests arriving at or before the horizon:
