@@ -217,7 +217,7 @@ func RunCluster(cc ClusterConfig, reqs []trace.Request, horizon units.Seconds) (
 	if err != nil {
 		return ClusterMetrics{}, err
 	}
-	return sim.run(reqs), nil
+	return sim.run(reqs)
 }
 
 // RunClusterFrom is RunCluster over a lazy request source: arrivals are
@@ -234,7 +234,7 @@ func RunClusterFrom(cc ClusterConfig, src RequestSource, horizon units.Seconds) 
 	if err != nil {
 		return ClusterMetrics{}, err
 	}
-	return sim.runFrom(src), nil
+	return sim.runFrom(src)
 }
 
 func ratio(num, den int) float64 {

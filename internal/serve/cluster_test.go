@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"litegpu/internal/failure"
@@ -251,7 +252,18 @@ func runDispatchingEveryPool(t *testing.T, cc ClusterConfig, reqs []trace.Reques
 		}
 		s.dispatch(now, arg)
 	}
-	return s.run(reqs)
+	return mustRunSim(t, s, reqs)
+}
+
+// mustRunSim runs a built simulation over reqs, failing the test on
+// an error.
+func mustRunSim(t *testing.T, s *clusterSim, reqs []trace.Request) ClusterMetrics {
+	t.Helper()
+	cm, err := s.run(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cm
 }
 
 // goldenScenarioNamed returns the scenario called name from scs.
@@ -603,5 +615,33 @@ func TestClusterTotalIsMergeOfPools(t *testing.T) {
 	if shed == 0 || failures == 0 || transfers == 0 || preempts == 0 {
 		t.Errorf("clusters too tame to test the merge: shed %d, failures %d, transfers %d, preemptions %d",
 			shed, failures, transfers, preempts)
+	}
+}
+
+// TestOutOfOrderSourceIsAnError feeds the simulator request streams
+// that break the RequestSource contract. A source is user input to
+// ServeFrom and ServeClusterFrom, so the run must return an error
+// naming the offending request, not panic.
+func TestOutOfOrderSourceIsAnError(t *testing.T) {
+	req := func(id int, at float64) trace.Request {
+		return trace.Request{ID: id, Arrival: units.Seconds(at), PromptTokens: 100, OutputTokens: 10}
+	}
+	cases := []struct {
+		name string
+		reqs []trace.Request
+		bad  int
+	}{
+		{"decreasing", []trace.Request{req(0, 1), req(1, 2), req(2, 1.5), req(3, 3)}, 2},
+		{"nan-first", []trace.Request{req(0, math.NaN()), req(1, 1)}, 0},
+	}
+	for _, tc := range cases {
+		_, err := RunClusterFrom(clusterOf(smallConfig()), &sliceSource{reqs: tc.reqs}, 60)
+		if want := fmt.Sprintf("request %d arriving", tc.bad); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: RunClusterFrom err %v, want one naming %q", tc.name, err, want)
+		}
+	}
+	// A materialized trace with a NaN arrival reaches the same check.
+	if _, err := Run(smallConfig(), []trace.Request{req(0, math.NaN())}, 60); err == nil {
+		t.Error("Run over a NaN arrival returned no error")
 	}
 }

@@ -509,11 +509,12 @@ func (p *poolSim) emitToken(a *activeReq, now float64) bool {
 }
 
 // RequestSource yields a request stream in nondecreasing arrival order,
-// one request at a time. trace.Stream implements it for synthetic
-// workloads generated on demand; materialized []trace.Request slices
-// are adapted internally. The simulator holds only the in-flight
-// working set, so a million-request horizon needs O(in-flight) memory,
-// not O(trace).
+// one request at a time; a request that breaks the order, or arrives
+// at NaN, ends the run with an error. trace.Stream implements it for
+// synthetic workloads generated on demand; materialized
+// []trace.Request slices are adapted internally. The simulator holds
+// only the in-flight working set, so a million-request horizon needs
+// O(in-flight) memory, not O(trace).
 type RequestSource interface {
 	Next() (trace.Request, bool)
 }
@@ -553,6 +554,9 @@ type clusterSim struct {
 	// the ScheduleCall arg word (pool index << 32 | instance id).
 	src     RequestSource
 	nextReq trace.Request
+	// err is the first request the source yielded out of order; the
+	// run stops on it and returns it.
+	err error
 
 	arriveH   sim.Handler
 	dispatchH sim.Handler
@@ -862,7 +866,7 @@ func sortedByArrival(reqs []trace.Request) bool {
 // sorted slice (the common case — generators emit arrivals in time
 // order) is used as-is across all pools and, in the planner, across
 // every candidate simulation.
-func (s *clusterSim) run(reqs []trace.Request) ClusterMetrics {
+func (s *clusterSim) run(reqs []trace.Request) (ClusterMetrics, error) {
 	sorted := reqs
 	if !sortedByArrival(reqs) {
 		// Identical sort to the pre-sim loop (including tie order).
@@ -874,10 +878,16 @@ func (s *clusterSim) run(reqs []trace.Request) ClusterMetrics {
 
 // runFrom executes the simulation pulling arrivals from src on demand
 // and assembles the metrics. Only the in-flight working set is held in
-// memory.
-func (s *clusterSim) runFrom(src RequestSource) ClusterMetrics {
+// memory. A source that yields an arrival out of order (see
+// scheduleArrival) ends the run with an error.
+func (s *clusterSim) runFrom(src RequestSource) (ClusterMetrics, error) {
 	s.start(src)
-	s.eng.Run(s.h)
+	if s.err == nil {
+		s.eng.Run(s.h)
+	}
+	if s.err != nil {
+		return ClusterMetrics{}, s.err
+	}
 	// A Run ends at its horizon unless a pool settled it, in which case
 	// it stopped right after the settling event.
 	at, prio := s.h, math.MaxInt
@@ -889,7 +899,7 @@ func (s *clusterSim) runFrom(src RequestSource) ClusterMetrics {
 	for _, p := range s.pools {
 		p.sched.endRuns(at, prio)
 	}
-	return s.assemble()
+	return s.assemble(), nil
 }
 
 // start primes the calendar: the first arrival pulled from src, every
@@ -963,17 +973,19 @@ func (s *clusterSim) onProbe(now float64, _ uint64) {
 	}
 }
 
-// scheduleArrival books the next pulled request's arrival event,
-// rejecting a source that violates the RequestSource ordering contract
-// with a diagnosable error instead of a bare engine panic.
+// scheduleArrival books the next pulled request's arrival event. A
+// source that breaks the RequestSource ordering contract is user input,
+// not a simulator bug: the run records the error and stops.
 //
 //litegpu:hotpath
 func (s *clusterSim) scheduleArrival(r trace.Request) {
 	at := float64(r.Arrival)
 	if at < s.eng.Now() || math.IsNaN(at) {
-		panic(fmt.Sprintf(
-			"serve: RequestSource yielded request %d arriving at %v after the clock reached %v; sources must yield nondecreasing, finite arrival times",
-			r.ID, r.Arrival, s.eng.Now()))
+		s.err = fmt.Errorf( //litegpu:alloc-ok the run ends on this error
+			"serve: RequestSource yielded request %d arriving at %v after the clock reached %v; sources must yield nondecreasing, non-NaN arrival times",
+			r.ID, r.Arrival, s.eng.Now())
+		s.eng.Stop()
+		return
 	}
 	s.nextReq = r
 	s.eng.ScheduleCall(at, prioArrival, s.arriveH, 0)

@@ -209,7 +209,7 @@ func TestTransferDstFailure(t *testing.T) {
 		// Pool-local instance 1 = first decode engine, the rotation's
 		// first pick.
 		failAt(cs, 0, 1, 3000)
-		return cs.run(reqs).Pools[0].Metrics
+		return mustRunSim(t, cs, reqs).Pools[0].Metrics
 	}
 
 	req := run(RequeueOnFailure)
@@ -263,7 +263,7 @@ func TestTransferDstFailureRetargetSameNode(t *testing.T) {
 	failAt(cs, 0, 1, 0.001)
 	cs.eng.Schedule(100, prioFailure, func(now float64) { cs.recoverInstance(cs.pools[0], 1, now) })
 	failAt(cs, 0, 2, 3000)
-	m := cs.run(reqs).Pools[0].Metrics
+	m := mustRunSim(t, cs, reqs).Pools[0].Metrics
 	if m.Requeued != 1 {
 		t.Fatalf("Requeued = %d, want 1", m.Requeued)
 	}
@@ -295,7 +295,7 @@ func TestTransferSrcFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	failAt(cs, 0, 0, 3000) // the only prefill engine
-	m := cs.run(reqs).Pools[0].Metrics
+	m := mustRunSim(t, cs, reqs).Pools[0].Metrics
 	if m.Requeued != 1 {
 		t.Fatalf("Requeued = %d, want 1 (prompt back to prefill queue)", m.Requeued)
 	}

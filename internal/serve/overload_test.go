@@ -118,7 +118,7 @@ func TestClosedLoopLeaksNothing(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			m := s.run(reqs)
+			m := mustRunSim(t, s, reqs)
 			if m.Total.Arrived == 0 {
 				t.Fatalf("%s: empty run", name)
 			}

@@ -32,7 +32,7 @@ func runTwins(t *testing.T, name string, cc ClusterConfig, reqs []trace.Request,
 		if arm != nil {
 			arm(s)
 		}
-		return keyedCluster(t, name, s.run(reqs)), s.eng.EventsFired()
+		return keyedCluster(t, name, mustRunSim(t, s, reqs)), s.eng.EventsFired()
 	}
 	b, bare := run(nil)
 	o, observed := run(obs.New(obs.Options{Seed: 1}))

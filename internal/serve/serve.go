@@ -444,7 +444,11 @@ func runPool(cfg Config, f FailureConfig, reqs []trace.Request, horizon units.Se
 	if budget != nil {
 		r.ttftRule = p.armBudget(reqs, horizon, *budget)
 	}
-	r.m = s.run(reqs).Pools[0].Metrics
+	cm, err := s.run(reqs)
+	if err != nil {
+		return poolRun{}, err
+	}
+	r.m = cm.Pools[0].Metrics
 	r.settled, r.settledAt = p.settled, p.settledAt
 	return r, nil
 }

@@ -41,7 +41,9 @@ func workReport(t *testing.T, corpora [][]goldenScenario) string {
 			if !sortedByArrival(sc.reqs) {
 				t.Fatalf("%s: trace is not in arrival order", sc.name)
 			}
-			s.runFrom(&sliceSource{reqs: sc.reqs})
+			if _, err := s.runFrom(&sliceSource{reqs: sc.reqs}); err != nil {
+				t.Fatalf("%s: %v", sc.name, err)
+			}
 			fmt.Fprintf(&b, "%s/events=%d\n", sc.name, s.eng.EventsFired())
 		}
 	}

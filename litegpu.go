@@ -90,8 +90,8 @@ type (
 	// RequestSource is the lazy request feed the streaming serve entry
 	// points consume; *RequestStream implements it. Custom sources must
 	// yield requests in nondecreasing arrival order — an out-of-order
-	// arrival panics with a diagnostic, since it would corrupt
-	// simulated causality.
+	// or NaN arrival ends the run with an error naming the request,
+	// since it would corrupt simulated causality.
 	RequestSource = serve.RequestSource
 	// Figure3Row is one bar of a Figure 3 panel.
 	Figure3Row = experiments.Figure3Row
