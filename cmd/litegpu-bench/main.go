@@ -14,7 +14,7 @@
 //	go run ./cmd/litegpu-bench -bench 'ServingSim|PlanCapacity' -benchtime 2s
 //	go run ./cmd/litegpu-bench -compare BENCH_3.json -out BENCH_4.json
 //	go run ./cmd/litegpu-bench -smoke   # CI: one iteration per benchmark
-//	go run ./cmd/litegpu-bench -smoke -compare BENCH_5.json -threshold 300
+//	go run ./cmd/litegpu-bench -smoke -compare BENCH_5.json -threshold 300 -alloc-ratio 2
 //
 // With -compare, every benchmark present in the baseline file gains
 // old/new ratios (speedup = old ns/op ÷ new ns/op, alloc_ratio = old
@@ -24,7 +24,12 @@
 // are reported as skipped and never fail the run, and a geomean-speedup
 // summary over the matched set is printed. With -threshold N, the run
 // exits nonzero when any matched benchmark is more than N percent
-// slower than its baseline — the CI regression gate.
+// slower than its baseline — the CI regression gate. -alloc-ratio R
+// gates allocations the same way: the run exits nonzero when a matched
+// benchmark allocates more than R times its baseline's allocs/op, plus
+// allocSlack. Allocation counts are exact where timings are noisy, but
+// they can move between Go versions, so the gate is a ratio bound, not
+// equality.
 package main
 
 import (
@@ -85,6 +90,12 @@ type Report struct {
 	Benchmarks []Result `json:"benchmarks"`
 }
 
+// allocSlack is the allocs/op the -alloc-ratio gate allows beyond its
+// ratio. A one-iteration smoke run pays one-time allocations (lazily
+// built tables, first-use growth) that a long run amortizes away: a
+// baseline of 4 allocs/op can read 9 at one iteration.
+const allocSlack = 16
+
 // benchLine matches one `go test -bench -benchmem` result row, e.g.
 //
 //	BenchmarkServingSim-8   12   95331842 ns/op   51234 B/op   612 allocs/op
@@ -99,6 +110,8 @@ func main() {
 	compare := flag.String("compare", "", "baseline JSON report to diff against")
 	threshold := flag.Float64("threshold", -1,
 		"regression gate: with -compare, exit nonzero when any matched benchmark is more than this many percent slower than its baseline (negative = off)")
+	allocRatio := flag.Float64("alloc-ratio", -1,
+		"allocation gate: with -compare, exit nonzero when any matched benchmark allocates more than this many times its baseline's allocs/op, plus a small one-time slack (negative = off)")
 	smoke := flag.Bool("smoke", false, "CI smoke mode: -benchtime 1x, fail on any build/vet/run error")
 	flag.Parse()
 
@@ -189,13 +202,7 @@ func main() {
 				c.AllocRatio = float64(b.AllocsPerOp) / float64(results[i].AllocsPerOp)
 			}
 			results[i].Baseline = c
-			if *threshold >= 0 && b.NsPerOp > 0 {
-				if slow := (results[i].NsPerOp - b.NsPerOp) / b.NsPerOp * 100; slow > *threshold {
-					regressions = append(regressions, fmt.Sprintf(
-						"%s: %.0f ns/op vs baseline %.0f ns/op (+%.1f%% > %.1f%%)",
-						results[i].Name, results[i].NsPerOp, b.NsPerOp, slow, *threshold))
-				}
-			}
+			regressions = append(regressions, gate(results[i], b, *threshold, *allocRatio)...)
 		}
 		for _, name := range skipped {
 			fmt.Fprintf(os.Stderr, "litegpu-bench: skipped (not in baseline): %s\n", name)
@@ -224,8 +231,28 @@ func main() {
 		for _, r := range regressions {
 			fmt.Fprintf(os.Stderr, "litegpu-bench: REGRESSION %s\n", r)
 		}
-		fatalf("%d benchmark(s) regressed beyond the %.1f%% threshold", len(regressions), *threshold)
+		fatalf("%d benchmark regression(s) beyond the gates", len(regressions))
 	}
+}
+
+// gate returns why r regressed against its baseline b: more than
+// threshold percent slower, or more than allocRatio times the
+// baseline's allocs/op plus allocSlack. A negative bound is off.
+func gate(r, b Result, threshold, allocRatio float64) []string {
+	var why []string
+	if threshold >= 0 && b.NsPerOp > 0 {
+		if slow := (r.NsPerOp - b.NsPerOp) / b.NsPerOp * 100; slow > threshold {
+			why = append(why, fmt.Sprintf("%s: %.0f ns/op vs baseline %.0f ns/op (+%.1f%% > %.1f%%)",
+				r.Name, r.NsPerOp, b.NsPerOp, slow, threshold))
+		}
+	}
+	if allocRatio >= 0 {
+		if bound := allocRatio*float64(b.AllocsPerOp) + allocSlack; float64(r.AllocsPerOp) > bound {
+			why = append(why, fmt.Sprintf("%s: %d allocs/op vs baseline %d allocs/op (> %g× + %d = %.0f)",
+				r.Name, r.AllocsPerOp, b.AllocsPerOp, allocRatio, allocSlack, bound))
+		}
+	}
+	return why
 }
 
 // parseBench extracts benchmark rows from `go test -bench` output,
