@@ -145,11 +145,11 @@ func (c *batchCore) busy() (prefill, decode float64) {
 // dispatch starts a step on every idle engine, in index order. An
 // engine in a decode run is first brought up to now (runTo), which
 // leaves it idle when a step of the run ends exactly now, so the pass
-// restarts it in index order as it would any engine. A run that goes
-// on is cut at the end of its in-flight step when the queue holds work
-// and the engine has a free slot: the next step would admit it. Every
-// push into the queue requests a pass at that instant, so this is the
-// only place a run needs cutting.
+// restarts it in index order as it would any engine. When the queue
+// still holds work after the pass, every run whose engine has a free
+// slot is cut at the end of its in-flight step: its next step would
+// admit that work. Every push into the queue requests a pass at that
+// instant, so this is the only place a run needs cutting.
 //
 //litegpu:hotpath
 func (c *batchCore) dispatch(now float64) {
@@ -157,14 +157,20 @@ func (c *batchCore) dispatch(now float64) {
 		e := &c.engines[j]
 		if e.runLeft > 0 {
 			c.runTo(j, now)
-			if e.runLeft > 0 && c.q.Len() > 0 && len(e.active)+e.pending.Len() < c.cap {
-				c.cs.eng.Cancel(e.doneEv)
-				e.runLeft = 0
-				e.doneEv = c.cs.eng.ScheduleCall(e.stepEnd, prioDecode+e.prio, c.stepDoneH, uint64(j))
-			}
 		}
 		if e.up && !e.parked && mathx.ExactEq(e.stepEnd, 0) {
 			c.startStep(j, now)
+		}
+	}
+	if c.q.Len() == 0 {
+		return
+	}
+	for j := range c.engines {
+		e := &c.engines[j]
+		if e.runLeft > 0 && len(e.active)+e.pending.Len() < c.cap {
+			c.cs.eng.Cancel(e.doneEv)
+			e.runLeft = 0
+			e.doneEv = c.cs.eng.ScheduleCall(e.stepEnd, prioDecode+e.prio, c.stepDoneH, uint64(j))
 		}
 	}
 }

@@ -1106,8 +1106,8 @@ func (s *clusterSim) acceptArrival(p *poolSim, r trace.Request, now float64) {
 // the pass if none is pending. The pass is the engine's one deferred
 // call (sim.Engine.Defer): at most one is ever pending, which is
 // exactly Defer's contract, and it fires in the same (time, priority,
-// seq) order a heap entry would, without the heap push and pop. Half
-// of a run's events are this pass.
+// seq) order a heap entry would, without the heap push and pop. Nearly
+// every other event requests a pass.
 //
 //litegpu:hotpath
 func (s *clusterSim) requestDispatch(p *poolSim, now float64) {
