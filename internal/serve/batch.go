@@ -162,7 +162,7 @@ func (c *batchCore) dispatch(now float64) {
 			c.startStep(j, now)
 		}
 	}
-	if c.q.Len() == 0 {
+	if !c.runs || c.q.Len() == 0 {
 		return
 	}
 	for j := range c.engines {
@@ -337,7 +337,7 @@ func (c *batchCore) admit(e *batchEngine, now float64) {
 // A decode-only step becomes a run of runSteps steps when c.runs
 // allows it: the calendar gets one completion event, at the end of the
 // run's last step, and the steps before it are applied lazily (runTo,
-// endRuns, onStepDone) exactly as their own events would have been.
+// endRuns, completeStep) exactly as their own events would have been.
 // Nothing can change an engine's next step while it runs except its
 // queue gaining work, which dispatch answers by cutting the run.
 //
@@ -555,22 +555,21 @@ func (c *batchCore) startSwap(j int, a *activeReq, now float64, tokens int) {
 	}
 }
 
-// onStepDone fires at the end of a step, or of a run's last step:
-// the run's earlier boundaries are applied first.
-//
 //litegpu:hotpath
 func (c *batchCore) onStepDone(now float64, arg uint64) {
-	j := int(arg)
-	for e := &c.engines[j]; e.runLeft > 0; {
-		c.runStep(e)
-	}
-	c.completeStep(j, now)
+	c.completeStep(int(arg), now)
 }
 
+// completeStep ends engine j's step, or its run's last step, whose
+// earlier boundaries are applied first.
+//
 //litegpu:hotpath
 func (c *batchCore) completeStep(j int, now float64) {
 	e := &c.engines[j]
 	p := c.pool
+	for e.runLeft > 0 {
+		c.runStep(e)
+	}
 	e.doneEv = 0
 	if e.stepDec > 0 {
 		// Filter survivors in place; completed requests recycle. A batch
