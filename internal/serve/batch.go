@@ -43,7 +43,9 @@ type batchEngine struct {
 // un-counting), how many pending entries its prefill part completes,
 // and — for chunked steps — how many head-of-line prompt tokens it
 // processes. runLeft counts the steps of a decode run still to follow
-// the in-flight one (see startStep).
+// the in-flight one (see startStep), and runOwed the tokens its applied
+// boundaries emitted that its members' remaining counts do not show
+// yet (see payRun).
 type stepState struct {
 	stepEnd     float64 // 0 when idle
 	stepPfx     float64
@@ -51,6 +53,7 @@ type stepState struct {
 	stepPrefill int
 	stepChunk   int
 	runLeft     int
+	runOwed     int
 }
 
 // batchOwner is the scheduler a batchCore serves: it decides where work
@@ -188,6 +191,7 @@ func (c *batchCore) runTo(j int, now float64) {
 	}
 	if e.runLeft > 0 && mathx.ExactEq(e.stepEnd, now) {
 		c.runTokens(e)
+		c.payRun(e)
 		c.cs.eng.Cancel(e.doneEv)
 		e.doneEv = 0
 		e.stepState = stepState{}
@@ -232,14 +236,30 @@ func (c *batchCore) runStep(e *batchEngine) {
 
 // runTokens emits one token for every member of a run's batch. No
 // member completes or emits its first token at an interior boundary,
-// so this is all emitToken would do.
+// so this is all emitToken would do; the members' remaining counts
+// catch up once, in payRun.
 //
 //litegpu:hotpath
 func (c *batchCore) runTokens(e *batchEngine) {
-	for _, a := range e.active {
-		a.remaining--
-	}
+	e.runOwed++
 	c.pool.m.TokensGenerated += len(e.active)
+}
+
+// payRun takes the tokens a run's applied boundaries emitted off its
+// members' remaining counts. Nothing reads them while the run goes on,
+// so this happens once, when the run ends: at its completion, at a
+// boundary that leaves the engine idle, and at a failure. Nothing
+// reads them after the calendar stops either.
+//
+//litegpu:hotpath
+func (c *batchCore) payRun(e *batchEngine) {
+	if e.runOwed == 0 {
+		return
+	}
+	for _, a := range e.active {
+		a.remaining -= e.runOwed
+	}
+	e.runOwed = 0
 }
 
 // runSteps returns how many steps a decode-only step over active can
@@ -570,6 +590,7 @@ func (c *batchCore) completeStep(j int, now float64) {
 	for e.runLeft > 0 {
 		c.runStep(e)
 	}
+	c.payRun(e)
 	e.doneEv = 0
 	if e.stepDec > 0 {
 		// Filter survivors in place; completed requests recycle. A batch
@@ -656,6 +677,7 @@ func (c *batchCore) finishPrefill(j int, a *activeReq, now float64) {
 func (c *batchCore) fail(j int, now float64, drop bool) {
 	e := &c.engines[j]
 	p := c.pool
+	c.payRun(e)
 	e.stepState = stepState{}
 	if e.al != nil {
 		for _, a := range e.active {

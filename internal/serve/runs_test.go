@@ -131,7 +131,8 @@ func TestDecodeRunsMatchSteps(t *testing.T) {
 
 	// Failures in the middle of a run's interior step (the static exact
 	// tail and the colocated proportional un-count) and exactly on an
-	// interior boundary; horizons mid-step and on a boundary.
+	// interior boundary; a dispatch pass on a boundary; horizons
+	// mid-step and on a boundary.
 	cont := smallConfig()
 	cont.Scheduler = ContinuousBatching
 	reqs := codingTrace(t, 1.0, 7, 60)
@@ -142,6 +143,11 @@ func TestDecodeRunsMatchSteps(t *testing.T) {
 		mid := (b1 + b2) / 2
 		twins("fail-mid-step-"+pol, cc, reqs, 120, func(s *clusterSim) { failAt(s, 0, id, mid) })
 		twins("fail-on-boundary-"+pol, cc, reqs, 120, func(s *clusterSim) { failAt(s, 0, id, b1) })
+		// A dispatch pass exactly on an interior boundary restarts the
+		// engine there, in index order.
+		twins("pass-on-boundary-"+pol, cc, reqs, 120, func(s *clusterSim) {
+			s.eng.ScheduleCall(b1, prioArrival, func(now float64, _ uint64) { s.requestDispatch(s.pools[0], now) }, 0)
+		})
 		twins("horizon-mid-step-"+pol, cc, reqs, units.Seconds(mid), nil)
 		twins("horizon-on-boundary-"+pol, cc, reqs, units.Seconds(b1), nil)
 		// A run that settles exactly on an interior boundary: an event
