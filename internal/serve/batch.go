@@ -200,10 +200,11 @@ func (c *batchCore) runTo(j int, now float64) {
 
 // endRuns applies, once the calendar has stopped at the event (at,
 // prio), every run boundary that fired before it: prio is math.MaxInt
-// for a Run that reached its horizon. A boundary at exactly at had its
-// tokens emitted when its own (decode band) event preceded the
-// stopping one, and its next step started when the dispatch pass at at
-// ran too.
+// for a Run that reached its horizon. A boundary at the stopping
+// instant itself emitted its tokens if its own (decode band) event
+// preceded the stopping one, and started its next step if the
+// dispatch pass at that instant ran too: the only event at
+// prioDispatch is that pass, and only observer probes follow it.
 func (c *batchCore) endRuns(at float64, prio int) {
 	for j := range c.engines {
 		e := &c.engines[j]
