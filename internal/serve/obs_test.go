@@ -262,9 +262,24 @@ func TestRetryIDsAreClusterUnique(t *testing.T) {
 //	LITEGPU_UPDATE_GOLDENS=1 go test ./internal/serve -run Golden
 const observerGoldenFile = "testdata/observer_goldens.txt"
 
+// oversizedCluster is one continuous-batching pool fed a coding trace
+// with two prompts longer than any prefill pass fits: admission drops
+// them, each with a drop event on its timeline.
+func oversizedCluster(t *testing.T) (ClusterConfig, []trace.Request, units.Seconds) {
+	t.Helper()
+	cfg := smallConfig()
+	cfg.Scheduler = ContinuousBatching
+	reqs := codingTrace(t, 1.0, 7, 60)
+	for _, i := range []int{3, len(reqs) / 2} {
+		reqs[i].PromptTokens = 2 * longContextTokens
+	}
+	return clusterOf(cfg), reqs, 90
+}
+
 // TestObserverExportGoldens hashes the exports of the chaos cluster
-// under every scheduler and of the two-pool retry cluster, whose
-// retries re-key sampled timelines through Adopt.
+// under every scheduler, of the two-pool retry cluster, whose retries
+// re-key sampled timelines through Adopt, and of a pool that drops
+// oversized prompts at admission.
 func TestObserverExportGoldens(t *testing.T) {
 	var b strings.Builder
 	hash := func(name, timeline, probes string) {
@@ -279,5 +294,8 @@ func TestObserverExportGoldens(t *testing.T) {
 	cc, reqs, horizon := retryCluster(t)
 	_, timeline, probes := runObserved(t, cc, reqs, horizon)
 	hash("retry-two-pool", timeline, probes)
+	cc, reqs, horizon = oversizedCluster(t)
+	_, timeline, probes = runObserved(t, cc, reqs, horizon)
+	hash("oversized-continuous", timeline, probes)
 	compareGoldens(t, observerGoldenFile, b.String())
 }

@@ -73,6 +73,12 @@ func overloadGoldenScenarios(t *testing.T) []goldenScenario {
 	}
 	shedPrio.Admission = AdmissionConfig{Policy: AdmitPriority, QueueLimit: 24, MinPriority: 1}
 
+	// The static gate against clients with a deadline and no retry
+	// budget: a shed first submission is abandoned at once.
+	shedAbandon := smallConfig()
+	shedAbandon.Client = ClientConfig{Default: ClientBehavior{Timeout: 30}}
+	shedAbandon.Admission = shedPrio.Admission
+
 	// Adaptive gate on the same trace: per-priority queue-depth
 	// thresholds shed the lowest tier first.
 	shedAdpt := shedPrio
@@ -137,6 +143,7 @@ func overloadGoldenScenarios(t *testing.T) []goldenScenario {
 		{name: "ol-chaos", cluster: chaosCluster, reqs: tenants, horizon: 240},
 		{name: "ol-continuous-closed-loop-conv", cluster: clusterOf(closedCont), reqs: convTrace(t, 60, 7, 120), horizon: 240},
 		{name: "ol-autoscale-jsq-failures", cluster: elasticCluster, reqs: overloadTenants(t, 25, 75, 90), horizon: 240},
+		{name: "ol-shed-abandon", cluster: clusterOf(shedAbandon), reqs: tenants, horizon: 240},
 	}
 }
 
