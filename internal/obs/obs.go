@@ -42,8 +42,8 @@ const (
 	Abandon                  // client gave up for good
 	FirstToken               // first output token emitted; Val = TTFT seconds
 	Complete                 // generation finished; Val = E2E seconds
-	Requeue                  // in-flight work requeued off a dead instance
-	Drop                     // dropped (horizon, failure policy, or oversize)
+	Requeue                  // in-flight work requeued off a dead instance; Val = 0
+	Drop                     // dropped (failure policy, or oversize); Val = prompt tokens when oversized, 0 on failure
 
 	// Instance-scoped kinds (always recorded; bounded by failure and
 	// autoscale event counts, not the trace length).

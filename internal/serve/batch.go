@@ -74,7 +74,7 @@ type batchOwner interface {
 // allocators, growth with LIFO preemption, swap and recompute routing,
 // token emission, HBM teardown on failure, and reclamation of in-flight
 // transfers touching a dead instance. Per-policy differences are data it
-// is built with (chunk size, instance-id base) plus the owner's methods.
+// is built with (the chunk size) plus the owner's methods.
 type batchCore struct {
 	cs    *clusterSim
 	pool  *poolSim
@@ -99,14 +99,19 @@ type batchCore struct {
 	stepDoneH sim.Handler
 }
 
-// init builds n engines of gpus GPUs each, with instance ids from base.
-// The batch cap is MaxDecodeBatch, further capped at the largest decode
-// batch the step-cost table can price — with paged KV on too, where free
-// blocks gate admission below that cap.
-func (c *batchCore) init(cs *clusterSim, pool *poolSim, owner batchOwner, n, gpus, base int) error {
+// init builds n engines of gpus GPUs each and hands them to the pool,
+// whose next instance ids they take. The batch cap is MaxDecodeBatch,
+// further capped at the largest decode batch the step-cost table can
+// price — with paged KV on too, where free blocks gate admission below
+// that cap.
+func (c *batchCore) init(cs *clusterSim, pool *poolSim, owner batchOwner, n, gpus int) error {
 	cfg := pool.cfg
-	c.cs, c.pool, c.owner, c.base = cs, pool, owner, base
+	c.cs, c.pool, c.owner, c.base = cs, pool, owner, len(pool.insts)
 	c.engines = make([]batchEngine, n)
+	for j := range c.engines {
+		pool.addInstance(&c.engines[j].instanceState, gpus)
+	}
+	pool.core = c
 	c.cost = newStepCost(cfg, gpus)
 	c.cap = c.cost.decodeCap(cfg.MaxDecodeBatch)
 	c.stepDoneH = c.onStepDone
@@ -132,6 +137,8 @@ func (c *batchCore) outstanding() int {
 	return n
 }
 
+// idle reports whether engine j holds no in-flight work: the
+// autoscaler parks such an engine at once instead of draining it.
 func (c *batchCore) idle(j int) bool {
 	e := &c.engines[j]
 	return mathx.ExactEq(e.stepEnd, 0) && len(e.active) == 0 && e.pending.Len() == 0
@@ -286,7 +293,7 @@ func runSteps(active []*activeReq) int {
 // prefill capacity once and every queued request behind it is younger.
 //
 //litegpu:hotpath
-func (c *batchCore) swapReturn(a *activeReq, now float64) {
+func (c *batchCore) swapReturn(a *activeReq) {
 	c.q.PushFront(a)
 }
 
@@ -324,12 +331,7 @@ func (c *batchCore) admit(e *batchEngine, now float64) {
 		if a.promptLeft > 0 {
 			if _, ok := c.cost.prefill(1, e.passTokens(a)); !ok {
 				c.q.PopFront()
-				if p.rec != nil {
-					p.rec.Request(obs.Drop, now, int32(p.idx), -1, int64(a.req.ID), float64(a.req.PromptTokens))
-				}
-				p.drop()
-				p.clientSettle(a.req.ID)
-				p.freeActive(a)
+				p.dropOversized(a.req, a, nil, -1, now)
 				continue
 			}
 		}
@@ -511,13 +513,7 @@ func (c *batchCore) grow(j int, now float64) {
 			return
 		}
 		// Sole occupant that cannot grow: it can never finish.
-		if p.rec != nil {
-			p.rec.Request(obs.Drop, now, int32(p.idx), int32(c.base+j), int64(a.req.ID), float64(a.req.PromptTokens))
-		}
-		p.kvRelease(e.al, a, now)
-		p.drop()
-		p.clientSettle(a.req.ID)
-		p.freeActive(a)
+		p.dropOversized(a.req, a, e.al, int32(c.base+j), now)
 		e.active[0] = nil
 		e.active = e.active[:0]
 		return
@@ -557,7 +553,7 @@ func (c *batchCore) startSwap(j int, a *activeReq, now float64, tokens int) {
 	if c.cs.fab == nil {
 		// No fabric configured: the historical infinite interconnect —
 		// the round-trip is free and the sequence requeues immediately.
-		c.swapReturn(a, now)
+		c.swapReturn(a)
 		return
 	}
 	id := c.base + j
@@ -692,43 +688,28 @@ func (c *batchCore) fail(j int, now float64, drop bool) {
 		}
 		e.al.Reset()
 	}
-	if n := e.pending.Len() + len(e.active); n > 0 {
-		if p.rec != nil {
-			k, id := failEvent(drop), int32(c.base+j)
-			for i := 0; i < e.pending.Len(); i++ {
-				p.rec.Request(k, now, int32(p.idx), id, int64(e.pending.At(i).req.ID), 0)
-			}
-			for _, a := range e.active {
-				p.rec.Request(k, now, int32(p.idx), id, int64(a.req.ID), 0)
-			}
-		}
-		if drop {
-			p.m.DroppedOnFailure += n
-			for e.pending.Len() > 0 {
-				a := e.pending.PopFront()
-				p.clientSettle(a.req.ID)
-				p.freeActive(a)
-			}
-			for _, a := range e.active {
-				p.clientSettle(a.req.ID)
-				p.freeActive(a)
-			}
-		} else {
-			p.m.Requeued += n
-			// Requeue ahead of the waiting queue, preserving [pending...,
-			// active..., old queue...] order: push active first, then
-			// pending, each back-to-front.
-			for i := len(e.active) - 1; i >= 0; i-- {
-				c.q.PushFront(e.active[i])
-			}
-			for i := e.pending.Len() - 1; i >= 0; i-- {
-				c.q.PushFront(e.pending.At(i))
-			}
-			e.pending.DiscardFront(e.pending.Len())
-		}
-		clearTail(e.active, 0)
-		e.active = e.active[:0]
+	id := int32(c.base + j)
+	for i := 0; i < e.pending.Len(); i++ {
+		a := e.pending.At(i)
+		p.failReq(a.req, a, id, drop, now)
 	}
+	for _, a := range e.active {
+		p.failReq(a.req, a, id, drop, now)
+	}
+	if !drop {
+		// Requeue ahead of the waiting queue, preserving [pending...,
+		// active..., old queue...] order: push active first, then
+		// pending, each back-to-front.
+		for i := len(e.active) - 1; i >= 0; i-- {
+			c.q.PushFront(e.active[i])
+		}
+		for i := e.pending.Len() - 1; i >= 0; i-- {
+			c.q.PushFront(e.pending.At(i))
+		}
+	}
+	e.pending.DiscardFront(e.pending.Len())
+	clearTail(e.active, 0)
+	e.active = e.active[:0]
 	c.failXfers(c.base+j, now, drop)
 }
 
@@ -754,36 +735,17 @@ func (c *batchCore) failXfers(id int, now float64, drop bool) {
 			continue
 		}
 		c.cs.fab.Cancel(rec.tid)
-		switch {
-		case drop:
-			p.m.DroppedOnFailure++
-			p.clientSettle(rec.a.req.ID)
-			p.freeActive(rec.a)
-		case rec.src == rec.dst:
-			p.m.Requeued++
+		p.failReq(rec.a.req, rec.a, int32(id), drop, now)
+		if !drop && rec.src == rec.dst {
 			c.q.PushFront(rec.a)
-		default:
-			p.m.Requeued++
-			if c.owner.reclaimHandoff(rec, idx, id, now) {
-				live[w] = idx
-				w++
-				continue
-			}
+		} else if !drop && c.owner.reclaimHandoff(rec, idx, id, now) {
+			live[w] = idx
+			w++
+			continue
 		}
 		p.freeXfer(idx)
 	}
 	p.liveXfers = live[:w]
-}
-
-// failEvent is the observer event for in-flight work an instance
-// failure requeues, or abandons under drop.
-//
-//litegpu:hotpath
-func failEvent(drop bool) obs.Kind {
-	if drop {
-		return obs.Drop
-	}
-	return obs.Requeue
 }
 
 // clearTail nils pointers beyond w so truncated slices do not retain

@@ -25,7 +25,6 @@ const defaultPrefillChunk = 512
 // size rather than the prompt length.
 type colocSched struct {
 	batchCore
-	perGPUs int
 }
 
 func newColocSched(cs *clusterSim, pool *poolSim) (*colocSched, error) {
@@ -40,32 +39,17 @@ func newColocSched(cs *clusterSim, pool *poolSim) (*colocSched, error) {
 		return nil, fmt.Errorf("serve: %s does not fit on %d×%s for prefill (%s scheduler)",
 			cfg.Model.Name, g, cfg.GPU.Name, cfg.Scheduler)
 	}
-	c := &colocSched{perGPUs: g}
+	c := &colocSched{}
 	if cfg.Scheduler == ChunkedPrefill {
 		c.chunk = cfg.PrefillChunk
 		if c.chunk <= 0 {
 			c.chunk = defaultPrefillChunk
 		}
 	}
-	if err := c.init(cs, pool, c, n, g, 0); err != nil {
+	if err := c.init(cs, pool, c, n, g); err != nil {
 		return nil, err
 	}
 	return c, nil
-}
-
-func (c *colocSched) numInstances() int           { return len(c.engines) }
-func (c *colocSched) state(id int) *instanceState { return &c.engines[id].instanceState }
-func (c *colocSched) gpus(int) int                { return c.perGPUs }
-func (c *colocSched) totalGPUs() int              { return len(c.engines) * c.perGPUs }
-
-// shape maps both metric phases onto the full instance set: a colocated
-// pool's PrefillUtilization and DecodeUtilization are each the share of
-// all-instance time spent in that phase (they sum to at most 1).
-func (c *colocSched) shape() phaseShape {
-	return phaseShape{
-		prefillInstances: len(c.engines), prefillGPUs: c.perGPUs,
-		decodeInstances: len(c.engines), decodeGPUs: c.perGPUs,
-	}
 }
 
 //litegpu:hotpath
@@ -74,9 +58,6 @@ func (c *colocSched) enqueue(r trace.Request) {
 	a.promptLeft = r.PromptTokens
 	c.q.PushBack(a)
 }
-
-// scalable exposes every colocated instance to the autoscaler.
-func (c *colocSched) scalable() (lo, hi int) { return 0, len(c.engines) }
 
 // rebuild requeues a recompute victim at the head of the queue with its
 // whole context left to prefill, so re-admission routes it through the
@@ -108,12 +89,8 @@ func (c *colocSched) recovered(int, float64) {
 	// picks up work at the dispatch pass that follows recovery.
 }
 
-// deliverKV and reclaimHandoff are unreachable: colocated instances run
-// both phases, so no KV cache is ever handed off between them.
-func (c *colocSched) deliverKV(*activeReq, float64) {
-	panic("serve: KV handoff delivered to a colocated scheduler")
-}
-
+// reclaimHandoff is unreachable: colocated instances run both phases,
+// so no KV cache is ever handed off between them.
 func (c *colocSched) reclaimHandoff(*xferRec, int32, int, float64) bool {
 	panic("serve: KV handoff reclaimed by a colocated scheduler")
 }

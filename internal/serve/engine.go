@@ -72,8 +72,10 @@ type activeReq struct {
 
 // instanceState is the failure-facing side of an engine: every serving
 // instance — a phase-split prefill/decode engine or a colocated one —
-// is a unit that can be down, waiting for a spare, or serving.
+// is a unit of gpus GPUs that can be down, waiting for a spare, or
+// serving.
 type instanceState struct {
+	gpus    int
 	up      bool
 	downAt  float64
 	downSec float64 // accumulated instance downtime, seconds
@@ -130,15 +132,22 @@ type xferRec struct {
 	bytes    float64
 }
 
-// poolSim is one serving pool's live state: its scheduler, its spare
-// shelf, and its metric accumulators. The scheduling discipline itself
-// lives behind the scheduler interface.
+// poolSim is one serving pool's live state: what every scheduling
+// policy shares — the instance table, the batch core, the request
+// ledger, the spare shelf and the metric accumulators — and the policy
+// itself behind the scheduler interface.
 type poolSim struct {
 	name   string
 	idx    int // position in clusterSim.pools, for handler args
 	cfg    Config
 	spares int
 	sched  scheduler
+
+	// insts lists every instance's failure-facing state in instance-id
+	// order, as the scheduler builds its engines (see addInstance); core
+	// is the batch core the scheduler runs its decode-capable engines on.
+	insts []*instanceState
+	core  *batchCore
 
 	// afrPerGPU and flopsPerGPU weight this pool's instances in
 	// cluster-total reliability aggregates: failure odds scale with
@@ -240,6 +249,13 @@ type poolSim struct {
 	ttftMissLeft int
 	settled      bool
 	settledAt    float64
+}
+
+// addInstance appends st, an engine of gpus GPUs, to the pool's
+// instance table under the next instance id.
+func (p *poolSim) addInstance(st *instanceState, gpus int) {
+	st.gpus = gpus
+	p.insts = append(p.insts, st)
 }
 
 // newXfer returns a fresh transfer-record index from the pool's arena.
@@ -445,6 +461,49 @@ func (p *poolSim) drop() {
 	p.m.Dropped++
 	if p.settleOnDrop {
 		p.settle()
+	}
+}
+
+// dropOversized is the exit of request r that can never be served: a
+// prompt, or a recompute victim's grown context, that no batch-of-one
+// prefill pass fits, or a sole sequence whose KV cannot grow. Its drop
+// event (Val = prompt tokens) is recorded on instance inst (-1 for the
+// queue), then its live state a, when it has one, returns its blocks to
+// al and is recycled.
+//
+//litegpu:hotpath
+func (p *poolSim) dropOversized(r trace.Request, a *activeReq, al *kv.Allocator, inst int32, now float64) {
+	if p.rec != nil {
+		p.rec.Request(obs.Drop, now, int32(p.idx), inst, int64(r.ID), float64(r.PromptTokens))
+	}
+	if a != nil {
+		p.kvRelease(al, a, now)
+		p.freeActive(a)
+	}
+	p.drop()
+	p.clientSettle(r.ID)
+}
+
+// failReq settles request r, in flight on (or in a transfer touching)
+// instance inst when it died. Under drop it leaves for good and its
+// live state a, when it has one, is recycled; otherwise it is counted
+// requeued and the caller puts it back where it came from.
+//
+//litegpu:hotpath
+func (p *poolSim) failReq(r trace.Request, a *activeReq, inst int32, drop bool, now float64) {
+	kind := obs.Requeue
+	if drop {
+		kind = obs.Drop
+		p.m.DroppedOnFailure++
+		p.clientSettle(r.ID)
+		if a != nil {
+			p.freeActive(a)
+		}
+	} else {
+		p.m.Requeued++
+	}
+	if p.rec != nil {
+		p.rec.Request(kind, now, int32(p.idx), inst, int64(r.ID), 0)
 	}
 }
 
@@ -658,8 +717,7 @@ func newClusterSim(cc ClusterConfig, horizon float64) (*clusterSim, error) {
 			return nil, err
 		}
 		perGPURate := fp.AFR(cfg.GPU) / float64(failure.Year) * scale
-		for id := 0; id < p.sched.numInstances(); id++ {
-			st := p.sched.state(id)
+		for id, st := range p.insts {
 			st.up = true
 			st.prio = p.prioBase + id
 			if cfg.Straggler.Enabled() {
@@ -667,11 +725,11 @@ func newClusterSim(cc ClusterConfig, horizon float64) (*clusterSim, error) {
 				st.slow = cfg.Straggler.Jitter.Draw(
 					mathx.NewRNG(mathx.DeriveSeed(cfg.Straggler.Seed, uint64(globalInstance))))
 			}
-			s.initFailure(st, perGPURate*float64(p.sched.gpus(id)), globalInstance)
+			s.initFailure(st, perGPURate*float64(st.gpus), globalInstance)
 			globalInstance++
 		}
 		if cfg.Autoscale.Enabled {
-			lo, hi := p.sched.scalable()
+			lo, hi := cfg.scalable()
 			p.scaleOn = true
 			p.scaleLo, p.scaleHi = lo, hi
 			p.scaleMin = cfg.Autoscale.minInstances()
@@ -680,8 +738,7 @@ func newClusterSim(cc ClusterConfig, horizon float64) (*clusterSim, error) {
 			}
 			// Instances above the floor start parked; the control loop
 			// unparks them under load.
-			for id := lo + p.scaleMin; id < hi; id++ {
-				st := p.sched.state(id)
+			for _, st := range p.insts[lo+p.scaleMin : hi] {
 				st.parked = true
 				st.parkedAt = 0
 			}
@@ -712,10 +769,9 @@ func (s *clusterSim) buildFabric() error {
 	var routerBW float64
 	for _, p := range s.pools {
 		p.epBase = len(ports)
-		n := p.sched.numInstances()
-		p.nodeOf = make([]int32, n)
-		for id := 0; id < n; id++ {
-			g := p.sched.gpus(id)
+		p.nodeOf = make([]int32, len(p.insts))
+		for id, st := range p.insts {
+			g := st.gpus
 			if nodeUsed > 0 && nodeUsed+g > nodeGPUs {
 				nodeID, nodeUsed = nodeID+1, 0
 			}
@@ -729,7 +785,7 @@ func (s *clusterSim) buildFabric() error {
 			routerBW += bw
 		}
 		p.kvPerToken = float64(p.cfg.Model.KVBytesPerToken(p.cfg.Opts.EffectivePrecision()))
-		totalGPUs += p.sched.totalGPUs()
+		totalGPUs += p.cfg.TotalGPUs()
 	}
 	// The router injects token ids, not KV caches; give it the
 	// aggregate attachment so it is never the modeled bottleneck.
@@ -788,11 +844,11 @@ func (s *clusterSim) onXfer(now float64, arg uint64) {
 			break
 		}
 		p.recordTTFT(now-float64(a.req.Arrival), a.req.Class)
-		p.sched.deliverKV(a, now)
+		p.core.q.PushBack(a)
 	case xferSwap:
 		// A preempted sequence's KV is back: no TTFT stamp (its first
 		// token shipped before preemption), straight to the decode path.
-		p.sched.swapReturn(rec.a, now)
+		p.core.swapReturn(rec.a)
 	default:
 		if p.clientOn && p.isCancelled(rec.req.ID) {
 			// Routed arrival whose client gave up mid-ingress: the copy
@@ -817,8 +873,7 @@ func (s *clusterSim) onXfer(now float64, arg uint64) {
 //
 //litegpu:hotpath
 func (s *clusterSim) startIngress(p *poolSim, r trace.Request, now float64) {
-	n := p.sched.numInstances()
-	inst := p.ingressRR % n
+	inst := p.ingressRR % len(p.insts)
 	p.ingressRR++
 	idx := p.newXfer()
 	rec := &p.xfers[idx]
@@ -828,7 +883,7 @@ func (s *clusterSim) startIngress(p *poolSim, r trace.Request, now float64) {
 		bytes: float64(r.PromptTokens) * ingressBytesPerToken,
 	}
 	rec.tid = s.fab.Start(0, p.epBase+inst, rec.bytes,
-		prioTransfer+p.sched.state(inst).prio, s.xferH, packArg(p.idx, int(idx)))
+		prioTransfer+p.insts[inst].prio, s.xferH, packArg(p.idx, int(idx)))
 	if p.rec != nil {
 		p.rec.Request(obs.XferStart, now, int32(p.idx), -1, int64(r.ID), rec.bytes)
 	}
@@ -897,7 +952,7 @@ func (s *clusterSim) runFrom(src RequestSource) (ClusterMetrics, error) {
 		}
 	}
 	for _, p := range s.pools {
-		p.sched.endRuns(at, prio)
+		p.core.endRuns(at, prio)
 	}
 	return s.assemble(), nil
 }
@@ -913,7 +968,7 @@ func (s *clusterSim) start(src RequestSource) {
 	// Failure processes.
 	if s.cc.Failures.Enabled {
 		for _, p := range s.pools {
-			for id := 0; id < p.sched.numInstances(); id++ {
+			for id := range p.insts {
 				s.scheduleFailure(p, id, 0)
 			}
 		}
@@ -947,8 +1002,7 @@ func (s *clusterSim) onProbe(now float64, _ uint64) {
 	fired := s.eng.EventsFired()
 	for _, p := range s.pools {
 		live, parked := 0, 0
-		for id := 0; id < p.sched.numInstances(); id++ {
-			st := p.sched.state(id)
+		for _, st := range p.insts {
 			switch {
 			case st.parked:
 				parked++
@@ -1021,8 +1075,7 @@ func (s *clusterSim) route() *poolSim {
 	for _, cand := range s.pools {
 		outstanding := cand.sched.outstanding()
 		live := 0
-		for id := 0; id < cand.sched.numInstances(); id++ {
-			st := cand.sched.state(id)
+		for _, st := range cand.insts {
 			if st.up && !st.parked {
 				live++
 			}
@@ -1053,45 +1106,31 @@ func (s *clusterSim) acceptArrival(p *poolSim, r trace.Request, now float64) {
 	if p.rec != nil {
 		p.rec.Request(obs.Arrival, now, int32(p.idx), -1, int64(r.ID), float64(r.PromptTokens))
 	}
-	if p.cfg.Admission.Policy != AdmitAll && p.shouldShed(r) {
-		p.m.Shed++
-		if p.classesOn {
-			p.classAt(r.Class).Shed++
-		}
-		if p.rec != nil {
-			p.rec.Request(obs.Shed, now, int32(p.idx), -1, int64(r.ID), float64(r.Class))
-		}
+	if p.shed(r, now) {
 		// A shed closed-loop client behaves like a timed-out one: it
 		// retries with backoff while it has budget, then gives up for
 		// good. Open-loop classes (no timeout) just vanish, as before.
-		if p.clientOn {
-			b := p.behavior(r.Class)
-			if b.Timeout > 0 && b.Retries > 0 {
-				idx := p.newTrack()
-				tr := &p.trackArena[idx]
-				*tr = clientTrack{id: r.ID, class: int32(r.Class), open: true, req: r}
-				s.scheduleRetry(p, int(idx), now, b)
-				return
-			}
-			if b.Timeout > 0 {
-				p.m.Abandoned++
-				if p.classesOn {
-					p.classAt(r.Class).Abandoned++
-				}
-				if p.rec != nil {
-					p.rec.Request(obs.Abandon, now, int32(p.idx), -1, int64(r.ID), 0)
-				}
-			}
+		if p.clientOn && p.behavior(r.Class).Timeout > 0 {
+			idx := p.newTrack()
+			p.trackArena[idx] = clientTrack{id: r.ID, class: int32(r.Class), open: true, req: r}
+			s.retryOrAbandon(p, int(idx), now)
 		}
 		return
 	}
 	if p.clientOn {
 		s.openTrack(p, r, 0, now)
 	}
-	// With a fabric and more than one pool, the router's handoff to
-	// the pool crosses the network: the prompt rides an ingress
-	// transfer and joins the pool's queue on delivery. A single pool
-	// is fed directly (its frontend is assumed adjacent).
+	s.submit(p, r, now)
+}
+
+// submit queues an admitted attempt. With a fabric and more than one
+// pool, the router's handoff to the pool crosses the network: the
+// prompt rides an ingress transfer and joins the pool's queue on
+// delivery. A single pool is fed directly (its frontend is assumed
+// adjacent).
+//
+//litegpu:hotpath
+func (s *clusterSim) submit(p *poolSim, r trace.Request, now float64) {
 	if s.fab != nil && len(s.pools) > 1 {
 		s.startIngress(p, r, now)
 		return
@@ -1142,7 +1181,7 @@ func (s *clusterSim) dispatch(now float64, _ uint64) {
 // --- failure machinery -------------------------------------------------
 
 func (s *clusterSim) scheduleFailure(p *poolSim, id int, now float64) {
-	st := p.sched.state(id)
+	st := p.insts[id]
 	if st.failRNG == nil {
 		return
 	}
@@ -1176,7 +1215,7 @@ func (s *clusterSim) onRecover(now float64, arg uint64) {
 //
 //litegpu:hotpath
 func (s *clusterSim) failInstance(p *poolSim, id int, now float64) {
-	st := p.sched.state(id)
+	st := p.insts[id]
 	if !st.up {
 		return // stale event; down instances carry no failure clock
 	}
@@ -1184,7 +1223,7 @@ func (s *clusterSim) failInstance(p *poolSim, id int, now float64) {
 	st.downAt = now
 	p.m.FailureEvents++
 	if p.rec != nil {
-		p.rec.Cluster(obs.InstanceDown, now, int32(p.idx), int32(id), float64(p.sched.gpus(id)))
+		p.rec.Cluster(obs.InstanceDown, now, int32(p.idx), int32(id), float64(st.gpus))
 	}
 	if st.doneEv != 0 {
 		s.eng.Cancel(st.doneEv)
@@ -1222,13 +1261,13 @@ func (s *clusterSim) repairDone(p *poolSim, now float64) {
 
 //litegpu:hotpath
 func (s *clusterSim) scheduleRecovery(p *poolSim, id int, now float64) {
-	st := p.sched.state(id)
+	st := p.insts[id]
 	s.eng.ScheduleCall(now+s.failRecovery, prioFailure+st.prio, s.recoverH, packArg(p.idx, id))
 }
 
 //litegpu:hotpath
 func (s *clusterSim) recoverInstance(p *poolSim, id int, now float64) {
-	st := p.sched.state(id)
+	st := p.insts[id]
 	st.up = true
 	st.downSec += now - st.downAt
 	if p.rec != nil {
@@ -1278,7 +1317,7 @@ func (s *clusterSim) assemble() ClusterMetrics {
 		}
 		m := &pm.Metrics
 
-		shape := p.sched.shape()
+		shape := p.cfg.phaseShape()
 		poolPBusy, poolDBusy := p.sched.busy()
 		if h > 0 {
 			m.PrefillUtilization = poolPBusy / (h * float64(shape.prefillInstances))
@@ -1296,15 +1335,14 @@ func (s *clusterSim) assemble() ClusterMetrics {
 		// instances still down at the end. BlastRadius: Σ P(instance i
 		// fails next)·(capacity share lost); within a pool failure odds
 		// and capacity are both proportional to GPU count.
-		poolGPUs := p.sched.totalGPUs()
+		poolGPUs := p.cfg.TotalGPUs()
 		var poolDown, poolBlast float64
-		for id := 0; id < p.sched.numInstances(); id++ {
-			st := p.sched.state(id)
+		for _, st := range p.insts {
 			down := st.downSec
 			if !st.up {
 				down += h - st.downAt
 			}
-			g := float64(p.sched.gpus(id))
+			g := float64(st.gpus)
 			poolDown += down * g
 			poolBlast += g * g
 		}
@@ -1320,8 +1358,8 @@ func (s *clusterSim) assemble() ClusterMetrics {
 		// neither as failure-prone nor as capable as one H100.
 		downFLOPSec += poolDown * p.flopsPerGPU
 		totalFLOPs += float64(poolGPUs) * p.flopsPerGPU
-		for id := 0; id < p.sched.numInstances(); id++ {
-			g := float64(p.sched.gpus(id))
+		for _, st := range p.insts {
+			g := float64(st.gpus)
 			rateW := g * p.afrPerGPU
 			totalRate += rateW
 			blastLoss += rateW * g * p.flopsPerGPU // ÷ totalFLOPs below
@@ -1384,14 +1422,13 @@ func finish(h float64, scratch []float64, pools []*poolSim) Metrics {
 			m.KVMeanBlocks += (p.kvBlockSec + float64(p.kvInUse)*(h-p.kvLastT)) / h
 			if p.scaleOn {
 				parked := 0.0
-				for id := p.scaleLo; id < p.scaleHi; id++ {
-					st := p.sched.state(id)
+				for _, st := range p.insts[p.scaleLo:p.scaleHi] {
 					parked += st.parkedSec
 					if st.parked {
 						parked += h - st.parkedAt
 					}
 				}
-				m.MeanLiveInstances += float64(p.sched.numInstances()) - parked/h
+				m.MeanLiveInstances += float64(len(p.insts)) - parked/h
 			}
 		}
 	}

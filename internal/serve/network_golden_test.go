@@ -35,9 +35,11 @@ func networkGoldenScenarios(t *testing.T) []goldenScenario {
 	hetero.Router = JoinShortestQueue
 	hetero.Network = pluggablePacket()
 
-	// The failure regime that actually bites (no drain, decode-heavy,
-	// accelerated failure clock) with the fabric in the loop: dead
-	// instances mid-handoff exercise the retarget/retransmit path.
+	// The accelerated failure clock with the fabric in the loop. Its
+	// four failures (t ≈ 17.7, 20.0, 28.9 and 92.9 s) each find the
+	// dead instance idle with no transfer in flight, so nothing is
+	// requeued; the TestTransfer*Failure tests cover the handoff
+	// retarget and retransmit paths.
 	failCluster := clusterOf(packet)
 	p := failure.DefaultParams()
 	p.MTTR = 300

@@ -363,7 +363,9 @@ type ClassMetrics struct {
 	Shed int
 	// TimedOut counts client deadline expiries (each attempt counts).
 	TimedOut int
-	// Retries counts resubmissions after a timeout or a shed.
+	// Retries counts retries booked after a timeout or a shed,
+	// including retries whose backoff ends past the horizon and so
+	// never resubmit.
 	Retries int
 	// Abandoned counts requests whose client gave up for good.
 	Abandoned int
@@ -524,7 +526,25 @@ func (p *poolSim) clientSettle(id int) {
 	p.freeTrack(idx)
 }
 
-// shouldShed applies the pool's admission gate to one arrival.
+// shed applies the pool's admission gate to one submission, first or
+// retried, and counts and records it when the gate sheds it.
+//
+//litegpu:hotpath
+func (p *poolSim) shed(r trace.Request, now float64) bool {
+	if p.cfg.Admission.Policy == AdmitAll || !p.shouldShed(r) {
+		return false
+	}
+	p.m.Shed++
+	if p.classesOn {
+		p.classAt(r.Class).Shed++
+	}
+	if p.rec != nil {
+		p.rec.Request(obs.Shed, now, int32(p.idx), -1, int64(r.ID), float64(r.Class))
+	}
+	return true
+}
+
+// shouldShed reports whether the pool's admission gate rejects r.
 //
 //litegpu:hotpath
 func (p *poolSim) shouldShed(r trace.Request) bool {
@@ -593,21 +613,8 @@ func (s *clusterSim) onDeadline(now float64, arg uint64) {
 		tidx := p.newTrack()
 		p.trackArena[tidx] = clientTrack{id: tr.id, open: true, cancelled: true}
 		p.cancelled[tr.id] = tidx
-		tr = &p.trackArena[idx] // newTrack may have grown the arena
 	}
-	b := p.behavior(int(tr.class))
-	if int(tr.attempts) < b.Retries {
-		s.scheduleRetry(p, idx, now, b)
-	} else {
-		p.m.Abandoned++
-		if p.classesOn {
-			p.classAt(int(tr.class)).Abandoned++
-		}
-		if p.rec != nil {
-			p.rec.Request(obs.Abandon, now, int32(p.idx), -1, int64(tr.id), float64(tr.attempts))
-		}
-		p.freeTrack(int32(idx))
-	}
+	s.retryOrAbandon(p, idx, now)
 	// Cancelled copies at queue heads must be purged even on an
 	// otherwise-idle pool, or tombstones outlive the backlog.
 	s.requestDispatch(p, now)
@@ -637,6 +644,28 @@ func (s *clusterSim) cancelClientXfer(p *poolSim, id int) bool {
 		return true
 	}
 	return false
+}
+
+// retryOrAbandon ends a tracked attempt that timed out or was shed:
+// the client books a retry while its class's budget lasts, and
+// otherwise gives up for good, freeing the track.
+//
+//litegpu:hotpath
+func (s *clusterSim) retryOrAbandon(p *poolSim, idx int, now float64) {
+	tr := &p.trackArena[idx]
+	b := p.behavior(int(tr.class))
+	if int(tr.attempts) < b.Retries {
+		s.scheduleRetry(p, idx, now, b)
+		return
+	}
+	p.m.Abandoned++
+	if p.classesOn {
+		p.classAt(int(tr.class)).Abandoned++
+	}
+	if p.rec != nil {
+		p.rec.Request(obs.Abandon, now, int32(p.idx), -1, int64(tr.id), float64(tr.attempts))
+	}
+	p.freeTrack(int32(idx))
 }
 
 // scheduleRetry books a resubmission after capped exponential backoff
@@ -691,41 +720,14 @@ func (s *clusterSim) onRetry(now float64, arg uint64) {
 		p.rec.Adopt(int64(oldID), int64(r.ID))
 		p.rec.Request(obs.Retry, now, int32(p.idx), -1, int64(r.ID), float64(tr.attempts))
 	}
-	if p.cfg.Admission.Policy != AdmitAll && p.shouldShed(r) {
-		p.m.Shed++
-		if p.classesOn {
-			p.classAt(int(tr.class)).Shed++
-		}
-		if p.rec != nil {
-			p.rec.Request(obs.Shed, now, int32(p.idx), -1, int64(r.ID), float64(tr.class))
-		}
-		b := p.behavior(int(tr.class))
-		if int(tr.attempts) < b.Retries {
-			s.scheduleRetry(p, idx, now, b)
-			return
-		}
-		p.m.Abandoned++
-		if p.classesOn {
-			p.classAt(int(tr.class)).Abandoned++
-		}
-		if p.rec != nil {
-			p.rec.Request(obs.Abandon, now, int32(p.idx), -1, int64(r.ID), float64(tr.attempts))
-		}
-		p.freeTrack(int32(idx))
+	if p.shed(r, now) {
+		s.retryOrAbandon(p, idx, now)
 		return
 	}
-	b := p.behavior(int(tr.class))
-	tr.deadline = s.eng.ScheduleCall(now+float64(b.Timeout), prioClient+p.prioBase,
+	tr.deadline = s.eng.ScheduleCall(now+float64(p.behavior(int(tr.class)).Timeout), prioClient+p.prioBase,
 		s.deadlineH, packArg(p.idx, idx))
 	p.tracks[r.ID] = int32(idx)
-	if s.fab != nil && len(s.pools) > 1 {
-		s.startIngress(p, r, now)
-	} else {
-		if p.rec != nil {
-			p.rec.Request(obs.Enqueue, now, int32(p.idx), -1, int64(r.ID), 0)
-		}
-		p.sched.enqueue(r)
-	}
+	s.submit(p, r, now)
 	s.requestDispatch(p, now)
 }
 
@@ -752,8 +754,7 @@ func (s *clusterSim) onScale(now float64, arg uint64) {
 	p := s.pools[pi]
 	a := p.cfg.Autoscale
 	live := 0
-	for id := p.scaleLo; id < p.scaleHi; id++ {
-		st := p.sched.state(id)
+	for _, st := range p.insts[p.scaleLo:p.scaleHi] {
 		if !st.parked && !st.draining {
 			live++
 		}
@@ -795,15 +796,14 @@ func (s *clusterSim) onScale(now float64, arg uint64) {
 //
 //litegpu:hotpath
 func (s *clusterSim) scaleUpOne(p *poolSim, now float64) bool {
-	for id := p.scaleLo; id < p.scaleHi; id++ {
-		st := p.sched.state(id)
+	for _, st := range p.insts[p.scaleLo:p.scaleHi] {
 		if st.draining {
 			st.draining = false
 			return true
 		}
 	}
 	for id := p.scaleLo; id < p.scaleHi; id++ {
-		st := p.sched.state(id)
+		st := p.insts[id]
 		if st.parked && !st.warming {
 			st.warming = true
 			s.eng.ScheduleCall(now+p.cfg.Autoscale.warmUp(), prioClient+p.prioBase+1,
@@ -822,11 +822,11 @@ func (s *clusterSim) scaleUpOne(p *poolSim, now float64) bool {
 //litegpu:hotpath
 func (s *clusterSim) scaleDownOne(p *poolSim, now float64) bool {
 	for id := p.scaleHi - 1; id >= p.scaleLo; id-- {
-		st := p.sched.state(id)
+		st := p.insts[id]
 		if st.parked || st.draining {
 			continue
 		}
-		if p.sched.idle(id) {
+		if p.core.idle(id - p.core.base) {
 			p.parkInstance(st, now)
 		} else {
 			st.draining = true
@@ -844,7 +844,7 @@ func (s *clusterSim) scaleDownOne(p *poolSim, now float64) bool {
 func (s *clusterSim) onWarm(now float64, arg uint64) {
 	pi, id := unpackArg(arg)
 	p := s.pools[pi]
-	st := p.sched.state(id)
+	st := p.insts[id]
 	st.warming = false
 	if !st.up || !st.parked {
 		return

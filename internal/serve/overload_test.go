@@ -301,7 +301,7 @@ func TestWarmupAbortsWhenInstanceDies(t *testing.T) {
 	p := s.pools[0]
 	parked := -1
 	for id := p.scaleLo; id < p.scaleHi; id++ {
-		if p.sched.state(id).parked {
+		if p.insts[id].parked {
 			parked = id
 			break
 		}
@@ -312,7 +312,7 @@ func TestWarmupAbortsWhenInstanceDies(t *testing.T) {
 	if !s.scaleUpOne(p, 0) {
 		t.Fatal("scale-up found no target")
 	}
-	st := p.sched.state(parked)
+	st := p.insts[parked]
 	if !st.warming {
 		t.Fatal("scale-up did not start a warm-up")
 	}

@@ -45,19 +45,6 @@ func runTwins(t *testing.T, name string, cc ClusterConfig, reqs []trace.Request,
 	return bare, observed
 }
 
-// coreOf returns the batch engines of pool p's scheduler.
-func coreOf(t *testing.T, p *poolSim) *batchCore {
-	t.Helper()
-	switch sc := p.sched.(type) {
-	case *staticSched:
-		return &sc.batchCore
-	case *colocSched:
-		return &sc.batchCore
-	}
-	t.Fatalf("unknown scheduler %T", p.sched)
-	return nil
-}
-
 // firstRun steps a bare run of cc until an engine of its first pool
 // starts a decode run of at least three steps, and returns that
 // engine's instance id and the run's first two interior boundaries.
@@ -67,7 +54,7 @@ func firstRun(t *testing.T, cc ClusterConfig, reqs []trace.Request) (id int, b1,
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := coreOf(t, s.pools[0])
+	c := s.pools[0].core
 	s.start(&sliceSource{reqs: reqs})
 	for s.eng.Step() {
 		for j := range c.engines {
@@ -195,7 +182,7 @@ func TestSettledSizingRunStopsMidRun(t *testing.T) {
 		t.Fatal("sizing run did not settle")
 	}
 	inRun := false
-	for _, e := range coreOf(t, p).engines {
+	for _, e := range p.core.engines {
 		inRun = inRun || e.runLeft > 0
 	}
 	if !inRun {

@@ -73,54 +73,21 @@ func (s SchedulerPolicy) Colocated() bool {
 	return s == ContinuousBatching || s == ChunkedPrefill
 }
 
-// phaseShape is how a scheduler's instances map onto the two metric
-// phases: the utilization denominators and the per-instance GPU degrees
-// used to weight busy-time across heterogeneous pools. For a colocated
-// scheduler both phases span the same instances.
-type phaseShape struct {
-	prefillInstances, prefillGPUs int
-	decodeInstances, decodeGPUs   int
-}
-
 // scheduler is one pool's serving discipline on the shared event
-// engine. The cluster simulation owns arrivals, failure processes, the
-// spare shelf, and metric assembly; the scheduler owns the instances,
-// the queues, and the decision of what work runs when. Implementations
-// must be deterministic: same inputs, byte-identical Metrics.
+// engine: only what differs by policy. The pool owns the rest — the
+// instance table (poolSim.insts, laid out by Config), the batch core
+// every policy runs its decode-capable engines on (poolSim.core), the
+// request ledger every exit passes through (dropOversized, failReq,
+// retryOrAbandon), spares and metric assembly. Implementations must be
+// deterministic: same inputs, byte-identical Metrics.
 type scheduler interface {
-	// numInstances returns the count of failable units; instance ids are
-	// 0..numInstances()-1 in a stable order.
-	numInstances() int
-	// state returns instance id's failure-facing state.
-	state(id int) *instanceState
-	// gpus returns the GPU count behind instance id.
-	gpus(id int) int
-	// shape returns the phase mapping for utilization accounting.
-	shape() phaseShape
-	// totalGPUs returns the pool's accelerator count (excluding spares).
-	totalGPUs() int
 	// enqueue accepts a routed arrival.
 	enqueue(r trace.Request)
-	// deliverKV accepts a request whose KV-cache handoff just crossed
-	// the fabric: it joins the decode path. Only schedulers that move
-	// KV between phase pools (the static policy) ever receive one;
-	// colocated schedulers panic, because a handoff to them is a
-	// simulator bug.
-	deliverKV(a *activeReq, now float64)
 	// dispatch hands queued work to idle instances and cuts a decode run
 	// short when its engine could admit queued work; called at most once
 	// per event timestamp, after all completions at that time, and only
 	// when something at that time asked for it.
 	dispatch(now float64)
-	// endRuns applies the decode-run boundaries the calendar fired
-	// before it stopped at the event (at, prio); see batchCore.endRuns.
-	endRuns(at float64, prio int)
-	// swapReturn accepts a preempted sequence whose KV just finished its
-	// swap round-trip or recompute handoff: it rejoins the decode path
-	// at the head of the queue, holding no blocks and stamping no TTFT
-	// (its first token was already served before preemption). Only
-	// reachable with Config.KV enabled.
-	swapReturn(a *activeReq, now float64)
 	// fail reclaims instance id's in-flight work when it dies:
 	// un-counting the unfinished busy tail and requeueing (or, when drop
 	// is set, abandoning) the work. Generic down-marking, completion-
@@ -131,13 +98,6 @@ type scheduler interface {
 	// outstanding returns queued plus in-flight request count — the
 	// router's load figure.
 	outstanding() int
-	// scalable returns the [lo, hi) instance-id range the autoscaler may
-	// park and unpark: every instance for colocated policies, decode
-	// engines only for the static split (prefill capacity stays fixed).
-	scalable() (lo, hi int)
-	// idle reports whether instance id holds no in-flight work — the
-	// condition for parking it immediately instead of draining.
-	idle(id int) bool
 	// busy returns accumulated (prefill, decode) busy-seconds, summed in
 	// stable instance order so metric assembly stays byte-deterministic.
 	busy() (prefill, decode float64)

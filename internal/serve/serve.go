@@ -164,6 +164,42 @@ func (c Config) instanceCount() int {
 	return c.PrefillInstances + c.DecodeInstances
 }
 
+// phaseShape is how a pool's instances map onto the two metric
+// phases: the utilization denominators and the per-instance GPU degrees
+// used to weight busy-time across heterogeneous pools.
+type phaseShape struct {
+	prefillInstances, prefillGPUs int
+	decodeInstances, decodeGPUs   int
+}
+
+// phaseShape returns the pool's phase mapping. Both phases of a
+// colocated pool span its full instance set: its PrefillUtilization
+// and DecodeUtilization are each the share of all-instance time spent
+// in that phase (they sum to at most 1).
+func (c Config) phaseShape() phaseShape {
+	if c.Scheduler.Colocated() {
+		n, g := c.colocShape()
+		return phaseShape{prefillInstances: n, prefillGPUs: g, decodeInstances: n, decodeGPUs: g}
+	}
+	return phaseShape{
+		prefillInstances: c.PrefillInstances, prefillGPUs: c.PrefillGPUs,
+		decodeInstances: c.DecodeInstances, decodeGPUs: c.DecodeGPUs,
+	}
+}
+
+// scalable returns the [lo, hi) instance-id range the autoscaler may
+// park and unpark: every instance of a colocated pool, the decode
+// engines only of the static split. Its prefill capacity stays fixed:
+// the split sizes it for ingest, and parking it would starve TTFT
+// rather than save meaningful decode capacity.
+func (c Config) scalable() (lo, hi int) {
+	if c.Scheduler.Colocated() {
+		n, _ := c.colocShape()
+		return 0, n
+	}
+	return c.PrefillInstances, c.PrefillInstances + c.DecodeInstances
+}
+
 // Validate reports the first configuration problem, or nil.
 func (c Config) Validate() error {
 	if err := c.GPU.Validate(); err != nil {
@@ -352,7 +388,9 @@ type Metrics struct {
 	// ClientTimeouts counts client deadline expiries; one request can
 	// time out on several attempts.
 	ClientTimeouts int
-	// ClientRetries counts resubmissions after a timeout or a shed.
+	// ClientRetries counts retries booked after a timeout or a shed,
+	// including retries whose backoff ends past the horizon and so
+	// never resubmit.
 	ClientRetries int
 	// Abandoned counts requests whose client gave up for good after
 	// exhausting its retries. Not included in Dropped.

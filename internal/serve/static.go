@@ -60,39 +60,13 @@ func newStaticSched(cs *clusterSim, pool *poolSim) (*staticSched, error) {
 		prefillCost: newStepCost(cfg, cfg.PrefillGPUs),
 	}
 	sc.prefillDoneH = sc.onPrefillDone
-	if err := sc.init(cs, pool, sc, cfg.DecodeInstances, cfg.DecodeGPUs, cfg.PrefillInstances); err != nil {
+	for i := range sc.prefills {
+		pool.addInstance(&sc.prefills[i].instanceState, cfg.PrefillGPUs)
+	}
+	if err := sc.init(cs, pool, sc, cfg.DecodeInstances, cfg.DecodeGPUs); err != nil {
 		return nil, err
 	}
 	return sc, nil
-}
-
-func (sc *staticSched) numInstances() int { return len(sc.prefills) + len(sc.engines) }
-
-func (sc *staticSched) state(id int) *instanceState {
-	if id < len(sc.prefills) {
-		return &sc.prefills[id].instanceState
-	}
-	return &sc.engines[id-len(sc.prefills)].instanceState
-}
-
-func (sc *staticSched) gpus(id int) int {
-	if id < len(sc.prefills) {
-		return sc.pool.cfg.PrefillGPUs
-	}
-	return sc.pool.cfg.DecodeGPUs
-}
-
-func (sc *staticSched) shape() phaseShape {
-	cfg := &sc.pool.cfg
-	return phaseShape{
-		prefillInstances: cfg.PrefillInstances, prefillGPUs: cfg.PrefillGPUs,
-		decodeInstances: cfg.DecodeInstances, decodeGPUs: cfg.DecodeGPUs,
-	}
-}
-
-func (sc *staticSched) totalGPUs() int {
-	cfg := &sc.pool.cfg
-	return cfg.PrefillInstances*cfg.PrefillGPUs + cfg.DecodeInstances*cfg.DecodeGPUs
 }
 
 //litegpu:hotpath
@@ -109,21 +83,6 @@ func (sc *staticSched) outstanding() int {
 		}
 	}
 	return outstanding
-}
-
-// scalable exposes the decode pool to the autoscaler; prefill capacity
-// is fixed — the static split sizes it for ingest, and parking it would
-// starve TTFT rather than save meaningful decode capacity.
-func (sc *staticSched) scalable() (lo, hi int) {
-	return len(sc.prefills), len(sc.prefills) + len(sc.engines)
-}
-
-func (sc *staticSched) idle(id int) bool {
-	if id < len(sc.prefills) {
-		e := &sc.prefills[id]
-		return len(e.batch) == 0 && e.re == nil
-	}
-	return sc.batchCore.idle(id - len(sc.prefills))
 }
 
 func (sc *staticSched) busy() (prefill, decode float64) {
@@ -164,9 +123,7 @@ func (sc *staticSched) dispatchPrefill(now float64) {
 			if !ok {
 				// The grown sequence no longer fits even a batch-of-one
 				// pass: it can never resume.
-				p.drop()
-				p.clientSettle(a.req.ID)
-				p.freeActive(a)
+				p.dropOversized(a.req, a, nil, int32(i), now)
 				continue
 			}
 			if e.slow > 0 {
@@ -216,12 +173,7 @@ func (sc *staticSched) dispatchPrefill(now float64) {
 				tokens -= e.batch[n-1].PromptTokens
 			}
 			if !ok {
-				r := sc.prefillQ.PopFront()
-				p.drop()
-				p.clientSettle(r.ID)
-				if p.rec != nil {
-					p.rec.Request(obs.Drop, now, int32(p.idx), int32(i), int64(r.ID), float64(r.PromptTokens))
-				}
+				p.dropOversized(sc.prefillQ.PopFront(), nil, nil, int32(i), now)
 				e.batch = e.batch[:0]
 				continue
 			}
@@ -376,14 +328,6 @@ func (sc *staticSched) pickDecodeDst() int {
 	return j
 }
 
-// deliverKV lands a fabric-delivered KV cache: the request joins the
-// decode queue (TTFT was stamped by the delivery handler).
-//
-//litegpu:hotpath
-func (sc *staticSched) deliverKV(a *activeReq, now float64) {
-	sc.q.PushBack(a)
-}
-
 // rebuild queues a recompute victim for a batch-of-one prefill pass.
 //
 //litegpu:hotpath
@@ -414,15 +358,8 @@ func (sc *staticSched) fail(id int, now float64, drop bool) {
 		// abandoned).
 		e.re = nil
 		e.busy -= e.freeAt - now
-		if p.rec != nil {
-			p.rec.Request(failEvent(drop), now, int32(p.idx), int32(id), int64(a.req.ID), 0)
-		}
-		if drop {
-			p.m.DroppedOnFailure++
-			p.clientSettle(a.req.ID)
-			p.freeActive(a)
-		} else {
-			p.m.Requeued++
+		p.failReq(a.req, a, int32(id), drop, now)
+		if !drop {
 			sc.reprefillQ.PushFront(a)
 		}
 	}
@@ -431,18 +368,10 @@ func (sc *staticSched) fail(id int, now float64, drop bool) {
 		// tail and put the prompts back at the head of the queue (or
 		// abandon them).
 		e.busy -= e.freeAt - now
-		if p.rec != nil {
-			for _, r := range e.batch {
-				p.rec.Request(failEvent(drop), now, int32(p.idx), int32(id), int64(r.ID), 0)
-			}
+		for _, r := range e.batch {
+			p.failReq(r, nil, int32(id), drop, now)
 		}
-		if drop {
-			p.m.DroppedOnFailure += len(e.batch)
-			for _, r := range e.batch {
-				p.clientSettle(r.ID)
-			}
-		} else {
-			p.m.Requeued += len(e.batch)
+		if !drop {
 			for i := len(e.batch) - 1; i >= 0; i-- {
 				sc.prefillQ.PushFront(e.batch[i])
 			}
