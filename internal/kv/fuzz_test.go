@@ -4,6 +4,13 @@ import (
 	"testing"
 )
 
+// extendPanics runs a.Extend(id, n) and reports whether it panicked.
+func extendPanics(a *Allocator, id SeqID, n int) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	a.Extend(id, n)
+	return false
+}
+
 // refAllocator is the naive reference the fuzzer checks the real
 // allocator against: maps and slices, no arenas, no open addressing —
 // the obviously-correct implementation of the same semantics (free
@@ -131,6 +138,22 @@ func (r *refAllocator) grow(id int) bool {
 	return true
 }
 
+// slack is the tokens a sequence can grow by inside its blocks.
+func (r *refAllocator) slack(id int) int {
+	s := r.seqs[id]
+	return (len(s.shared)+s.private)*r.blockTokens - s.tokens
+}
+
+// extend grows a sequence by n tokens inside its blocks; it reports
+// false, changing nothing, where the growth would need a block.
+func (r *refAllocator) extend(id, n int) bool {
+	if n > r.slack(id) {
+		return false
+	}
+	r.seqs[id].tokens += n
+	return true
+}
+
 func (r *refAllocator) freeSeq(id int) {
 	s := r.seqs[id]
 	for _, key := range s.shared {
@@ -147,10 +170,10 @@ func (r *refAllocator) freeSeq(id int) {
 	delete(r.seqs, id)
 }
 
-// FuzzKVAllocator drives random alloc/grow/free/reset sequences through
-// the real allocator and the naive reference in lockstep, comparing
-// every return value and the full block accounting after every
-// operation.
+// FuzzKVAllocator drives random alloc/grow/extend/free/reset sequences
+// through the real allocator and the naive reference in lockstep,
+// comparing every return value and the full block accounting after
+// every operation.
 func FuzzKVAllocator(f *testing.F) {
 	f.Add([]byte{0, 0, 40, 1, 60, 0, 0, 10, 2, 8, 1, 0, 2, 5, 3, 0})
 	f.Add([]byte{1, 0, 255, 1, 255, 0, 100, 3, 200, 1, 1, 2, 30, 1, 0})
@@ -158,6 +181,8 @@ func FuzzKVAllocator(f *testing.F) {
 	// Hand out a few blocks, then grow past the arrays' first capacity.
 	f.Add([]byte{1, 0, 17, 2, 16, 7, 1, 0, 0, 0, 120, 3, 120, 1, 90, 4, 64,
 		4, 0, 31, 0, 7, 2, 0, 0, 2, 40, 3, 40, 6, 0, 0, 0, 7, 2, 0, 0, 0, 17, 2, 16})
+	// Extend a 49-token sequence inside its seven blocks, then past them.
+	f.Add([]byte{0, 0, 48, 3, 48, 7, 1, 0, 3, 7, 1, 0, 9})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
@@ -223,6 +248,19 @@ func FuzzKVAllocator(f *testing.F) {
 				a.Reset()
 				r = newRef(blocks, blockTokens, prefix)
 				live = live[:0]
+			case op == 7 && len(live) > 0: // extend, inside the blocks or past them
+				p := live[int(data[2])%len(live)]
+				n := int(data[3] % 24)
+				if got, want := a.Slack(p.real), r.slack(p.ref); got != want {
+					t.Fatalf("slack diverged: real %d, ref %d", got, want)
+				}
+				fits := r.extend(p.ref, n)
+				if panicked := extendPanics(a, p.real, n); panicked == fits {
+					t.Fatalf("extend(%d) diverged: real panicked %v, ref fits %v", n, panicked, fits)
+				}
+				if a.SeqTokens(p.real) != r.seqs[p.ref].tokens {
+					t.Fatalf("extended tokens diverged: %d vs %d", a.SeqTokens(p.real), r.seqs[p.ref].tokens)
+				}
 			}
 			check()
 			data = data[4:]

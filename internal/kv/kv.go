@@ -27,7 +27,7 @@
 // Determinism and allocation discipline follow the repo invariants
 // (docs/correctness.md): no maps (the prefix index is an open-addressed
 // table with backward-shift deletion), no wall clock, no global rand,
-// and the steady-state operations (Alloc, Grow, Free) are
+// and the steady-state operations (Alloc, Grow, Extend, Free) are
 // //litegpu:hotpath-annotated and AllocsPerRun-pinned at zero once
 // warm-up has grown the arrays to the working set's high-water mark.
 package kv
@@ -691,6 +691,34 @@ func (a *Allocator) Grow(id SeqID) bool {
 	s.blocks = append(s.blocks, b)
 	s.tokens++
 	return true
+}
+
+// Slack returns how many tokens a live sequence can still grow by
+// without claiming a block: its blocks' capacity less its tokens.
+//
+//litegpu:hotpath
+func (a *Allocator) Slack(id SeqID) int {
+	s := &a.seqs[id]
+	if !s.live {
+		panic("kv: Slack on a freed sequence")
+	}
+	return len(s.blocks)*a.blockTokens - s.tokens
+}
+
+// Extend grows a live sequence by n tokens inside the blocks it holds:
+// n Grows that each find room in the last block. It panics when n
+// exceeds the sequence's Slack, since that growth would need blocks.
+//
+//litegpu:hotpath
+func (a *Allocator) Extend(id SeqID, n int) {
+	s := &a.seqs[id]
+	if !s.live {
+		panic("kv: Extend on a freed sequence")
+	}
+	if n < 0 || s.tokens+n > len(s.blocks)*a.blockTokens {
+		panic("kv: Extend past the sequence's blocks")
+	}
+	s.tokens += n
 }
 
 // Free releases a sequence's references. Blocks reaching refcount

@@ -156,6 +156,8 @@ func TestFreedHandleOpsPanic(t *testing.T) {
 	a.Free(id)
 	for name, f := range map[string]func(){
 		"Grow":      func() { a.Grow(id) },
+		"Slack":     func() { a.Slack(id) },
+		"Extend":    func() { a.Extend(id, 0) },
 		"SeqTokens": func() { a.SeqTokens(id) },
 		"SeqBlocks": func() { a.SeqBlocks(id) },
 	} {
@@ -167,6 +169,63 @@ func TestFreedHandleOpsPanic(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// TestExtendMatchesGrows checks Slack and Extend against Grow: for
+// every token count and every n up to the slack, Extend(n) leaves the
+// sequence and the block accounting exactly where n Grows do.
+func TestExtendMatchesGrows(t *testing.T) {
+	const bt = 4
+	for tokens := 1; tokens <= 3*bt; tokens++ {
+		probe := NewAllocator(8, bt, false)
+		id, _, _, _ := probe.Alloc(tokens, 0, 0)
+		slack := probe.Slack(id)
+		if want := probe.SeqBlocks(id)*bt - tokens; slack != want {
+			t.Fatalf("%d tokens: Slack = %d, want %d", tokens, slack, want)
+		}
+		for n := 0; n <= slack; n++ {
+			grown, extended := NewAllocator(8, bt, false), NewAllocator(8, bt, false)
+			gid, _, _, _ := grown.Alloc(tokens, 0, 0)
+			eid, _, _, _ := extended.Alloc(tokens, 0, 0)
+			for i := 0; i < n; i++ {
+				grown.Grow(gid)
+			}
+			extended.Extend(eid, n)
+			if extended.SeqTokens(eid) != grown.SeqTokens(gid) || extended.SeqBlocks(eid) != grown.SeqBlocks(gid) ||
+				extended.Slack(eid) != grown.Slack(gid) || extended.InUse() != grown.InUse() ||
+				extended.FreeBlocks() != grown.FreeBlocks() {
+				t.Fatalf("%d tokens: Extend(%d) left %d tokens in %d blocks, %d Grows %d in %d",
+					tokens, n, extended.SeqTokens(eid), extended.SeqBlocks(eid), n, grown.SeqTokens(gid), grown.SeqBlocks(gid))
+			}
+			checkConservation(t, extended)
+		}
+	}
+}
+
+// TestExtendPastBlocksPanics pins that Extend never claims a block: one
+// token past the slack, or a negative count, panics and leaves the
+// sequence as it was.
+func TestExtendPastBlocksPanics(t *testing.T) {
+	a := NewAllocator(8, 4, false)
+	id, _, _, _ := a.Alloc(6, 0, 0) // 2 blocks, slack 2
+	for _, n := range []int{3, 100, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Extend(%d) with slack 2 did not panic", n)
+				}
+			}()
+			a.Extend(id, n)
+		}()
+		if a.SeqTokens(id) != 6 || a.SeqBlocks(id) != 2 || a.InUse() != 2 {
+			t.Fatalf("Extend(%d) that panicked changed the sequence: %d tokens in %d blocks",
+				n, a.SeqTokens(id), a.SeqBlocks(id))
+		}
+	}
+	a.Extend(id, 2)
+	if a.Slack(id) != 0 || a.SeqBlocks(id) != 2 {
+		t.Fatalf("Extend to the last block's end: slack %d, %d blocks", a.Slack(id), a.SeqBlocks(id))
 	}
 }
 
@@ -354,7 +413,7 @@ func TestDeterministicReplay(t *testing.T) {
 }
 
 // TestSteadyStateAllocFree pins the zero-alloc contract: after warmup,
-// Alloc/Grow/Free cycles perform no heap allocations.
+// Alloc/Grow/Extend/Free cycles perform no heap allocations.
 func TestSteadyStateAllocFree(t *testing.T) {
 	a := NewAllocator(64, 16, true)
 	// Warm up every code path: cache fills, idle list cycles, table
@@ -372,6 +431,7 @@ func TestSteadyStateAllocFree(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			a.Grow(id1)
 		}
+		a.Extend(id2, a.Slack(id2))
 		a.Free(id1)
 		a.Free(id2)
 	})

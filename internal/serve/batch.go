@@ -43,9 +43,10 @@ type batchEngine struct {
 // un-counting), how many pending entries its prefill part completes,
 // and — for chunked steps — how many head-of-line prompt tokens it
 // processes. runLeft counts the steps of a decode run still to follow
-// the in-flight one (see startStep), and runOwed the tokens its applied
+// the in-flight one (see startStep), runOwed the tokens its applied
 // boundaries emitted that its members' remaining counts do not show
-// yet (see payRun).
+// yet, and runGrow the steps those boundaries started, whose KV growth
+// its members' sequences do not show yet (see payRun).
 type stepState struct {
 	stepEnd     float64 // 0 when idle
 	stepPfx     float64
@@ -54,6 +55,7 @@ type stepState struct {
 	stepChunk   int
 	runLeft     int
 	runOwed     int
+	runGrow     int
 }
 
 // batchOwner is the scheduler a batchCore serves: it decides where work
@@ -90,10 +92,11 @@ type batchCore struct {
 	chunk int
 	cost  stepCost
 	// runs allows decode runs longer than one step: only when nothing
-	// but the engine's own clock can change its next step — no KV
-	// allocator (growth is per token), no client deadlines, no
-	// autoscaler, and no observer (probe rows carry the event count
-	// and the busy seconds).
+	// but the engine's own clock and its members' KV blocks can change
+	// its next step — no client deadlines, no autoscaler, and no
+	// observer (probe rows carry the event count and the busy seconds).
+	// With a KV allocator a run ends before the first step whose growth
+	// claims a block (see runSteps).
 	runs bool
 
 	stepDoneH sim.Handler
@@ -115,7 +118,7 @@ func (c *batchCore) init(cs *clusterSim, pool *poolSim, owner batchOwner, n, gpu
 	c.cost = newStepCost(cfg, gpus)
 	c.cap = c.cost.decodeCap(cfg.MaxDecodeBatch)
 	c.stepDoneH = c.onStepDone
-	c.runs = !cfg.KV.Enabled() && !cfg.Client.enabled() && !cfg.Autoscale.Enabled && cs.rec == nil
+	c.runs = !cfg.Client.enabled() && !cfg.Autoscale.Enabled && cs.rec == nil
 	if cfg.KV.Enabled() {
 		blocks, err := kvBlocksPerInstance(cfg, gpus)
 		if err != nil {
@@ -159,7 +162,9 @@ func (c *batchCore) busy() (prefill, decode float64) {
 // still holds work after the pass, every run whose engine has a free
 // slot is cut at the end of its in-flight step: its next step would
 // admit that work. Every push into the queue requests a pass at that
-// instant, so this is the only place a run needs cutting.
+// instant or is made by this pass, so the batch core cuts runs only
+// here; the static owner also cuts them after the pass for its rebuild
+// queue (see staticSched.dispatch).
 //
 //litegpu:hotpath
 func (c *batchCore) dispatch(now float64) {
@@ -172,12 +177,21 @@ func (c *batchCore) dispatch(now float64) {
 			c.startStep(j, now)
 		}
 	}
-	if !c.runs || c.q.Len() == 0 {
-		return
+	if c.runs && c.q.Len() > 0 {
+		c.cutRuns(c.cap)
 	}
+}
+
+// cutRuns cuts every decode run whose engine holds fewer than limit
+// requests at the end of its in-flight step: the step's completion
+// event moves there, and the engine's next step starts through the
+// dispatch pass that event requests, as a single step's would.
+//
+//litegpu:hotpath
+func (c *batchCore) cutRuns(limit int) {
 	for j := range c.engines {
 		e := &c.engines[j]
-		if e.runLeft > 0 && len(e.active)+e.pending.Len() < c.cap {
+		if e.runLeft > 0 && len(e.active)+e.pending.Len() < limit {
 			c.cs.eng.Cancel(e.doneEv)
 			e.runLeft = 0
 			e.doneEv = c.cs.eng.ScheduleCall(e.stepEnd, prioDecode+e.prio, c.stepDoneH, uint64(j))
@@ -231,8 +245,9 @@ func (c *batchCore) endRuns(at float64, prio int) {
 
 // runStep applies one interior boundary of a decode run, as the step's
 // completion and the next step's start would have: every member emits
-// a token, and the next step is counted busy and timed by the same
-// float addition startStep makes.
+// a token, and the next step is counted busy, timed by the same float
+// addition startStep makes, and owes its members one token of KV
+// growth, which fits in their last blocks (see startStep).
 //
 //litegpu:hotpath
 func (c *batchCore) runStep(e *batchEngine) {
@@ -240,6 +255,7 @@ func (c *batchCore) runStep(e *batchEngine) {
 	e.dBusy += e.stepDec
 	e.stepEnd += e.stepDec
 	e.runLeft--
+	e.runGrow++
 }
 
 // runTokens emits one token for every member of a run's batch. No
@@ -254,9 +270,11 @@ func (c *batchCore) runTokens(e *batchEngine) {
 }
 
 // payRun takes the tokens a run's applied boundaries emitted off its
-// members' remaining counts. Nothing reads them while the run goes on,
-// so this happens once, when the run ends: at its completion, at a
-// boundary that leaves the engine idle, and at a failure. Nothing
+// members' remaining counts, and extends their KV sequences by the
+// growth of the steps those boundaries started. Nothing reads either
+// while the run goes on, so this happens once, when the run ends: at
+// its completion, at a boundary that leaves the engine idle, and at a
+// failure, whose allocator reset discards the growth again. Nothing
 // reads them after the calendar stops either.
 //
 //litegpu:hotpath
@@ -268,21 +286,37 @@ func (c *batchCore) payRun(e *batchEngine) {
 		a.remaining -= e.runOwed
 	}
 	e.runOwed = 0
+	if e.al != nil && e.runGrow > 0 {
+		for _, a := range e.active {
+			e.al.Extend(a.kvSeq, e.runGrow)
+		}
+	}
+	e.runGrow = 0
 }
 
-// runSteps returns how many steps a decode-only step over active can
-// run as one: the fewest tokens any member has left, so the run's last
-// step is the first that completes a request. A member that has not
-// emitted its first token yet keeps the step to one.
+// runSteps returns how many steps a decode-only step on e can run as
+// one: the fewest tokens any member has left, so the run's last step is
+// the first that completes a request. A member that has not emitted its
+// first token yet keeps the step to one. With a KV allocator, whose
+// grow has already claimed the first step's tokens, every later step
+// must also grow each member inside its last block, so K is at most one
+// more than the smallest slack: the run ends just before the first step
+// whose growth claims a block, and that step starts through the
+// dispatch pass and grow, as a single step would.
 //
 //litegpu:hotpath
-func runSteps(active []*activeReq) int {
+func (e *batchEngine) runSteps() int {
 	k := math.MaxInt
-	for _, a := range active {
+	for _, a := range e.active {
 		if !a.emitted {
 			return 1
 		}
 		k = min(k, a.remaining)
+	}
+	if e.al != nil {
+		for _, a := range e.active {
+			k = min(k, 1+e.al.Slack(a.kvSeq))
+		}
 	}
 	return k
 }
@@ -362,7 +396,9 @@ func (c *batchCore) admit(e *batchEngine, now float64) {
 // run's last step, and the steps before it are applied lazily (runTo,
 // endRuns, completeStep) exactly as their own events would have been.
 // Nothing can change an engine's next step while it runs except its
-// queue gaining work, which dispatch answers by cutting the run.
+// queue gaining work, which dispatch answers by cutting the run, and
+// its members' growth claiming a block, which bounds the run's length
+// (runSteps).
 //
 //litegpu:hotpath
 func (c *batchCore) startStep(j int, now float64) {
@@ -444,7 +480,7 @@ func (c *batchCore) startStep(j int, now float64) {
 	}
 	end := e.stepEnd
 	if c.runs && nPrefill == 0 {
-		e.runLeft = runSteps(e.active) - 1
+		e.runLeft = e.runSteps() - 1
 		for k := 0; k < e.runLeft; k++ {
 			end += dt
 		}

@@ -2,8 +2,10 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
+	"litegpu/internal/kv"
 	"litegpu/internal/obs"
 	"litegpu/internal/straggler"
 	"litegpu/internal/trace"
@@ -68,11 +70,11 @@ func firstRun(t *testing.T, cc ClusterConfig, reqs []trace.Request) (id int, b1,
 }
 
 // TestDecodeRunsMatchSteps checks that a decode run is invisible in
-// the metrics: every static, scheduler and network golden scenario, and
-// targeted cases for each place a run is cut short or caught up, render
-// byte-identical to their observed twins, whose decode steps are each
-// their own event. Runs must also save work: no bare run fires more
-// events than its twin, and all of them together fire fewer.
+// the metrics: every static, scheduler, network and KV golden scenario,
+// and targeted cases for each place a run is cut short or caught up,
+// render byte-identical to their observed twins, whose decode steps are
+// each their own event. Runs must also save work: no bare run fires
+// more events than its twin, and all of them together fire fewer.
 func TestDecodeRunsMatchSteps(t *testing.T) {
 	var bareSum, observedSum uint64
 	twins := func(name string, cc ClusterConfig, reqs []trace.Request, horizon units.Seconds, arm func(*clusterSim)) {
@@ -81,7 +83,7 @@ func TestDecodeRunsMatchSteps(t *testing.T) {
 		bareSum += b
 		observedSum += o
 	}
-	for _, scenarios := range [][]goldenScenario{goldenScenarios(t), schedulerGoldenScenarios(t), networkGoldenScenarios(t)} {
+	for _, scenarios := range [][]goldenScenario{goldenScenarios(t), schedulerGoldenScenarios(t), networkGoldenScenarios(t), kvGoldenScenarios(t)} {
 		for _, sc := range scenarios {
 			twins(sc.name, sc.cluster, sc.reqs, sc.horizon, nil)
 		}
@@ -160,9 +162,115 @@ func TestDecodeRunsMatchSteps(t *testing.T) {
 	if settled != 2 {
 		t.Fatalf("budget armed on %d runs, want 2", settled)
 	}
+
+	kvRunCases(t, twins)
 	if bareSum >= observedSum {
 		t.Errorf("bare runs fired %d events in all, not fewer than the %d of their observed twins", bareSum, observedSum)
 	}
+}
+
+// kvRunCases adds TestDecodeRunsMatchSteps' cases for runs under paged
+// KV, where a run ends before the first step whose growth claims a
+// block and its members' sequences catch up on the growth it owes.
+func kvRunCases(t *testing.T, twins func(string, ClusterConfig, []trace.Request, units.Seconds, func(*clusterSim))) {
+	t.Helper()
+	// A 30-token prompt fills its second block on the second decode
+	// step, so that step's run is one step long; every later run claims
+	// a block and lasts for its sixteen tokens.
+	boundary := smallConfig()
+	boundary.Scheduler = ContinuousBatching
+	boundary.KV = kv.Config{Policy: kv.Recompute}
+	boundaryReqs := []trace.Request{{ID: 0, PromptTokens: 30, OutputTokens: 50}}
+	twins("kv-run-of-one", clusterOf(boundary), boundaryReqs, 30, nil)
+	if got, want := decodeRunLengths(t, clusterOf(boundary), boundaryReqs), []int{1, 1, 16, 16, 16}; !slices.Equal(got, want) {
+		t.Errorf("kv-run-of-one: decode runs of %v steps, want %v", got, want)
+	}
+
+	// Failures strike a KV run after an interior boundary, so growth is
+	// owed when the allocator resets; horizons and a settle land in the
+	// middle of a KV run.
+	kvCont := smallConfig()
+	kvCont.Scheduler = ContinuousBatching
+	kvCont.KV = kv.Config{Policy: kv.Recompute, Blocks: 600}
+	kvStatic := smallConfig()
+	kvStatic.DecodeInstances = 2
+	kvStatic.KV = kv.Config{Policy: kv.Swap, Blocks: 600, BlockTokens: 8}
+	reqs := convTrace(t, 4.0, 5, 60)
+	for _, cfg := range []Config{kvStatic, kvCont} {
+		cc := clusterOf(cfg)
+		name := cfg.Scheduler.String() + "-" + cfg.KV.String()
+		id, b1, b2 := firstRun(t, cc, reqs)
+		mid := (b1 + b2) / 2
+		twins("kv-fail-mid-run-"+name, cc, reqs, 120, func(s *clusterSim) { failAt(s, 0, id, mid) })
+		// A pass exactly on an interior boundary ends the run there with
+		// one more token emitted than steps started.
+		twins("kv-pass-on-boundary-"+name, cc, reqs, 120, func(s *clusterSim) {
+			s.eng.ScheduleCall(b1, prioArrival, func(now float64, _ uint64) { s.requestDispatch(s.pools[0], now) }, 0)
+		})
+		twins("kv-horizon-mid-run-"+name, cc, reqs, units.Seconds(mid), nil)
+		twins("kv-settle-mid-run-"+name, cc, reqs, 120, func(s *clusterSim) {
+			s.eng.ScheduleCall(mid, prioTransfer, func(float64, uint64) { s.pools[0].settle() }, 0)
+		})
+	}
+
+	// A static decode engine's growth preempts a recompute victim while
+	// the prefill engine is idle: the survivor's run must stop at its
+	// in-flight step so the next pass starts the rebuild.
+	rebuild := smallConfig()
+	rebuild.KV = kv.Config{Policy: kv.Recompute, Blocks: 16}
+	pair := []trace.Request{
+		{ID: 0, PromptTokens: 40, OutputTokens: 200},
+		{ID: 1, Arrival: 0.05, PromptTokens: 40, OutputTokens: 200},
+	}
+	twins("kv-static-rebuild-cut", clusterOf(rebuild), pair, 60, nil)
+	wantPreemptions(t, "kv-static-rebuild-cut", clusterOf(rebuild), pair, 60)
+
+	// Swap with no fabric: the victim returns to the head of the queue
+	// in the middle of the pass that preempted it, while the other
+	// engine is in a run with a free slot.
+	swap := smallConfig()
+	swap.Scheduler = ContinuousBatching
+	swap.Instances = 2
+	swap.KV = kv.Config{Policy: kv.Swap, Blocks: 16}
+	trio := []trace.Request{
+		{ID: 0, PromptTokens: 40, OutputTokens: 300},
+		{ID: 1, Arrival: 0.05, PromptTokens: 20, OutputTokens: 100},
+		{ID: 2, Arrival: 0.1, PromptTokens: 40, OutputTokens: 300},
+	}
+	twins("kv-swap-no-fabric-cut", clusterOf(swap), trio, 60, nil)
+	wantPreemptions(t, "kv-swap-no-fabric-cut", clusterOf(swap), trio, 60)
+}
+
+// wantPreemptions fails t unless a run of cc over reqs preempts.
+func wantPreemptions(t *testing.T, name string, cc ClusterConfig, reqs []trace.Request, horizon units.Seconds) {
+	t.Helper()
+	if m, err := RunCluster(cc, reqs, horizon); err != nil || m.Total.KVPreemptions == 0 {
+		t.Errorf("%s: %d preemptions (err %v), want the case to preempt", name, m.Total.KVPreemptions, err)
+	}
+}
+
+// decodeRunLengths runs cc over reqs bare and returns the length of
+// every decode step or run its first pool's engines start, in order.
+func decodeRunLengths(t *testing.T, cc ClusterConfig, reqs []trace.Request) []int {
+	t.Helper()
+	s, err := newClusterSim(cc, 1e9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := s.pools[0].core
+	ends := make([]float64, len(c.engines))
+	var runs []int
+	s.start(&sliceSource{reqs: reqs})
+	for s.eng.Step() {
+		for j := range c.engines {
+			e := &c.engines[j]
+			if e.stepEnd > 0 && e.stepDec > 0 && e.stepPrefill == 0 && e.stepEnd != ends[j] {
+				runs = append(runs, 1+e.runLeft)
+			}
+			ends[j] = e.stepEnd
+		}
+	}
+	return runs
 }
 
 // TestSettledSizingRunStopsMidRun pins that the settled case above
@@ -190,21 +298,39 @@ func TestSettledSizingRunStopsMidRun(t *testing.T) {
 	}
 }
 
+// fuzzKV is FuzzDecodeRuns' KV axis: off, Recompute, Swap, and
+// Recompute with prefix caching.
+var fuzzKV = []kv.Config{{}, {Policy: kv.Recompute}, {Policy: kv.Swap}, {Policy: kv.Recompute, PrefixCache: true}}
+
 // FuzzDecodeRuns checks the decode-run equivalence of
 // TestDecodeRunsMatchSteps over scheduler × fabric × failures ×
-// straggler spread × rate × horizon: the bare run and its observed
-// twin must render byte-identical Metrics.
+// straggler spread × rate × horizon × KV policy, block size and
+// budget: the bare run and its observed twin must render
+// byte-identical Metrics. A scarce budget holds 9,600 tokens per
+// instance; an ample one is derived from HBM.
 func FuzzDecodeRuns(f *testing.F) {
-	f.Add(uint8(0), false, false, uint8(0), uint8(2), uint16(60), uint64(7))
-	f.Add(uint8(1), true, true, uint8(3), uint8(6), uint16(90), uint64(11))
-	f.Add(uint8(2), false, true, uint8(5), uint8(12), uint16(45), uint64(3))
-	f.Add(uint8(0), true, false, uint8(1), uint8(9), uint16(120), uint64(5))
-	f.Fuzz(func(t *testing.T, sched uint8, fabric, failures bool, cv, rate uint8, horizon uint16, seed uint64) {
+	f.Add(uint8(0), false, false, uint8(0), uint8(2), uint16(60), uint64(7), uint8(0), false, uint8(0))
+	f.Add(uint8(1), true, true, uint8(3), uint8(6), uint16(90), uint64(11), uint8(0), false, uint8(0))
+	f.Add(uint8(2), false, true, uint8(5), uint8(12), uint16(45), uint64(3), uint8(0), false, uint8(0))
+	f.Add(uint8(0), true, false, uint8(1), uint8(9), uint16(120), uint64(5), uint8(0), false, uint8(0))
+	f.Add(uint8(0), false, false, uint8(0), uint8(9), uint16(60), uint64(7), uint8(1), true, uint8(12))
+	f.Add(uint8(1), false, true, uint8(2), uint8(12), uint16(90), uint64(11), uint8(2), true, uint8(4))
+	f.Add(uint8(2), true, false, uint8(0), uint8(6), uint16(45), uint64(3), uint8(3), false, uint8(0))
+	f.Add(uint8(0), true, true, uint8(4), uint8(15), uint16(120), uint64(9), uint8(3), true, uint8(8))
+	// Static recompute victims that need the rebuild-queue cut.
+	f.Add(uint8(0), true, false, uint8(2), uint8(7), uint16(46), uint64(31), uint8(1), true, uint8(0))
+	f.Fuzz(func(t *testing.T, sched uint8, fabric, failures bool, cv, rate uint8, horizon uint16, seed uint64, kvMode uint8, scarce bool, blockTokens uint8) {
 		cfg := l70Config()
 		cfg.PrefillInstances = 2
 		cfg.Scheduler = SchedulerPolicies()[int(sched)%3]
 		if fabric {
 			cfg.Network = pluggablePacket()
+		}
+		if cfg.KV = fuzzKV[int(kvMode)%len(fuzzKV)]; cfg.KV.Enabled() {
+			cfg.KV.BlockTokens = 4 + int(blockTokens%13)
+			if scarce {
+				cfg.KV.Blocks = 9600 / cfg.KV.BlockTokens
+			}
 		}
 		if c := float64(cv%6) / 10; c > 0 {
 			cfg.Straggler = StragglerConfig{Jitter: straggler.Jitter{CV: c}, Seed: seed}
@@ -215,7 +341,11 @@ func FuzzDecodeRuns(f *testing.F) {
 			cc.Failures.Seed = seed
 		}
 		h := units.Seconds(5 + horizon%120)
-		reqs, err := trace.CodingWorkload(0.5+float64(rate%16)/2, seed).Generate(h)
+		gen := trace.CodingWorkload(0.5+float64(rate%16)/2, seed)
+		if cfg.KV.PrefixCache {
+			gen.PrefixTokens, gen.PrefixGroups = 512, 3
+		}
+		reqs, err := gen.Generate(h)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -84,7 +84,8 @@ type scheduler interface {
 	// enqueue accepts a routed arrival.
 	enqueue(r trace.Request)
 	// dispatch hands queued work to idle instances and cuts a decode run
-	// short when its engine could admit queued work; called at most once
+	// short when its engine could admit queued work, or when a rebuild
+	// the pass queued waits for the next pass; called at most once
 	// per event timestamp, after all completions at that time, and only
 	// when something at that time asked for it.
 	dispatch(now float64)

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 
 	"litegpu/internal/inference"
 	"litegpu/internal/obs"
@@ -93,10 +94,20 @@ func (sc *staticSched) busy() (prefill, decode float64) {
 	return prefill, decode
 }
 
+// dispatch runs the prefill half of the pass before the decode half, so
+// a recompute victim that a decode engine's growth preempts reaches
+// reprefillQ after this pass's prefill half has run. Single steps would
+// start its rebuild at the next pass, at the latest when the next decode
+// step ends; so while the rebuild queue holds work after the pass, every
+// decode run is cut at the end of its in-flight step.
+//
 //litegpu:hotpath
 func (sc *staticSched) dispatch(now float64) {
 	sc.dispatchPrefill(now)
 	sc.batchCore.dispatch(now)
+	if sc.runs && sc.reprefillQ.Len() > 0 {
+		sc.cutRuns(math.MaxInt)
+	}
 }
 
 //litegpu:hotpath
