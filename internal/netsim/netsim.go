@@ -94,7 +94,6 @@ type flow struct {
 	overhead  float64 // latency (+ reconfig) left after the last byte
 	rate      float64 // current serialization rate, bytes/s
 	lastAt    float64 // time of the last settlement
-	startAt   float64 // Start() time, for duration stats
 
 	h    sim.Handler
 	arg  uint64
@@ -190,8 +189,10 @@ func (f *Fabric) Start(src, dst int, bytes float64, prio int, h sim.Handler, arg
 		bytes:     bytes,
 		remaining: bytes,
 		overhead:  f.p.PathLatency,
-		lastAt:    now, startAt: now,
-		h: h, arg: arg, prio: int32(prio),
+		lastAt:    now,
+		h:         h,
+		arg:       arg,
+		prio:      int32(prio),
 	}
 	id := TransferID(uint64(gen)<<32 | uint64(uint32(slot)))
 	if f.p.Circuit {

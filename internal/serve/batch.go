@@ -25,9 +25,6 @@ type batchEngine struct {
 	active  []*activeReq
 	pending deque[*activeReq]
 
-	pBusy float64
-	dBusy float64
-
 	// al is the instance's paged KV allocator; nil with Config.KV off.
 	// Admitted-but-pending requests hold a full prompt reservation — a
 	// colocated instance prefills into the same HBM its decode cache
@@ -58,29 +55,16 @@ type stepState struct {
 	runGrow     int
 }
 
-// batchOwner is the scheduler a batchCore serves: it decides where work
-// leaving the core for another part of the scheduler goes.
-type batchOwner interface {
-	// rebuild queues a preempted sequence whose KV was discarded
-	// (Recompute policy) for a prefill pass over its whole context.
-	rebuild(a *activeReq)
-	// reclaimHandoff settles an in-flight KV handoff into the core that
-	// lost an endpoint when instance id died. It reports whether the
-	// record stays live (retargeted and retransmitting); otherwise the
-	// core frees it.
-	reclaimHandoff(rec *xferRec, idx int32, id int, now float64) bool
-}
-
 // batchCore is the batch engine every scheduler runs its decode-capable
 // instances on. It owns the engines' active sets, their paged KV
 // allocators, growth with LIFO preemption, swap and recompute routing,
 // token emission, HBM teardown on failure, and reclamation of in-flight
 // transfers touching a dead instance. Per-policy differences are data it
-// is built with (the chunk size) plus the owner's methods.
+// is built with (the chunk size) plus the pool scheduler's rebuild and
+// reclaimHandoff, where work leaving the core goes.
 type batchCore struct {
-	cs    *clusterSim
-	pool  *poolSim
-	owner batchOwner
+	cs   *clusterSim
+	pool *poolSim
 
 	engines []batchEngine
 	q       deque[*activeReq] // requests waiting for a batch slot
@@ -107,9 +91,9 @@ type batchCore struct {
 // further capped at the largest decode batch the step-cost table can
 // price — with paged KV on too, where free blocks gate admission below
 // that cap.
-func (c *batchCore) init(cs *clusterSim, pool *poolSim, owner batchOwner, n, gpus int) error {
+func (c *batchCore) init(cs *clusterSim, pool *poolSim, n, gpus int) error {
 	cfg := pool.cfg
-	c.cs, c.pool, c.owner, c.base = cs, pool, owner, len(pool.insts)
+	c.cs, c.pool, c.base = cs, pool, len(pool.insts)
 	c.engines = make([]batchEngine, n)
 	for j := range c.engines {
 		pool.addInstance(&c.engines[j].instanceState, gpus)
@@ -147,14 +131,6 @@ func (c *batchCore) idle(j int) bool {
 	return mathx.ExactEq(e.stepEnd, 0) && len(e.active) == 0 && e.pending.Len() == 0
 }
 
-func (c *batchCore) busy() (prefill, decode float64) {
-	for j := range c.engines {
-		prefill += c.engines[j].pBusy
-		decode += c.engines[j].dBusy
-	}
-	return prefill, decode
-}
-
 // dispatch starts a step on every idle engine, in index order. An
 // engine in a decode run is first brought up to now (runTo), which
 // leaves it idle when a step of the run ends exactly now, so the pass
@@ -163,8 +139,8 @@ func (c *batchCore) busy() (prefill, decode float64) {
 // slot is cut at the end of its in-flight step: its next step would
 // admit that work. Every push into the queue requests a pass at that
 // instant or is made by this pass, so the batch core cuts runs only
-// here; the static owner also cuts them after the pass for its rebuild
-// queue (see staticSched.dispatch).
+// here; the static scheduler also cuts them after the pass for its
+// rebuild queue (see staticSched.dispatch).
 //
 //litegpu:hotpath
 func (c *batchCore) dispatch(now float64) {
@@ -559,7 +535,7 @@ func (c *batchCore) grow(j int, now float64) {
 // preempt evicts victim from engine j mid-generation: its blocks are
 // released and its KV either rides the fabric to remote memory and back
 // (Swap) or is discarded and rebuilt by a prefill pass over its whole
-// context (Recompute), wherever the owner runs such passes.
+// context (Recompute), wherever the pool's scheduler runs such passes.
 //
 //litegpu:hotpath
 func (c *batchCore) preempt(j int, victim *activeReq, now float64) {
@@ -575,7 +551,7 @@ func (c *batchCore) preempt(j int, victim *activeReq, now float64) {
 		return
 	}
 	p.m.KVRecomputeTokens += tokens
-	c.owner.rebuild(victim)
+	c.pool.sched.rebuild(victim)
 }
 
 // startSwap prices a preemption swap as one fabric transfer of twice
@@ -696,11 +672,11 @@ func (c *batchCore) finishPrefill(j int, a *activeReq, now float64) {
 	e.active = append(e.active, a)
 }
 
-// fail tears down engine j after its instance died, once the owner has
-// un-counted the aborted step's busy tail: the HBM died with it, so every
-// resident sequence, every pending reservation, and the shared prefix
-// cache are gone, and the engine's work goes back to the head of the
-// queue — or is abandoned under DropOnFailure. Requeued requests
+// fail tears down engine j after its instance died, once the scheduler
+// has un-counted the aborted step's busy tail: the HBM died with it, so
+// every resident sequence, every pending reservation, and the shared
+// prefix cache are gone, and the engine's work goes back to the head of
+// the queue — or is abandoned under DropOnFailure. Requeued requests
 // re-admit from scratch on a live engine. Chunk progress is only ever
 // applied at step completion, so an in-flight chunk is simply lost:
 // requeued prompts resume from their last completed chunk with no token
@@ -752,7 +728,7 @@ func (c *batchCore) fail(j int, now float64, drop bool) {
 // failXfers reclaims in-flight transfers touching dead instance id. A
 // swap round-trip's swapped-out copy lives in remote memory and
 // survives: the sequence just needs a live engine to swap back into.
-// Handoffs into the core are the owner's to settle. Under
+// Handoffs into the core are the scheduler's to settle. Under
 // DropOnFailure every payload is abandoned.
 //
 //litegpu:hotpath
@@ -774,7 +750,7 @@ func (c *batchCore) failXfers(id int, now float64, drop bool) {
 		p.failReq(rec.a.req, rec.a, int32(id), drop, now)
 		if !drop && rec.src == rec.dst {
 			c.q.PushFront(rec.a)
-		} else if !drop && c.owner.reclaimHandoff(rec, idx, id, now) {
+		} else if !drop && c.pool.sched.reclaimHandoff(rec, idx, id, now) {
 			live[w] = idx
 			w++
 			continue

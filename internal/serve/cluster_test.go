@@ -197,6 +197,40 @@ func TestHotSparesRestoreCapacity(t *testing.T) {
 	}
 }
 
+// TestSpareRestartsAbortedPrefill: a static pool's only prefill engine
+// dies mid-pass and a spare restores it before the aborted pass would
+// have ended. The requeued prompt must start over the moment the
+// engine is back — the failure frees the engine at once — so its TTFT
+// is the fail time plus the takeover plus one undisturbed pass.
+func TestSpareRestartsAbortedPrefill(t *testing.T) {
+	cfg := smallConfig()
+	reqs := oneRequest(2048, 4)
+	pass := mustRun(t, cfg, reqs, 60).TTFT.Max
+	if pass <= 0 {
+		t.Fatalf("undisturbed pass time %v", pass)
+	}
+	mid := pass / 2
+	recovery := pass / 64
+	cc := clusterOf(cfg)
+	cc.Failures = FailureConfig{
+		Params: failure.Params{MTTR: 3600, RecoveryTime: units.Seconds(recovery)},
+		Spares: 1,
+	}
+	cs, err := newClusterSim(cc, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failAt(cs, 0, 0, mid) // the only prefill engine
+	m := mustRunSim(t, cs, reqs).Total
+	if m.Requeued != 1 || m.Completed != 1 {
+		t.Fatalf("Requeued = %d, Completed = %d, want 1, 1", m.Requeued, m.Completed)
+	}
+	if want := mid + recovery + pass; m.TTFT.Max != want {
+		t.Errorf("TTFT = %v, want fail %v + recovery %v + pass %v = %v",
+			m.TTFT.Max, mid, recovery, pass, want)
+	}
+}
+
 func TestFailureRunIsDeterministic(t *testing.T) {
 	cfg := smallConfig()
 	reqs := codingTrace(t, 1.5, 3, 200)

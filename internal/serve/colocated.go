@@ -30,7 +30,7 @@ type colocSched struct {
 func newColocSched(cs *clusterSim, pool *poolSim) (*colocSched, error) {
 	cfg := pool.cfg
 	opts := cfg.Opts
-	n, g := cfg.colocShape()
+	n, g := cfg.ColocatedShape()
 	if inference.MaxFeasibleBatch(cfg.GPU, cfg.Model, inference.Decode, g, opts) <= 0 {
 		return nil, fmt.Errorf("serve: %s does not fit on %d×%s for decode (%s scheduler)",
 			cfg.Model.Name, g, cfg.GPU.Name, cfg.Scheduler)
@@ -46,7 +46,7 @@ func newColocSched(cs *clusterSim, pool *poolSim) (*colocSched, error) {
 			c.chunk = defaultPrefillChunk
 		}
 	}
-	if err := c.init(cs, pool, c, n, g); err != nil {
+	if err := c.init(cs, pool, n, g); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -82,11 +82,6 @@ func (c *colocSched) fail(id int, now float64, drop bool) {
 		e.dBusy -= e.stepDec * frac
 	}
 	c.batchCore.fail(id, now, drop)
-}
-
-func (c *colocSched) recovered(int, float64) {
-	// Nothing instance-local to restore: an idle engine (stepEnd 0)
-	// picks up work at the dispatch pass that follows recovery.
 }
 
 // reclaimHandoff is unreachable: colocated instances run both phases,

@@ -73,7 +73,7 @@ type activeReq struct {
 // instanceState is the failure-facing side of an engine: every serving
 // instance — a phase-split prefill/decode engine or a colocated one —
 // is a unit of gpus GPUs that can be down, waiting for a spare, or
-// serving.
+// serving, and that accumulates its own busy seconds.
 type instanceState struct {
 	gpus    int
 	up      bool
@@ -83,6 +83,11 @@ type instanceState struct {
 	rate    float64 // instance failure rate per simulated second
 	prio    int     // unique per-instance offset added to a priority band
 	doneEv  sim.EventID
+
+	// pBusy and dBusy accumulate the instance's prefill and decode busy
+	// seconds; a failure un-counts the aborted work's unfinished tail.
+	pBusy float64
+	dBusy float64
 
 	// Autoscale state (all false/zero with Config.Autoscale off): a
 	// parked instance draws no dispatch; a warming one is mid cold
@@ -137,11 +142,10 @@ type xferRec struct {
 // ledger, the spare shelf and the metric accumulators — and the policy
 // itself behind the scheduler interface.
 type poolSim struct {
-	name   string
-	idx    int // position in clusterSim.pools, for handler args
-	cfg    Config
-	spares int
-	sched  scheduler
+	name  string
+	idx   int // position in clusterSim.pools, for handler args
+	cfg   Config
+	sched scheduler
 
 	// insts lists every instance's failure-facing state in instance-id
 	// order, as the scheduler builds its engines (see addInstance); core
@@ -198,8 +202,8 @@ type poolSim struct {
 	// Closed-loop client state (all empty with Config.Client timeouts
 	// off). trackArena/freeTracks recycle clientTrack slots; tracks maps
 	// a live attempt's request ID to its slot (invariant: present ⇔
-	// open && deadline armed); cancelled maps a timed-out request's ID
-	// to its tombstone slot until a scheduler choke point reclaims the
+	// open && deadline armed); cancelled holds a timed-out request's ID
+	// as a tombstone until a scheduler choke point reclaims the
 	// in-queue copy. eng/prioBase mirror the cluster's engine and the
 	// pool's priority offset so pool-level settle paths can cancel
 	// deadline events.
@@ -210,7 +214,7 @@ type poolSim struct {
 	trackArena []clientTrack
 	freeTracks []int32
 	tracks     map[int]int32
-	cancelled  map[int]int32
+	cancelled  map[int]struct{}
 	clientRNG  *mathx.RNG
 	classes    []classAcc
 
@@ -256,6 +260,17 @@ type poolSim struct {
 func (p *poolSim) addInstance(st *instanceState, gpus int) {
 	st.gpus = gpus
 	p.insts = append(p.insts, st)
+}
+
+// busy returns the pool's accumulated (prefill, decode) busy seconds,
+// summed in instance-id order so metric assembly stays
+// byte-deterministic.
+func (p *poolSim) busy() (prefill, decode float64) {
+	for _, st := range p.insts {
+		prefill += st.pBusy
+		decode += st.dBusy
+	}
+	return prefill, decode
 }
 
 // newXfer returns a fresh transfer-record index from the pool's arena.
@@ -684,7 +699,6 @@ func newClusterSim(cc ClusterConfig, horizon float64) (*clusterSim, error) {
 			name:        name,
 			idx:         pi,
 			cfg:         cfg,
-			spares:      spares,
 			spareFree:   spares,
 			afrPerGPU:   fp.AFR(cfg.GPU),
 			flopsPerGPU: float64(cfg.GPU.FLOPS),
@@ -703,7 +717,7 @@ func newClusterSim(cc ClusterConfig, horizon float64) (*clusterSim, error) {
 		if cfg.Client.enabled() {
 			p.clientOn = true
 			p.tracks = make(map[int]int32)
-			p.cancelled = make(map[int]int32)
+			p.cancelled = make(map[int]struct{})
 			p.clientRNG = mathx.NewRNG(mathx.DeriveSeed(cfg.Client.Seed, uint64(pi)))
 		}
 		p.classesOn = len(cfg.Client.Classes) > 0 || cfg.Admission.Policy != AdmitAll
@@ -1010,7 +1024,7 @@ func (s *clusterSim) onProbe(now float64, _ uint64) {
 				live++
 			}
 		}
-		pBusy, dBusy := p.sched.busy()
+		pBusy, dBusy := p.busy()
 		s.rec.Probe(obs.ProbeSample{
 			T: now, Pool: int32(p.idx),
 			Queue: p.sched.outstanding(), Live: live, Parked: parked,
@@ -1273,7 +1287,6 @@ func (s *clusterSim) recoverInstance(p *poolSim, id int, now float64) {
 	if p.rec != nil {
 		p.rec.Cluster(obs.InstanceUp, now, int32(p.idx), int32(id), now-st.downAt)
 	}
-	p.sched.recovered(id, now)
 	s.scheduleFailure(p, id, now)
 	s.requestDispatch(p, now)
 }
@@ -1318,7 +1331,7 @@ func (s *clusterSim) assemble() ClusterMetrics {
 		m := &pm.Metrics
 
 		shape := p.cfg.phaseShape()
-		poolPBusy, poolDBusy := p.sched.busy()
+		poolPBusy, poolDBusy := p.busy()
 		if h > 0 {
 			m.PrefillUtilization = poolPBusy / (h * float64(shape.prefillInstances))
 			m.DecodeUtilization = poolDBusy / (h * float64(shape.decodeInstances))

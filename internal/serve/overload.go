@@ -401,18 +401,17 @@ func (a *classAcc) add(o *classAcc) {
 	a.goodTokens += o.goodTokens
 }
 
-// clientTrack is one tracked request attempt's client-side state. Live
-// attempts hold an armed deadline event; cancelled attempts whose copy
-// is still woven through a queue persist as tombstones until a
-// scheduler choke point reclaims the copy.
+// clientTrack is one tracked request attempt's client-side state: a
+// live attempt holds an armed deadline event. A timed-out attempt whose
+// copy is still woven through a queue leaves no track, only its ID in
+// poolSim.cancelled, until a scheduler choke point reclaims the copy.
 type clientTrack struct {
-	id        int
-	class     int32
-	attempts  int32
-	open      bool
-	cancelled bool
-	deadline  sim.EventID
-	req       trace.Request // original payload, for resubmission
+	id       int
+	class    int32
+	attempts int32
+	open     bool
+	deadline sim.EventID
+	req      trace.Request // original payload, for resubmission
 }
 
 // newTrack returns a fresh track index from the pool's arena.
@@ -488,10 +487,7 @@ func (p *poolSim) isCancelled(id int) bool {
 //
 //litegpu:hotpath
 func (p *poolSim) settleCancelled(id int, a *activeReq) {
-	if idx, ok := p.cancelled[id]; ok {
-		delete(p.cancelled, id)
-		p.freeTrack(idx)
-	}
+	delete(p.cancelled, id)
 	if a != nil {
 		p.freeActive(a)
 	}
@@ -511,10 +507,7 @@ func (p *poolSim) clientSettle(id int) {
 	if !ok {
 		// A terminal event for a cancelled copy (failure-policy drop of
 		// a timed-out request): consume its tombstone, if any.
-		if tidx, tomb := p.cancelled[id]; tomb {
-			delete(p.cancelled, id)
-			p.freeTrack(tidx)
-		}
+		delete(p.cancelled, id)
 		return
 	}
 	tr := &p.trackArena[idx]
@@ -610,9 +603,7 @@ func (s *clusterSim) onDeadline(now float64, arg uint64) {
 	if !s.cancelClientXfer(p, tr.id) {
 		// The copy is woven through a queue, batch, or ingress
 		// transfer: leave a tombstone for the choke points.
-		tidx := p.newTrack()
-		p.trackArena[tidx] = clientTrack{id: tr.id, open: true, cancelled: true}
-		p.cancelled[tr.id] = tidx
+		p.cancelled[tr.id] = struct{}{}
 	}
 	s.retryOrAbandon(p, idx, now)
 	// Cancelled copies at queue heads must be purged even on an

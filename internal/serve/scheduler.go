@@ -75,11 +75,12 @@ func (s SchedulerPolicy) Colocated() bool {
 
 // scheduler is one pool's serving discipline on the shared event
 // engine: only what differs by policy. The pool owns the rest — the
-// instance table (poolSim.insts, laid out by Config), the batch core
-// every policy runs its decode-capable engines on (poolSim.core), the
-// request ledger every exit passes through (dropOversized, failReq,
-// retryOrAbandon), spares and metric assembly. Implementations must be
-// deterministic: same inputs, byte-identical Metrics.
+// instance table (poolSim.insts, laid out by Config, each instance
+// carrying its own busy seconds), the batch core every policy runs its
+// decode-capable engines on (poolSim.core), the request ledger every
+// exit passes through (dropOversized, failReq, retryOrAbandon), spares
+// and metric assembly. Implementations must be deterministic: same
+// inputs, byte-identical Metrics.
 type scheduler interface {
 	// enqueue accepts a routed arrival.
 	enqueue(r trace.Request)
@@ -94,12 +95,15 @@ type scheduler interface {
 	// is set, abandoning) the work. Generic down-marking, completion-
 	// event cancellation, and spare logistics happen in the cluster.
 	fail(id int, now float64, drop bool)
-	// recovered restores instance-local state after id comes back up.
-	recovered(id int, now float64)
 	// outstanding returns queued plus in-flight request count — the
 	// router's load figure.
 	outstanding() int
-	// busy returns accumulated (prefill, decode) busy-seconds, summed in
-	// stable instance order so metric assembly stays byte-deterministic.
-	busy() (prefill, decode float64)
+	// rebuild queues a preempted sequence whose KV was discarded
+	// (Recompute policy) for a prefill pass over its whole context.
+	rebuild(a *activeReq)
+	// reclaimHandoff settles an in-flight KV handoff into the batch core
+	// that lost an endpoint when instance id died. It reports whether
+	// the record stays live (retargeted and retransmitting); otherwise
+	// the core frees it.
+	reclaimHandoff(rec *xferRec, idx int32, id int, now float64) bool
 }

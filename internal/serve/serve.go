@@ -131,12 +131,14 @@ type Config struct {
 	Straggler StragglerConfig
 }
 
-// colocShape returns the colocated deployment size: the explicit
+// ColocatedShape returns the instance count and per-instance GPU
+// degree a colocated scheduler runs this configuration at: the explicit
 // Instances/InstanceGPUs when set, otherwise the phase-split silicon
 // reshaped — per-instance degree max(PrefillGPUs, DecodeGPUs), because
 // a colocated instance must fit both phases, and instance count
-// TotalGPUs/degree rounded down.
-func (c Config) colocShape() (instances, gpus int) {
+// TotalGPUs/degree rounded down. Meaningful only when
+// Scheduler.Colocated().
+func (c Config) ColocatedShape() (instances, gpus int) {
 	gpus = c.InstanceGPUs
 	if gpus <= 0 {
 		gpus = max(c.PrefillGPUs, c.DecodeGPUs)
@@ -148,17 +150,11 @@ func (c Config) colocShape() (instances, gpus int) {
 	return instances, gpus
 }
 
-// ColocatedShape returns the instance count and per-instance GPU
-// degree a colocated scheduler runs this configuration at — the
-// explicit Instances/InstanceGPUs fields, or their derivation from the
-// phase-split fields. Meaningful only when Scheduler.Colocated().
-func (c Config) ColocatedShape() (instances, gpus int) { return c.colocShape() }
-
 // instanceCount returns how many failable instances the pool runs under
 // its scheduler — the quantity the per-pool priority-band cap bounds.
 func (c Config) instanceCount() int {
 	if c.Scheduler.Colocated() {
-		n, _ := c.colocShape()
+		n, _ := c.ColocatedShape()
 		return n
 	}
 	return c.PrefillInstances + c.DecodeInstances
@@ -178,7 +174,7 @@ type phaseShape struct {
 // in that phase (they sum to at most 1).
 func (c Config) phaseShape() phaseShape {
 	if c.Scheduler.Colocated() {
-		n, g := c.colocShape()
+		n, g := c.ColocatedShape()
 		return phaseShape{prefillInstances: n, prefillGPUs: g, decodeInstances: n, decodeGPUs: g}
 	}
 	return phaseShape{
@@ -194,7 +190,7 @@ func (c Config) phaseShape() phaseShape {
 // rather than save meaningful decode capacity.
 func (c Config) scalable() (lo, hi int) {
 	if c.Scheduler.Colocated() {
-		n, _ := c.colocShape()
+		n, _ := c.ColocatedShape()
 		return 0, n
 	}
 	return c.PrefillInstances, c.PrefillInstances + c.DecodeInstances
@@ -230,7 +226,7 @@ func (c Config) Validate() error {
 		return err
 	}
 	if c.Scheduler.Colocated() {
-		n, g := c.colocShape()
+		n, g := c.ColocatedShape()
 		switch {
 		case g <= 0:
 			return fmt.Errorf("serve: %s scheduler needs at least one GPU per instance", c.Scheduler)
@@ -255,7 +251,7 @@ func (c Config) Validate() error {
 // otherwise.
 func (c Config) TotalGPUs() int {
 	if c.Scheduler.Colocated() {
-		n, g := c.colocShape()
+		n, g := c.ColocatedShape()
 		return n * g
 	}
 	return c.PrefillInstances*c.PrefillGPUs + c.DecodeInstances*c.DecodeGPUs

@@ -40,7 +40,6 @@ type staticSched struct {
 type prefillEngine struct {
 	instanceState
 	freeAt float64
-	busy   float64
 	batch  []trace.Request // reused across passes; empty when idle
 	re     *activeReq      // in-flight recompute pass (KV rebuild), nil otherwise
 }
@@ -64,7 +63,7 @@ func newStaticSched(cs *clusterSim, pool *poolSim) (*staticSched, error) {
 	for i := range sc.prefills {
 		pool.addInstance(&sc.prefills[i].instanceState, cfg.PrefillGPUs)
 	}
-	if err := sc.init(cs, pool, sc, cfg.DecodeInstances, cfg.DecodeGPUs); err != nil {
+	if err := sc.init(cs, pool, cfg.DecodeInstances, cfg.DecodeGPUs); err != nil {
 		return nil, err
 	}
 	return sc, nil
@@ -84,14 +83,6 @@ func (sc *staticSched) outstanding() int {
 		}
 	}
 	return outstanding
-}
-
-func (sc *staticSched) busy() (prefill, decode float64) {
-	prefill, decode = sc.batchCore.busy()
-	for i := range sc.prefills {
-		prefill += sc.prefills[i].busy
-	}
-	return prefill, decode
 }
 
 // dispatch runs the prefill half of the pass before the decode half, so
@@ -142,7 +133,7 @@ func (sc *staticSched) dispatchPrefill(now float64) {
 			}
 			e.re = a
 			e.freeAt = now + dt
-			e.busy += dt
+			e.pBusy += dt
 			if p.rec != nil {
 				p.rec.Request(obs.PrefillStart, now, int32(p.idx), int32(i), int64(a.req.ID), float64(kvTokens(a)))
 			}
@@ -194,7 +185,7 @@ func (sc *staticSched) dispatchPrefill(now float64) {
 				dt *= e.slow
 			}
 			e.freeAt = now + dt
-			e.busy += dt
+			e.pBusy += dt
 			if p.rec != nil {
 				for _, r := range e.batch {
 					p.rec.Request(obs.PrefillStart, now, int32(p.idx), int32(i), int64(r.ID), float64(n))
@@ -368,7 +359,7 @@ func (sc *staticSched) fail(id int, now float64, drop bool) {
 		// KV is lost, so the sequence re-enters the rebuild queue (or is
 		// abandoned).
 		e.re = nil
-		e.busy -= e.freeAt - now
+		e.pBusy -= e.freeAt - now
 		p.failReq(a.req, a, int32(id), drop, now)
 		if !drop {
 			sc.reprefillQ.PushFront(a)
@@ -378,7 +369,7 @@ func (sc *staticSched) fail(id int, now float64, drop bool) {
 		// The pass died before completing: un-count its unfinished busy
 		// tail and put the prompts back at the head of the queue (or
 		// abandon them).
-		e.busy -= e.freeAt - now
+		e.pBusy -= e.freeAt - now
 		for _, r := range e.batch {
 			p.failReq(r, nil, int32(id), drop, now)
 		}
@@ -389,6 +380,8 @@ func (sc *staticSched) fail(id int, now float64, drop bool) {
 		}
 		e.batch = e.batch[:0]
 	}
+	// Free the engine now, so the dispatch pass that recovery requests
+	// restarts it at once (dispatchPrefill skips it while it is down).
 	e.freeAt = now
 	sc.failXfers(id, now, drop)
 }
@@ -427,11 +420,4 @@ func (sc *staticSched) reclaimHandoff(rec *xferRec, idx int32, id int, now float
 	rec.tid = sc.cs.fab.Start(p.epBase+int(rec.src), p.epBase+dstID, rec.bytes,
 		prioTransfer+sc.engines[dst].prio, sc.cs.xferH, packArg(p.idx, int(idx)))
 	return true
-}
-
-//litegpu:hotpath
-func (sc *staticSched) recovered(id int, now float64) {
-	if id < len(sc.prefills) {
-		sc.prefills[id].freeAt = now
-	}
 }
