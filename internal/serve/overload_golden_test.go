@@ -134,6 +134,26 @@ func overloadGoldenScenarios(t *testing.T) []goldenScenario {
 	elasticCluster.Router = JoinShortestQueue
 	elasticCluster.Failures = acceleratedFailures(0)
 
+	// Two pools behind a fabric so slow that every routed arrival's
+	// ingress takes about 1.8 s: the one-second clients time out while
+	// their prompt is still on the wire, so the delivery finds the
+	// attempt cancelled.
+	ingress := smallConfig()
+	ingress.Network = pluggablePacket()
+	ingress.Network.LatencyScale = 3e6
+	ingress.Client = ClientConfig{Classes: []ClientBehavior{
+		{Timeout: 1, Retries: 1, BackoffBase: 1},
+		{Timeout: 30},
+	}}
+
+	// kv-static-rebuild-fail without its failure: the long request's
+	// client times out during its 166 s KV rebuild pass, so the pass
+	// ends on a cancelled attempt.
+	rebuild := smallConfig()
+	rebuild.PrefillInstances = 2
+	rebuild.KV = kv.Config{Policy: kv.Recompute, Blocks: 68791}
+	rebuild.Client = ClientConfig{Default: ClientBehavior{Timeout: 250}}
+
 	return []goldenScenario{
 		{name: "ol-closed-loop-conv", cluster: clusterOf(closed), reqs: convTrace(t, 90, 7, 120), horizon: 240},
 		{name: "ol-shed-priority", cluster: clusterOf(shedPrio), reqs: tenants, horizon: 240},
@@ -144,6 +164,8 @@ func overloadGoldenScenarios(t *testing.T) []goldenScenario {
 		{name: "ol-continuous-closed-loop-conv", cluster: clusterOf(closedCont), reqs: convTrace(t, 60, 7, 120), horizon: 240},
 		{name: "ol-autoscale-jsq-failures", cluster: elasticCluster, reqs: overloadTenants(t, 25, 75, 90), horizon: 240},
 		{name: "ol-shed-abandon", cluster: clusterOf(shedAbandon), reqs: tenants, horizon: 240},
+		{name: "ol-ingress-timeout", cluster: numberedPools(clusterOf(ingress, ingress)), reqs: overloadTenants(t, 3, 3, 30), horizon: 90},
+		{name: "ol-rebuild-timeout", cluster: clusterOf(rebuild), reqs: longContextPair(), horizon: 2000},
 	}
 }
 
