@@ -331,17 +331,17 @@ func (c *batchCore) admit(e *batchEngine, now float64) {
 	p := c.pool
 	for len(e.active)+e.pending.Len() < c.cap && c.q.Len() > 0 {
 		a := c.q.At(0)
-		if p.clientOn && p.isCancelled(a.req.ID) {
+		if a.cancelled {
 			// The client gave up while the request queued: reclaim it
 			// before it occupies a batch slot.
 			c.q.PopFront()
-			p.settleCancelled(a.req.ID, a)
+			p.freeActive(a)
 			continue
 		}
 		if a.promptLeft > 0 {
 			if _, ok := c.cost.prefill(1, e.passTokens(a)); !ok {
 				c.q.PopFront()
-				p.dropOversized(a.req, a, nil, -1, now)
+				p.dropOversized(a, nil, -1, now)
 				continue
 			}
 		}
@@ -380,18 +380,12 @@ func (c *batchCore) admit(e *batchEngine, now float64) {
 func (c *batchCore) startStep(j int, now float64) {
 	e := &c.engines[j]
 	p := c.pool
-	if p.clientOn {
-		// Purge cancelled pending heads first: they hold full prompt KV
-		// reservations that admission is waiting on.
-		for e.pending.Len() > 0 {
-			a := e.pending.At(0)
-			if !p.isCancelled(a.req.ID) {
-				break
-			}
-			e.pending.PopFront()
-			p.kvRelease(e.al, a, now)
-			p.settleCancelled(a.req.ID, a)
-		}
+	// Purge cancelled pending heads first: they hold full prompt KV
+	// reservations that admission is waiting on.
+	for e.pending.Len() > 0 && e.pending.At(0).cancelled {
+		a := e.pending.PopFront()
+		p.kvRelease(e.al, a, now)
+		p.freeActive(a)
 	}
 	if !e.draining {
 		c.admit(e, now)
@@ -525,7 +519,7 @@ func (c *batchCore) grow(j int, now float64) {
 			return
 		}
 		// Sole occupant that cannot grow: it can never finish.
-		p.dropOversized(a.req, a, e.al, int32(c.base+j), now)
+		p.dropOversized(a, e.al, int32(c.base+j), now)
 		e.active[0] = nil
 		e.active = e.active[:0]
 		return
@@ -608,9 +602,9 @@ func (c *batchCore) completeStep(j int, now float64) {
 		// cancelled stream's.
 		w := 0
 		for _, a := range e.active {
-			if p.clientOn && p.isCancelled(a.req.ID) {
+			if a.cancelled {
 				p.kvRelease(e.al, a, now)
-				p.settleCancelled(a.req.ID, a)
+				p.freeActive(a)
 				continue
 			}
 			if !p.emitToken(a, now) {
@@ -653,9 +647,9 @@ func (c *batchCore) completeStep(j int, now float64) {
 func (c *batchCore) finishPrefill(j int, a *activeReq, now float64) {
 	e := &c.engines[j]
 	p := c.pool
-	if p.clientOn && p.isCancelled(a.req.ID) {
+	if a.cancelled {
 		p.kvRelease(e.al, a, now)
-		p.settleCancelled(a.req.ID, a)
+		p.freeActive(a)
 		return
 	}
 	if p.rec != nil {
@@ -703,10 +697,10 @@ func (c *batchCore) fail(j int, now float64, drop bool) {
 	id := int32(c.base + j)
 	for i := 0; i < e.pending.Len(); i++ {
 		a := e.pending.At(i)
-		p.failReq(a.req, a, id, drop, now)
+		p.failReq(a, id, drop, now)
 	}
 	for _, a := range e.active {
-		p.failReq(a.req, a, id, drop, now)
+		p.failReq(a, id, drop, now)
 	}
 	if !drop {
 		// Requeue ahead of the waiting queue, preserving [pending...,
@@ -747,7 +741,7 @@ func (c *batchCore) failXfers(id int, now float64, drop bool) {
 			continue
 		}
 		c.cs.fab.Cancel(rec.tid)
-		p.failReq(rec.a.req, rec.a, int32(id), drop, now)
+		p.failReq(rec.a, int32(id), drop, now)
 		if !drop && rec.src == rec.dst {
 			c.q.PushFront(rec.a)
 		} else if !drop && c.pool.sched.reclaimHandoff(rec, idx, id, now) {

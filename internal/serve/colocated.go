@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"litegpu/internal/inference"
-	"litegpu/internal/trace"
 )
 
 // defaultPrefillChunk is the Sarathi-style chunk size (prompt tokens)
@@ -53,9 +52,8 @@ func newColocSched(cs *clusterSim, pool *poolSim) (*colocSched, error) {
 }
 
 //litegpu:hotpath
-func (c *colocSched) enqueue(r trace.Request) {
-	a := c.pool.newActive(r)
-	a.promptLeft = r.PromptTokens
+func (c *colocSched) enqueue(a *activeReq) {
+	a.promptLeft = a.req.PromptTokens
 	c.q.PushBack(a)
 }
 

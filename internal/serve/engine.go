@@ -44,9 +44,11 @@ const (
 	prioProbe = prioDispatch + 1
 )
 
-// activeReq is one request's live state as it moves through a
-// scheduler. The static policy only uses the decode-phase fields;
-// colocated policies also track chunked prefill progress.
+// activeReq is one request attempt's live state, the one handle the
+// pool holds it by from submit to its exit: ingress, queues, batches
+// and transfers all carry the pointer. The static policy only uses the
+// decode-phase fields; colocated policies also track chunked prefill
+// progress.
 type activeReq struct {
 	req       trace.Request
 	remaining int
@@ -54,6 +56,12 @@ type activeReq struct {
 	firstAt   float64 // first-token emission time
 	admitted  bool
 	emitted   bool
+	// cancelled marks an attempt whose client timed out while it was
+	// woven through a queue, batch or ingress transfer; the next choke
+	// point that touches it reclaims it. track is 1 + the index of the
+	// attempt's live client track, 0 when untracked.
+	cancelled bool
+	track     int32
 
 	// promptLeft is the prompt-token count not yet prefilled; colocated
 	// schedulers decrement it as chunks (or full passes) complete, and
@@ -126,12 +134,12 @@ const (
 // xferRec is one in-flight fabric transfer's serving-side state,
 // recycled through a per-pool index arena (the fabric's own flow state
 // lives in netsim). src/dst are pool-local instance ids for KV
-// handoffs (-1 for ingress, which is not tied to an instance).
+// handoffs (-1 for ingress, which is not tied to an instance); a is the
+// attempt the transfer carries.
 type xferRec struct {
 	kind     int8
 	src, dst int32
-	a        *activeReq    // KV payload (nil for ingress)
-	req      trace.Request // ingress payload
+	a        *activeReq
 	tid      netsim.TransferID
 	start    float64
 	bytes    float64
@@ -200,21 +208,16 @@ type poolSim struct {
 	kvLookups     int
 
 	// Closed-loop client state (all empty with Config.Client timeouts
-	// off). trackArena/freeTracks recycle clientTrack slots; tracks maps
-	// a live attempt's request ID to its slot (invariant: present ⇔
-	// open && deadline armed); cancelled holds a timed-out request's ID
-	// as a tombstone until a scheduler choke point reclaims the
-	// in-queue copy. eng/prioBase mirror the cluster's engine and the
-	// pool's priority offset so pool-level settle paths can cancel
-	// deadline events.
+	// off). trackArena/freeTracks recycle clientTrack slots; a live
+	// attempt names its slot in activeReq.track. eng/prioBase mirror the
+	// cluster's engine and the pool's priority offset so pool-level
+	// settle paths can cancel deadline events.
 	eng        *sim.Engine
 	prioBase   int
 	clientOn   bool
 	classesOn  bool
 	trackArena []clientTrack
 	freeTracks []int32
-	tracks     map[int]int32
-	cancelled  map[int]struct{}
 	clientRNG  *mathx.RNG
 	classes    []classAcc
 
@@ -479,47 +482,44 @@ func (p *poolSim) drop() {
 	}
 }
 
-// dropOversized is the exit of request r that can never be served: a
+// dropOversized is the exit of attempt a that can never be served: a
 // prompt, or a recompute victim's grown context, that no batch-of-one
 // prefill pass fits, or a sole sequence whose KV cannot grow. Its drop
 // event (Val = prompt tokens) is recorded on instance inst (-1 for the
-// queue), then its live state a, when it has one, returns its blocks to
-// al and is recycled.
+// queue), then a returns its blocks to al and is recycled.
 //
 //litegpu:hotpath
-func (p *poolSim) dropOversized(r trace.Request, a *activeReq, al *kv.Allocator, inst int32, now float64) {
+func (p *poolSim) dropOversized(a *activeReq, al *kv.Allocator, inst int32, now float64) {
 	if p.rec != nil {
-		p.rec.Request(obs.Drop, now, int32(p.idx), inst, int64(r.ID), float64(r.PromptTokens))
+		p.rec.Request(obs.Drop, now, int32(p.idx), inst, int64(a.req.ID), float64(a.req.PromptTokens))
 	}
-	if a != nil {
-		p.kvRelease(al, a, now)
-		p.freeActive(a)
-	}
+	p.kvRelease(al, a, now)
 	p.drop()
-	p.clientSettle(r.ID)
+	p.clientSettle(a)
+	p.freeActive(a)
 }
 
-// failReq settles request r, in flight on (or in a transfer touching)
-// instance inst when it died. Under drop it leaves for good and its
-// live state a, when it has one, is recycled; otherwise it is counted
-// requeued and the caller puts it back where it came from.
+// failReq settles attempt a, in flight on (or in a transfer touching)
+// instance inst when it died. Under drop it leaves for good and is
+// recycled; otherwise it is counted requeued and the caller puts it
+// back where it came from.
 //
 //litegpu:hotpath
-func (p *poolSim) failReq(r trace.Request, a *activeReq, inst int32, drop bool, now float64) {
+func (p *poolSim) failReq(a *activeReq, inst int32, drop bool, now float64) {
 	kind := obs.Requeue
 	if drop {
 		kind = obs.Drop
-		p.m.DroppedOnFailure++
-		p.clientSettle(r.ID)
-		if a != nil {
-			p.freeActive(a)
-		}
-	} else {
-		p.m.Requeued++
 	}
 	if p.rec != nil {
-		p.rec.Request(kind, now, int32(p.idx), inst, int64(r.ID), 0)
+		p.rec.Request(kind, now, int32(p.idx), inst, int64(a.req.ID), 0)
 	}
+	if !drop {
+		p.m.Requeued++
+		return
+	}
+	p.m.DroppedOnFailure++
+	p.clientSettle(a)
+	p.freeActive(a)
 }
 
 // settle stops the run once its verdict budget says it can no longer
@@ -562,7 +562,7 @@ func (p *poolSim) emitToken(a *activeReq, now float64) bool {
 		acc.Completed++
 		acc.goodTokens += a.req.OutputTokens
 	}
-	p.clientSettle(a.req.ID)
+	p.clientSettle(a)
 	// Time-between-tokens is defined over the gaps between
 	// consecutive tokens: n tokens have n-1 intervals spanning first
 	// token → last token. A single-token output has no inter-token
@@ -716,8 +716,6 @@ func newClusterSim(cc ClusterConfig, horizon float64) (*clusterSim, error) {
 		}
 		if cfg.Client.enabled() {
 			p.clientOn = true
-			p.tracks = make(map[int]int32)
-			p.cancelled = make(map[int]struct{})
 			p.clientRNG = mathx.NewRNG(mathx.DeriveSeed(cfg.Client.Seed, uint64(pi)))
 		}
 		p.classesOn = len(cfg.Client.Classes) > 0 || cfg.Admission.Policy != AdmitAll
@@ -826,7 +824,7 @@ func (s *clusterSim) buildFabric() error {
 }
 
 // onXfer fires one fabric delivery: record the transfer sample, then
-// hand the payload to its pool — a KV handoff joins the decode queue
+// hand the attempt to its pool — a KV handoff joins the decode queue
 // (this is the moment the request's first token can ship, so TTFT is
 // stamped here), a routed arrival joins the pool's admission queue.
 //
@@ -835,45 +833,35 @@ func (s *clusterSim) onXfer(now float64, arg uint64) {
 	pi, idx := unpackArg(arg)
 	p := s.pools[pi]
 	rec := &p.xfers[idx]
+	a := rec.a
 	dur := now - rec.start
 	p.xferT.Append(dur)
 	p.xferB.Append(rec.bytes)
 	p.netSec += dur
 	p.m.NetTransfers++
 	if p.rec != nil {
-		id := int64(rec.req.ID)
-		if rec.a != nil {
-			id = int64(rec.a.req.ID)
-		}
-		p.rec.Request(obs.XferDeliver, now, int32(p.idx), rec.dst, id, dur)
+		p.rec.Request(obs.XferDeliver, now, int32(p.idx), rec.dst, int64(a.req.ID), dur)
 	}
-	switch rec.kind {
-	case xferKV:
-		a := rec.a
-		if p.clientOn && p.isCancelled(a.req.ID) {
-			// The client timed out while the KV handoff was in flight
-			// and the transfer beat the eager cancel scan (or the
-			// tombstone was laid after dispatch): drop the delivery.
-			p.settleCancelled(a.req.ID, a)
-			break
-		}
-		p.recordTTFT(now-float64(a.req.Arrival), a.req.Class)
-		p.core.q.PushBack(a)
-	case xferSwap:
+	switch {
+	case rec.kind == xferSwap:
 		// A preempted sequence's KV is back: no TTFT stamp (its first
 		// token shipped before preemption), straight to the decode path.
-		p.core.swapReturn(rec.a)
+		p.core.swapReturn(a)
+	case a.cancelled:
+		// The client gave up while the attempt's ingress was on the
+		// wire: ingress is reclaimed here, at delivery. A KV handoff
+		// never arrives cancelled: cancelClientXfer cancels in-flight
+		// handoffs at the deadline, and finishPrefillReq checks the mark
+		// before it starts one.
+		p.freeActive(a)
+	case rec.kind == xferKV:
+		p.recordTTFT(now-float64(a.req.Arrival), a.req.Class)
+		p.core.q.PushBack(a)
 	default:
-		if p.clientOn && p.isCancelled(rec.req.ID) {
-			// Routed arrival whose client gave up mid-ingress: the copy
-			// rode the transfer by value, so the tombstone settles here.
-			p.settleCancelled(rec.req.ID, nil)
-			break
-		}
 		if p.rec != nil {
-			p.rec.Request(obs.Enqueue, now, int32(p.idx), -1, int64(rec.req.ID), 0)
+			p.rec.Request(obs.Enqueue, now, int32(p.idx), -1, int64(a.req.ID), 0)
 		}
-		p.sched.enqueue(rec.req)
+		p.sched.enqueue(a)
 	}
 	p.dropLive(int32(idx))
 	p.freeXfer(int32(idx))
@@ -886,20 +874,20 @@ func (s *clusterSim) onXfer(now float64, arg uint64) {
 // lands in the pool's shared queue).
 //
 //litegpu:hotpath
-func (s *clusterSim) startIngress(p *poolSim, r trace.Request, now float64) {
+func (s *clusterSim) startIngress(p *poolSim, a *activeReq, now float64) {
 	inst := p.ingressRR % len(p.insts)
 	p.ingressRR++
 	idx := p.newXfer()
 	rec := &p.xfers[idx]
 	*rec = xferRec{
 		kind: xferIngress, src: -1, dst: -1,
-		req: r, start: now,
-		bytes: float64(r.PromptTokens) * ingressBytesPerToken,
+		a: a, start: now,
+		bytes: float64(a.req.PromptTokens) * ingressBytesPerToken,
 	}
 	rec.tid = s.fab.Start(0, p.epBase+inst, rec.bytes,
 		prioTransfer+p.insts[inst].prio, s.xferH, packArg(p.idx, int(idx)))
 	if p.rec != nil {
-		p.rec.Request(obs.XferStart, now, int32(p.idx), -1, int64(r.ID), rec.bytes)
+		p.rec.Request(obs.XferStart, now, int32(p.idx), -1, int64(a.req.ID), rec.bytes)
 	}
 }
 
@@ -1109,7 +1097,7 @@ func (s *clusterSim) route() *poolSim {
 
 // acceptArrival runs a routed request through the pool's frontend:
 // arrival accounting, the admission gate, and the client loop, then
-// queues it (directly, or over the fabric in multi-pool clusters).
+// submits an admitted request as a fresh attempt.
 //
 //litegpu:hotpath
 func (s *clusterSim) acceptArrival(p *poolSim, r trace.Request, now float64) {
@@ -1126,15 +1114,16 @@ func (s *clusterSim) acceptArrival(p *poolSim, r trace.Request, now float64) {
 		// good. Open-loop classes (no timeout) just vanish, as before.
 		if p.clientOn && p.behavior(r.Class).Timeout > 0 {
 			idx := p.newTrack()
-			p.trackArena[idx] = clientTrack{id: r.ID, class: int32(r.Class), open: true, req: r}
+			p.trackArena[idx] = clientTrack{open: true, req: r}
 			s.retryOrAbandon(p, int(idx), now)
 		}
 		return
 	}
+	a := p.newActive(r)
 	if p.clientOn {
-		s.openTrack(p, r, 0, now)
+		s.openTrack(p, a, now)
 	}
-	s.submit(p, r, now)
+	s.submit(p, a, now)
 }
 
 // submit queues an admitted attempt. With a fabric and more than one
@@ -1144,15 +1133,15 @@ func (s *clusterSim) acceptArrival(p *poolSim, r trace.Request, now float64) {
 // adjacent).
 //
 //litegpu:hotpath
-func (s *clusterSim) submit(p *poolSim, r trace.Request, now float64) {
+func (s *clusterSim) submit(p *poolSim, a *activeReq, now float64) {
 	if s.fab != nil && len(s.pools) > 1 {
-		s.startIngress(p, r, now)
+		s.startIngress(p, a, now)
 		return
 	}
 	if p.rec != nil {
-		p.rec.Request(obs.Enqueue, now, int32(p.idx), -1, int64(r.ID), 0)
+		p.rec.Request(obs.Enqueue, now, int32(p.idx), -1, int64(a.req.ID), 0)
 	}
-	p.sched.enqueue(r)
+	p.sched.enqueue(a)
 }
 
 // requestDispatch marks pool p for the dispatch pass at now, booking

@@ -401,17 +401,16 @@ func (a *classAcc) add(o *classAcc) {
 	a.goodTokens += o.goodTokens
 }
 
-// clientTrack is one tracked request attempt's client-side state: a
-// live attempt holds an armed deadline event. A timed-out attempt whose
-// copy is still woven through a queue leaves no track, only its ID in
-// poolSim.cancelled, until a scheduler choke point reclaims the copy.
+// clientTrack is one client's side of a tracked request: its live
+// attempt a holds an armed deadline event. Between a timeout (or shed)
+// and the retry it books, a is nil; the timed-out attempt carries its
+// own cancellation mark until a scheduler choke point reclaims it.
 type clientTrack struct {
-	id       int
-	class    int32
 	attempts int32
 	open     bool
 	deadline sim.EventID
-	req      trace.Request // original payload, for resubmission
+	req      trace.Request // the live or next attempt's request, for resubmission
+	a        *activeReq
 }
 
 // newTrack returns a fresh track index from the pool's arena.
@@ -469,53 +468,24 @@ func (p *poolSim) classSLO(class int) units.Seconds {
 	return pickSLO(p.cfg.Opts.TTFTLimit, 1.0)
 }
 
-// isCancelled reports whether request id carries a cancellation
-// tombstone awaiting reclamation.
-//
-//litegpu:hotpath
-func (p *poolSim) isCancelled(id int) bool {
-	if len(p.cancelled) == 0 {
-		return false
-	}
-	_, ok := p.cancelled[id]
-	return ok
-}
-
-// settleCancelled consumes request id's cancellation tombstone after
-// its live copy was reclaimed; a is that copy (nil when the copy was a
-// queued value, not an activeReq).
-//
-//litegpu:hotpath
-func (p *poolSim) settleCancelled(id int, a *activeReq) {
-	delete(p.cancelled, id)
-	if a != nil {
-		p.freeActive(a)
-	}
-}
-
-// clientSettle closes the client's interest in request id at a terminal
+// clientSettle closes the client's interest in attempt a at a terminal
 // event — completion, oversized drop, or failure-policy drop: the live
-// track's deadline is cancelled and the track freed. An untracked id
-// (client loop off for its class, or already abandoned) is a no-op.
+// track's deadline is cancelled and the track freed. An untracked
+// attempt (client loop off for its class, or already timed out) is a
+// no-op.
 //
 //litegpu:hotpath
-func (p *poolSim) clientSettle(id int) {
-	if !p.clientOn {
+func (p *poolSim) clientSettle(a *activeReq) {
+	if a.track == 0 {
 		return
 	}
-	idx, ok := p.tracks[id]
-	if !ok {
-		// A terminal event for a cancelled copy (failure-policy drop of
-		// a timed-out request): consume its tombstone, if any.
-		delete(p.cancelled, id)
-		return
-	}
+	idx := a.track - 1
+	a.track = 0
 	tr := &p.trackArena[idx]
 	if tr.deadline != 0 {
 		p.eng.Cancel(tr.deadline)
 		tr.deadline = 0
 	}
-	delete(p.tracks, id)
 	p.freeTrack(idx)
 }
 
@@ -560,71 +530,72 @@ func (p *poolSim) shouldShed(r trace.Request) bool {
 	return false
 }
 
-// openTrack arms the client loop for one attempt: a deadline event at
-// arrival+timeout in the client priority band. Classes without a
-// timeout stay untracked (open loop).
+// openTrack arms the client loop for attempt a, a first submission: a
+// deadline event at arrival+timeout in the client priority band.
+// Classes without a timeout stay untracked (open loop).
 //
 //litegpu:hotpath
-func (s *clusterSim) openTrack(p *poolSim, r trace.Request, attempts int32, now float64) {
-	b := p.behavior(r.Class)
+func (s *clusterSim) openTrack(p *poolSim, a *activeReq, now float64) {
+	b := p.behavior(a.req.Class)
 	if b.Timeout <= 0 {
 		return
 	}
 	idx := p.newTrack()
 	tr := &p.trackArena[idx]
-	*tr = clientTrack{id: r.ID, class: int32(r.Class), attempts: attempts, open: true, req: r}
-	at := float64(r.Arrival) + float64(b.Timeout)
+	*tr = clientTrack{open: true, req: a.req, a: a}
+	at := float64(a.req.Arrival) + float64(b.Timeout)
 	if at < now {
 		at = now
 	}
 	tr.deadline = s.eng.ScheduleCall(at, prioClient+p.prioBase, s.deadlineH, packArg(p.idx, int(idx)))
-	p.tracks[r.ID] = idx
+	a.track = idx + 1
 }
 
-// onDeadline fires one client timeout: the attempt is cancelled (its
-// in-flight fabric transfer eagerly, everything else lazily via a
-// tombstone consumed at the scheduler's next touch), then the client
-// either schedules a backoff retry or abandons.
+// onDeadline fires one client timeout: the attempt is cancelled (at
+// once when it rides a KV or swap transfer; anywhere else it is marked,
+// and the scheduler's next touch reclaims it), then the client either
+// schedules a backoff retry or abandons.
 //
 //litegpu:hotpath
 func (s *clusterSim) onDeadline(now float64, arg uint64) {
 	pi, idx := unpackArg(arg)
 	p := s.pools[pi]
 	tr := &p.trackArena[idx]
+	a := tr.a
 	tr.deadline = 0
-	delete(p.tracks, tr.id)
+	tr.a = nil
+	a.track = 0
 	p.m.ClientTimeouts++
 	if p.classesOn {
-		p.classAt(int(tr.class)).TimedOut++
+		p.classAt(tr.req.Class).TimedOut++
 	}
 	if p.rec != nil {
-		p.rec.Request(obs.Timeout, now, int32(p.idx), -1, int64(tr.id), float64(tr.attempts))
+		p.rec.Request(obs.Timeout, now, int32(p.idx), -1, int64(tr.req.ID), float64(tr.attempts))
 	}
-	if !s.cancelClientXfer(p, tr.id) {
-		// The copy is woven through a queue, batch, or ingress
-		// transfer: leave a tombstone for the choke points.
-		p.cancelled[tr.id] = struct{}{}
+	if !s.cancelClientXfer(p, a) {
+		// The attempt is woven through a queue, batch, or ingress
+		// transfer: mark it for the choke points.
+		a.cancelled = true
 	}
 	s.retryOrAbandon(p, idx, now)
-	// Cancelled copies at queue heads must be purged even on an
-	// otherwise-idle pool, or tombstones outlive the backlog.
+	// Cancelled attempts at queue heads must be purged even on an
+	// otherwise-idle pool, or they outlive the backlog.
 	s.requestDispatch(p, now)
 }
 
-// cancelClientXfer eagerly cancels request id's in-flight KV or swap
-// transfer, reclaiming its payload; ingress transfers carry value
-// payloads and reclaim lazily at delivery. Reports whether a copy was
-// reclaimed.
+// cancelClientXfer eagerly cancels attempt a's in-flight KV or swap
+// transfer, reclaiming a; ingress transfers are not listed live and
+// reclaim at delivery. Reports whether a was reclaimed.
 //
 //litegpu:hotpath
-func (s *clusterSim) cancelClientXfer(p *poolSim, id int) bool {
+func (s *clusterSim) cancelClientXfer(p *poolSim, a *activeReq) bool {
 	if s.fab == nil {
 		return false
 	}
 	live := p.liveXfers
 	for k, idx := range live {
 		rec := &p.xfers[idx]
-		if rec.a == nil || rec.a.req.ID != id {
+		if rec.a != a {
 			continue
 		}
 		s.fab.Cancel(rec.tid)
@@ -644,17 +615,17 @@ func (s *clusterSim) cancelClientXfer(p *poolSim, id int) bool {
 //litegpu:hotpath
 func (s *clusterSim) retryOrAbandon(p *poolSim, idx int, now float64) {
 	tr := &p.trackArena[idx]
-	b := p.behavior(int(tr.class))
+	b := p.behavior(tr.req.Class)
 	if int(tr.attempts) < b.Retries {
 		s.scheduleRetry(p, idx, now, b)
 		return
 	}
 	p.m.Abandoned++
 	if p.classesOn {
-		p.classAt(int(tr.class)).Abandoned++
+		p.classAt(tr.req.Class).Abandoned++
 	}
 	if p.rec != nil {
-		p.rec.Request(obs.Abandon, now, int32(p.idx), -1, int64(tr.id), float64(tr.attempts))
+		p.rec.Request(obs.Abandon, now, int32(p.idx), -1, int64(tr.req.ID), float64(tr.attempts))
 	}
 	p.freeTrack(int32(idx))
 }
@@ -667,7 +638,7 @@ func (s *clusterSim) scheduleRetry(p *poolSim, idx int, now float64, b ClientBeh
 	tr := &p.trackArena[idx]
 	p.m.ClientRetries++
 	if p.classesOn {
-		p.classAt(int(tr.class)).Retries++
+		p.classAt(tr.req.Class).Retries++
 	}
 	backoff := b.backoffBase()
 	limit := b.backoffCap()
@@ -681,7 +652,7 @@ func (s *clusterSim) scheduleRetry(p *poolSim, idx int, now float64, b ClientBeh
 		backoff *= 1 + b.Jitter*p.clientRNG.Float64()
 	}
 	if p.rec != nil {
-		p.rec.Request(obs.Backoff, now, int32(p.idx), -1, int64(tr.id), backoff)
+		p.rec.Request(obs.Backoff, now, int32(p.idx), -1, int64(tr.req.ID), backoff)
 	}
 	s.eng.ScheduleCall(now+backoff, prioClient+p.prioBase, s.retryH, packArg(p.idx, idx))
 }
@@ -698,11 +669,10 @@ func (s *clusterSim) onRetry(now float64, arg uint64) {
 	p := s.pools[pi]
 	tr := &p.trackArena[idx]
 	r := tr.req
-	oldID := tr.id
+	oldID := r.ID
 	s.retrySeq--
 	r.ID = s.retrySeq
 	r.Arrival = units.Seconds(now)
-	tr.id = r.ID
 	tr.req = r
 	tr.attempts++
 	if p.rec != nil {
@@ -715,10 +685,12 @@ func (s *clusterSim) onRetry(now float64, arg uint64) {
 		s.retryOrAbandon(p, idx, now)
 		return
 	}
-	tr.deadline = s.eng.ScheduleCall(now+float64(p.behavior(int(tr.class)).Timeout), prioClient+p.prioBase,
+	a := p.newActive(r)
+	tr.a = a
+	a.track = int32(idx) + 1
+	tr.deadline = s.eng.ScheduleCall(now+float64(p.behavior(r.Class).Timeout), prioClient+p.prioBase,
 		s.deadlineH, packArg(p.idx, idx))
-	p.tracks[r.ID] = int32(idx)
-	s.submit(p, r, now)
+	s.submit(p, a, now)
 	s.requestDispatch(p, now)
 }
 

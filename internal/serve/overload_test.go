@@ -88,15 +88,17 @@ func TestOverloadZeroValueEquivalence(t *testing.T) {
 
 // TestClosedLoopLeaksNothing is the leak property test: when every
 // request has resolved — served, timed out, abandoned, or shed — the
-// pool must hold no client tracks, no tombstones, no KV blocks, no
-// scheduler-outstanding work, and no in-flight handoffs. Cancellation
-// reclaims everything, under every scheduler, with and without
-// failures.
+// pool must hold no open client tracks, no KV blocks, no
+// scheduler-outstanding work, and no in-flight handoffs, and every
+// request handle must be back on the free list exactly once: a lost
+// handle leaves the list short of whole arenas, a double free puts one
+// pointer on it twice. Cancellation reclaims everything, under every
+// scheduler, without failures and under both failure policies.
 func TestClosedLoopLeaksNothing(t *testing.T) {
 	reqs := overloadTenants(t, 15, 45, 60)
 	for _, pol := range SchedulerPolicies() {
-		for _, withFailures := range []bool{false, true} {
-			name := fmt.Sprintf("%v/failures=%v", pol, withFailures)
+		for _, failures := range []string{"off", "requeue", "drop"} {
+			name := fmt.Sprintf("%v/failures=%s", pol, failures)
 			cfg := smallConfig()
 			cfg.Scheduler = pol
 			if pol == ChunkedPrefill {
@@ -109,8 +111,11 @@ func TestClosedLoopLeaksNothing(t *testing.T) {
 			cfg.Admission = AdmissionConfig{Policy: AdmitAdaptive, QueueLimit: 16, Levels: 2}
 			cfg.KV = kv.Config{Policy: kv.Recompute, Blocks: 500}
 			cc := clusterOf(cfg)
-			if withFailures {
+			if failures != "off" {
 				cc.Failures = acceleratedFailures(0)
+				if failures == "drop" {
+					cc.Failures.Policy = DropOnFailure
+				}
 			}
 			// A long horizon so every deadline, backoff retry, and repair
 			// resolves before the run ends.
@@ -123,15 +128,20 @@ func TestClosedLoopLeaksNothing(t *testing.T) {
 				t.Fatalf("%s: empty run", name)
 			}
 			for _, p := range s.pools {
-				if n := len(p.tracks); n != 0 {
-					t.Errorf("%s: %d live client tracks leaked", name, n)
+				seen := make(map[*activeReq]bool, len(p.freeReqs))
+				for _, a := range p.freeReqs {
+					if seen[a] {
+						t.Errorf("%s: request handle %d freed twice", name, a.req.ID)
+						break
+					}
+					seen[a] = true
 				}
-				if n := len(p.cancelled); n != 0 {
-					t.Errorf("%s: %d cancellation tombstones leaked", name, n)
+				if n := len(p.freeReqs); n%activeChunk != 0 {
+					t.Errorf("%s: the free list holds %d request handles, not whole %d-handle arenas", name, n, activeChunk)
 				}
 				for i := range p.trackArena {
 					if p.trackArena[i].open {
-						t.Errorf("%s: arena track %d still open", name, p.trackArena[i].id)
+						t.Errorf("%s: arena track %d still open", name, p.trackArena[i].req.ID)
 						break
 					}
 				}

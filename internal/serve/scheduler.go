@@ -1,10 +1,6 @@
 package serve
 
-import (
-	"fmt"
-
-	"litegpu/internal/trace"
-)
+import "fmt"
 
 // SchedulerPolicy selects the serving discipline a pool runs — how its
 // GPUs are organized into instances and how requests move through the
@@ -82,8 +78,8 @@ func (s SchedulerPolicy) Colocated() bool {
 // and metric assembly. Implementations must be deterministic: same
 // inputs, byte-identical Metrics.
 type scheduler interface {
-	// enqueue accepts a routed arrival.
-	enqueue(r trace.Request)
+	// enqueue accepts a submitted attempt.
+	enqueue(a *activeReq)
 	// dispatch hands queued work to idle instances and cuts a decode run
 	// short when its engine could admit queued work, or when a rebuild
 	// the pass queued waits for the next pass; called at most once

@@ -394,7 +394,7 @@ func TestFailureMidChunkNeitherDuplicatesNorLosesChunks(t *testing.T) {
 	sched := p.sched.(*colocSched)
 
 	// Arrival at t=0, by hand (run() would execute to completion).
-	p.sched.enqueue(trace.Request{ID: 0, Arrival: 0, PromptTokens: prompt, OutputTokens: output})
+	p.sched.enqueue(p.newActive(trace.Request{ID: 0, Arrival: 0, PromptTokens: prompt, OutputTokens: output}))
 	p.m.Arrived++
 	s.requestDispatch(p, 0)
 

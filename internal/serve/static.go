@@ -7,7 +7,6 @@ import (
 	"litegpu/internal/inference"
 	"litegpu/internal/obs"
 	"litegpu/internal/sim"
-	"litegpu/internal/trace"
 )
 
 // staticSched is the StaticDisaggregated policy: the paper's
@@ -26,7 +25,7 @@ type staticSched struct {
 	batchCore // the decode engines
 
 	prefills    []prefillEngine
-	prefillQ    deque[trace.Request]
+	prefillQ    deque[*activeReq]
 	prefillCost stepCost
 	decodeRR    int // KV-handoff destination rotation
 
@@ -40,8 +39,8 @@ type staticSched struct {
 type prefillEngine struct {
 	instanceState
 	freeAt float64
-	batch  []trace.Request // reused across passes; empty when idle
-	re     *activeReq      // in-flight recompute pass (KV rebuild), nil otherwise
+	batch  []*activeReq // reused across passes; empty when idle
+	re     *activeReq   // in-flight recompute pass (KV rebuild), nil otherwise
 }
 
 func newStaticSched(cs *clusterSim, pool *poolSim) (*staticSched, error) {
@@ -70,8 +69,8 @@ func newStaticSched(cs *clusterSim, pool *poolSim) (*staticSched, error) {
 }
 
 //litegpu:hotpath
-func (sc *staticSched) enqueue(r trace.Request) {
-	sc.prefillQ.PushBack(r)
+func (sc *staticSched) enqueue(a *activeReq) {
+	sc.prefillQ.PushBack(a)
 }
 
 func (sc *staticSched) outstanding() int {
@@ -115,17 +114,17 @@ func (sc *staticSched) dispatchPrefill(now float64) {
 		// be recontiguous before decode resumes).
 		for e.freeAt <= now && sc.reprefillQ.Len() > 0 {
 			a := sc.reprefillQ.PopFront()
-			if p.clientOn && p.isCancelled(a.req.ID) {
+			if a.cancelled {
 				// The client timed out while the sequence waited for its
 				// KV rebuild: reclaim it instead of re-running prefill.
-				p.settleCancelled(a.req.ID, a)
+				p.freeActive(a)
 				continue
 			}
 			dt, ok := sc.prefillCost.prefill(1, kvTokens(a))
 			if !ok {
 				// The grown sequence no longer fits even a batch-of-one
 				// pass: it can never resume.
-				p.dropOversized(a.req, a, nil, int32(i), now)
+				p.dropOversized(a, nil, int32(i), now)
 				continue
 			}
 			if e.slow > 0 {
@@ -140,20 +139,12 @@ func (sc *staticSched) dispatchPrefill(now float64) {
 			e.doneEv = sc.cs.eng.ScheduleCall(e.freeAt, prioPrefill+e.prio, sc.prefillDoneH, uint64(i))
 		}
 		for e.freeAt <= now && sc.prefillQ.Len() > 0 {
-			if p.clientOn {
+			if a := sc.prefillQ.At(0); a.cancelled {
 				// Purge cancelled prompts before staging a batch: their
 				// clients already gave up.
-				for sc.prefillQ.Len() > 0 {
-					r := sc.prefillQ.At(0)
-					if !p.isCancelled(r.ID) {
-						break
-					}
-					sc.prefillQ.PopFront()
-					p.settleCancelled(r.ID, nil)
-				}
-				if sc.prefillQ.Len() == 0 {
-					break
-				}
+				sc.prefillQ.PopFront()
+				p.freeActive(a)
+				continue
 			}
 			// Stage the candidate batch in the engine's reusable buffer,
 			// then shrink it until its KV footprint fits. The pool was
@@ -164,31 +155,31 @@ func (sc *staticSched) dispatchPrefill(now float64) {
 			n := min(p.cfg.MaxPrefillBatch, sc.prefillQ.Len())
 			e.batch = sc.prefillQ.CopyPrefix(e.batch[:0], n)
 			tokens := 0
-			for _, r := range e.batch {
-				tokens += r.PromptTokens
+			for _, a := range e.batch {
+				tokens += a.req.PromptTokens
 			}
 			dt, ok := 0.0, false
 			for ; n >= 1; n-- {
 				if dt, ok = sc.prefillCost.prefill(n, tokens); ok {
 					break
 				}
-				tokens -= e.batch[n-1].PromptTokens
+				tokens -= e.batch[n-1].req.PromptTokens
 			}
+			clearTail(e.batch, n)
+			e.batch = e.batch[:n]
 			if !ok {
-				p.dropOversized(sc.prefillQ.PopFront(), nil, nil, int32(i), now)
-				e.batch = e.batch[:0]
+				p.dropOversized(sc.prefillQ.PopFront(), nil, int32(i), now)
 				continue
 			}
 			sc.prefillQ.DiscardFront(n)
-			e.batch = e.batch[:n]
 			if e.slow > 0 {
 				dt *= e.slow
 			}
 			e.freeAt = now + dt
 			e.pBusy += dt
 			if p.rec != nil {
-				for _, r := range e.batch {
-					p.rec.Request(obs.PrefillStart, now, int32(p.idx), int32(i), int64(r.ID), float64(n))
+				for _, a := range e.batch {
+					p.rec.Request(obs.PrefillStart, now, int32(p.idx), int32(i), int64(a.req.ID), float64(n))
 				}
 			}
 			e.doneEv = sc.cs.eng.ScheduleCall(e.freeAt, prioPrefill+e.prio, sc.prefillDoneH, uint64(i))
@@ -209,14 +200,15 @@ func (sc *staticSched) completePrefill(i int, now float64) {
 		e.re = nil
 		sc.finishReprefill(i, a, now)
 	}
-	for _, r := range e.batch {
-		sc.finishPrefillReq(i, r, now)
+	for _, a := range e.batch {
+		sc.finishPrefillReq(i, a, now)
 	}
+	clearTail(e.batch, 0)
 	e.batch = e.batch[:0]
 	sc.cs.requestDispatch(sc.pool, now)
 }
 
-// finishPrefillReq moves one prefilled request toward decode. Without
+// finishPrefillReq moves one prefilled attempt toward decode. Without
 // a fabric (or when the chosen decode instance shares the prefill
 // engine's scale-up node) the handoff is instantaneous, exactly the
 // pre-netsim semantics: TTFT stamps here and the request joins the
@@ -226,20 +218,19 @@ func (sc *staticSched) completePrefill(i int, now float64) {
 // stamps) when the last byte lands.
 //
 //litegpu:hotpath
-func (sc *staticSched) finishPrefillReq(i int, r trace.Request, now float64) {
+func (sc *staticSched) finishPrefillReq(i int, a *activeReq, now float64) {
 	p := sc.pool
-	if p.clientOn && p.isCancelled(r.ID) {
+	if a.cancelled {
 		// The client timed out while the prompt was mid-prefill: the
 		// pass's compute is sunk, but no KV ships and no TTFT stamps.
-		p.settleCancelled(r.ID, nil)
+		p.freeActive(a)
 		return
 	}
 	if p.rec != nil {
-		p.rec.Request(obs.PrefillEnd, now, int32(p.idx), int32(i), int64(r.ID), 0)
+		p.rec.Request(obs.PrefillEnd, now, int32(p.idx), int32(i), int64(a.req.ID), 0)
 	}
-	a := p.newActive(r)
 	if !sc.handoff(i, a, xferKV, now) {
-		p.recordTTFT(now-float64(r.Arrival), r.Class)
+		p.recordTTFT(now-float64(a.req.Arrival), a.req.Class)
 		sc.q.PushBack(a)
 	}
 }
@@ -253,8 +244,8 @@ func (sc *staticSched) finishPrefillReq(i int, r trace.Request, now float64) {
 //litegpu:hotpath
 func (sc *staticSched) finishReprefill(i int, a *activeReq, now float64) {
 	p := sc.pool
-	if p.clientOn && p.isCancelled(a.req.ID) {
-		p.settleCancelled(a.req.ID, a)
+	if a.cancelled {
+		p.freeActive(a)
 		return
 	}
 	if p.rec != nil {
@@ -360,7 +351,7 @@ func (sc *staticSched) fail(id int, now float64, drop bool) {
 		// abandoned).
 		e.re = nil
 		e.pBusy -= e.freeAt - now
-		p.failReq(a.req, a, int32(id), drop, now)
+		p.failReq(a, int32(id), drop, now)
 		if !drop {
 			sc.reprefillQ.PushFront(a)
 		}
@@ -370,14 +361,15 @@ func (sc *staticSched) fail(id int, now float64, drop bool) {
 		// tail and put the prompts back at the head of the queue (or
 		// abandon them).
 		e.pBusy -= e.freeAt - now
-		for _, r := range e.batch {
-			p.failReq(r, nil, int32(id), drop, now)
+		for _, a := range e.batch {
+			p.failReq(a, int32(id), drop, now)
 		}
 		if !drop {
 			for i := len(e.batch) - 1; i >= 0; i-- {
 				sc.prefillQ.PushFront(e.batch[i])
 			}
 		}
+		clearTail(e.batch, 0)
 		e.batch = e.batch[:0]
 	}
 	// Free the engine now, so the dispatch pass that recovery requests
@@ -402,8 +394,7 @@ func (sc *staticSched) reclaimHandoff(rec *xferRec, idx int32, id int, now float
 		return false
 	}
 	if int(rec.src) == id {
-		sc.prefillQ.PushFront(rec.a.req)
-		p.freeActive(rec.a)
+		sc.prefillQ.PushFront(rec.a)
 		return false
 	}
 	dst := sc.pickDecodeDst()
