@@ -154,6 +154,33 @@ func overloadGoldenScenarios(t *testing.T) []goldenScenario {
 	rebuild.KV = kv.Config{Policy: kv.Recompute, Blocks: 68791}
 	rebuild.Client = ClientConfig{Default: ClientBehavior{Timeout: 250}}
 
+	// An elastic colocated fleet whose watermarks sit close together, so
+	// the autoscaler drains busy instances, reclaims draining ones when
+	// load returns, and parks a drained engine at its next step.
+	drain := smallConfig()
+	drain.Scheduler = ContinuousBatching
+	drain.Instances = 4
+	drain.MaxDecodeBatch = 16
+	drain.Autoscale = AutoscaleConfig{
+		Enabled: true, Interval: 1, HighWater: 5, LowWater: 3, MinInstances: 1, WarmUp: 5,
+	}
+
+	// Lite instances, one node each, behind a slow fabric: two-second
+	// clients time out while their KV handoff is on the wire, so the
+	// deadline cancels the transfer.
+	handoffTimeout := l70Config()
+	handoffTimeout.Network = pluggablePacket()
+	handoffTimeout.Network.LatencyScale = 2.5e6
+	handoffTimeout.Client = ClientConfig{Default: ClientBehavior{Timeout: 2, Retries: 1, BackoffBase: 1}}
+
+	// The same fabric with scarce swapped KV: clients time out while a
+	// preempted sequence's swap round trip is on the wire.
+	swapTimeout := l70Config()
+	swapTimeout.Network = pluggablePacket()
+	swapTimeout.Network.LatencyScale = 2e6
+	swapTimeout.KV = kv.Config{Policy: kv.Swap, Blocks: 600}
+	swapTimeout.Client = ClientConfig{Default: ClientBehavior{Timeout: 3, Retries: 1, BackoffBase: 1}}
+
 	return []goldenScenario{
 		{name: "ol-closed-loop-conv", cluster: clusterOf(closed), reqs: convTrace(t, 90, 7, 120), horizon: 240},
 		{name: "ol-shed-priority", cluster: clusterOf(shedPrio), reqs: tenants, horizon: 240},
@@ -166,6 +193,9 @@ func overloadGoldenScenarios(t *testing.T) []goldenScenario {
 		{name: "ol-shed-abandon", cluster: clusterOf(shedAbandon), reqs: tenants, horizon: 240},
 		{name: "ol-ingress-timeout", cluster: numberedPools(clusterOf(ingress, ingress)), reqs: overloadTenants(t, 3, 3, 30), horizon: 90},
 		{name: "ol-rebuild-timeout", cluster: clusterOf(rebuild), reqs: longContextPair(), horizon: 2000},
+		{name: "ol-autoscale-drain", cluster: clusterOf(drain), reqs: codingTrace(t, 24, 13, 120), horizon: 300},
+		{name: "ol-handoff-timeout", cluster: clusterOf(handoffTimeout), reqs: codingTrace(t, 2, 11, 60), horizon: 200},
+		{name: "ol-swap-timeout", cluster: clusterOf(swapTimeout), reqs: codingTrace(t, 4, 11, 60), horizon: 200},
 	}
 }
 

@@ -476,3 +476,35 @@ func TestMissAllowanceIsTheAttainmentBoundary(t *testing.T) {
 		}
 	}
 }
+
+// TestSizingRunStopsOnFirstDrop: under a verdict budget the first
+// dropped request stops the run where it drops, under every policy,
+// and the same trace without a budget shows the drop the stop
+// anticipated and misses the SLO.
+func TestSizingRunStopsOnFirstDrop(t *testing.T) {
+	reqs := []trace.Request{
+		{ID: 0, Arrival: 1, PromptTokens: 800, OutputTokens: 16},
+		{ID: 1, Arrival: 5, PromptTokens: 5_000_000, OutputTokens: 16},
+		{ID: 2, Arrival: 6, PromptTokens: 800, OutputTokens: 16},
+	}
+	slo := SLO{}.withDefaults()
+	for _, sched := range []SchedulerPolicy{StaticDisaggregated, ContinuousBatching, ChunkedPrefill} {
+		cfg := smallConfig()
+		cfg.Scheduler = sched
+		run, err := runPool(cfg, FailureConfig{}, reqs, 60, &slo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !run.settled || run.settledAt != 5 {
+			t.Errorf("%s: settled=%v at %v, want a stop at 5 s", sched, run.settled, run.settledAt)
+		}
+		full, err := runPool(cfg, FailureConfig{}, reqs, 60, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if full.settled || full.m.Dropped != 1 || slo.met(full.m) {
+			t.Errorf("%s: unbudgeted run settled=%v dropped %d met=%v, want 1 drop and a miss",
+				sched, full.settled, full.m.Dropped, slo.met(full.m))
+		}
+	}
+}
