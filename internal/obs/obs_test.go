@@ -284,6 +284,45 @@ func TestProbeExports(t *testing.T) {
 	if rows[2]["goodput"].(float64) != 200 {
 		t.Fatalf("JSON row 2 goodput = %v, want windowed 200", rows[2]["goodput"])
 	}
+	// JSON carries the same fields as the CSV: every row's keys are the
+	// CSV columns in order, and its numbers are the CSV row's cells.
+	header := strings.Split(lines[0], ",")
+	keys, vals := probeJSONRows(t, js.Bytes())
+	for i := range keys {
+		if !reflect.DeepEqual(keys[i], header) {
+			t.Fatalf("JSON row %d keys %v, want the CSV columns %v", i, keys[i], header)
+		}
+		if want := strings.Split(lines[1+i], ","); !reflect.DeepEqual(vals[i], want) {
+			t.Fatalf("JSON row %d values %v, want the CSV row %v", i, vals[i], want)
+		}
+	}
+}
+
+// probeJSONRows decodes a probe JSON export, keeping each row's keys
+// and number texts in document order.
+func probeJSONRows(t *testing.T, data []byte) (keys, vals [][]string) {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.UseNumber()
+	next := func() json.Token {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tok
+	}
+	next() // [
+	for dec.More() {
+		next() // {
+		var k, v []string
+		for dec.More() {
+			k = append(k, next().(string))
+			v = append(v, next().(json.Number).String())
+		}
+		next() // }
+		keys, vals = append(keys, k), append(vals, v)
+	}
+	return keys, vals
 }
 
 func TestPlanTraceRender(t *testing.T) {

@@ -135,6 +135,8 @@ func (r *Recorder) WriteProbesJSON(w io.Writer) error {
 		buf = appendKVInt(buf, "retries", int64(s.Retries))
 		buf = appendKVInt(buf, "abandoned", int64(s.Abandoned))
 		buf = appendKVInt(buf, "timeouts", int64(s.Timeouts))
+		buf = appendKVInt(buf, "completed_w", int64(s.Completed-prev.Completed))
+		buf = appendKVInt(buf, "shed_w", int64(s.Shed-prev.Shed))
 		buf = appendKVFloat(buf, "goodput", float64(s.Tokens-prev.Tokens)/dt)
 		buf = appendKVFloat(buf, "shed_rate", float64(s.Shed-prev.Shed)/dt)
 		buf = appendKVFloat(buf, "retry_rate", float64(s.Retries-prev.Retries)/dt)

@@ -563,18 +563,13 @@ func (c *batchCore) startSwap(j int, a *activeReq, now float64, tokens int) {
 		return
 	}
 	id := c.base + j
-	idx := p.newXfer()
-	rec := &p.xfers[idx]
-	*rec = xferRec{
+	bytes := 2 * p.kvXferBytes(tokens)
+	c.cs.startXfer(p, xferRec{
 		kind: xferSwap, src: int32(id), dst: int32(id),
-		a: a, start: now,
-		bytes: 2 * p.kvXferBytes(tokens),
-	}
-	rec.tid = c.cs.fab.Start(p.epBase+id, 0, rec.bytes,
-		prioTransfer+c.engines[j].prio, c.cs.xferH, packArg(p.idx, int(idx)))
-	p.liveXfers = append(p.liveXfers, idx)
+		a: a, start: now, bytes: bytes,
+	}, p.epBase+id, 0, id)
 	if p.rec != nil {
-		p.rec.Request(obs.KVSwapOut, now, int32(p.idx), int32(id), int64(a.req.ID), rec.bytes)
+		p.rec.Request(obs.KVSwapOut, now, int32(p.idx), int32(id), int64(a.req.ID), bytes)
 	}
 }
 

@@ -185,8 +185,8 @@ type poolSim struct {
 	// is endpoint 0), nodeOf maps instances to scale-up nodes, and
 	// kvPerToken is the model's full KV-cache bytes per prompt token
 	// at the pool's precision. In-flight transfers recycle through the
-	// xfers index arena; liveXfers lists the KV handoffs in flight,
-	// scanned when an instance dies.
+	// xfers index arena; liveXfers lists the KV handoffs and swaps in
+	// flight, scanned when an instance dies or a client deadline fires.
 	epBase     int
 	nodeOf     []int32
 	kvPerToken float64
@@ -300,7 +300,7 @@ func (p *poolSim) freeXfer(idx int32) {
 	p.freeXferIx = append(p.freeXferIx, idx)
 }
 
-// dropLive removes idx from the pool's live KV-handoff list (order
+// dropLive removes idx from the pool's live transfer list (order
 // preserving; a miss is a no-op, which is how ingress records — never
 // listed — share the delivery path).
 //
@@ -851,7 +851,7 @@ func (s *clusterSim) onXfer(now float64, arg uint64) {
 		// The client gave up while the attempt's ingress was on the
 		// wire: ingress is reclaimed here, at delivery. A KV handoff
 		// never arrives cancelled: cancelClientXfer cancels in-flight
-		// handoffs at the deadline, and finishPrefillReq checks the mark
+		// handoffs at the deadline, and finishPass checks the mark
 		// before it starts one.
 		p.freeActive(a)
 	case rec.kind == xferKV:
@@ -877,17 +877,30 @@ func (s *clusterSim) onXfer(now float64, arg uint64) {
 func (s *clusterSim) startIngress(p *poolSim, a *activeReq, now float64) {
 	inst := p.ingressRR % len(p.insts)
 	p.ingressRR++
-	idx := p.newXfer()
-	rec := &p.xfers[idx]
-	*rec = xferRec{
+	bytes := float64(a.req.PromptTokens) * ingressBytesPerToken
+	s.startXfer(p, xferRec{
 		kind: xferIngress, src: -1, dst: -1,
-		a: a, start: now,
-		bytes: float64(a.req.PromptTokens) * ingressBytesPerToken,
-	}
-	rec.tid = s.fab.Start(0, p.epBase+inst, rec.bytes,
-		prioTransfer+p.insts[inst].prio, s.xferH, packArg(p.idx, int(idx)))
+		a: a, start: now, bytes: bytes,
+	}, 0, p.epBase+inst, inst)
 	if p.rec != nil {
-		p.rec.Request(obs.XferStart, now, int32(p.idx), -1, int64(a.req.ID), rec.bytes)
+		p.rec.Request(obs.XferStart, now, int32(p.idx), -1, int64(a.req.ID), bytes)
+	}
+}
+
+// startXfer starts rec on the fabric from endpoint from to endpoint to,
+// in the transfer band of p's instance at, under a fresh arena slot. KV
+// handoffs and swaps are listed live, so an instance death or a client
+// deadline can find them; ingress records reclaim at delivery and stay
+// unlisted.
+//
+//litegpu:hotpath
+func (s *clusterSim) startXfer(p *poolSim, rec xferRec, from, to, at int) {
+	idx := p.newXfer()
+	rec.tid = s.fab.Start(from, to, rec.bytes,
+		prioTransfer+p.insts[at].prio, s.xferH, packArg(p.idx, int(idx)))
+	p.xfers[idx] = rec
+	if rec.kind != xferIngress {
+		p.liveXfers = append(p.liveXfers, idx)
 	}
 }
 
@@ -1114,7 +1127,7 @@ func (s *clusterSim) acceptArrival(p *poolSim, r trace.Request, now float64) {
 		// good. Open-loop classes (no timeout) just vanish, as before.
 		if p.clientOn && p.behavior(r.Class).Timeout > 0 {
 			idx := p.newTrack()
-			p.trackArena[idx] = clientTrack{open: true, req: r}
+			p.trackArena[idx] = clientTrack{req: r}
 			s.retryOrAbandon(p, int(idx), now)
 		}
 		return

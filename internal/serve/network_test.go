@@ -239,8 +239,8 @@ func TestTransferDstFailure(t *testing.T) {
 
 // TestTransferDstFailureRetargetSameNode: a retargeted handoff whose
 // new destination shares the source's scale-up node gets the same
-// intra-node bypass finishPrefillReq applies — delivered immediately
-// over the node interconnect, not retransmitted on the fabric.
+// intra-node bypass finishPass applies — delivered immediately over
+// the node interconnect, not retransmitted on the fabric.
 func TestTransferDstFailureRetargetSameNode(t *testing.T) {
 	// TP-4 Lite instances: prefill + decode 0 fill node 0, decode 1
 	// sits alone on node 1.

@@ -407,7 +407,6 @@ func (a *classAcc) add(o *classAcc) {
 // own cancellation mark until a scheduler choke point reclaims it.
 type clientTrack struct {
 	attempts int32
-	open     bool
 	deadline sim.EventID
 	req      trace.Request // the live or next attempt's request, for resubmission
 	a        *activeReq
@@ -542,7 +541,7 @@ func (s *clusterSim) openTrack(p *poolSim, a *activeReq, now float64) {
 	}
 	idx := p.newTrack()
 	tr := &p.trackArena[idx]
-	*tr = clientTrack{open: true, req: a.req, a: a}
+	*tr = clientTrack{req: a.req, a: a}
 	at := float64(a.req.Arrival) + float64(b.Timeout)
 	if at < now {
 		at = now

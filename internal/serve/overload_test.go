@@ -88,7 +88,7 @@ func TestOverloadZeroValueEquivalence(t *testing.T) {
 
 // TestClosedLoopLeaksNothing is the leak property test: when every
 // request has resolved — served, timed out, abandoned, or shed — the
-// pool must hold no open client tracks, no KV blocks, no
+// pool must have freed every client track and hold no KV blocks, no
 // scheduler-outstanding work, and no in-flight handoffs, and every
 // request handle must be back on the free list exactly once: a lost
 // handle leaves the list short of whole arenas, a double free puts one
@@ -139,11 +139,8 @@ func TestClosedLoopLeaksNothing(t *testing.T) {
 				if n := len(p.freeReqs); n%activeChunk != 0 {
 					t.Errorf("%s: the free list holds %d request handles, not whole %d-handle arenas", name, n, activeChunk)
 				}
-				for i := range p.trackArena {
-					if p.trackArena[i].open {
-						t.Errorf("%s: arena track %d still open", name, p.trackArena[i].req.ID)
-						break
-					}
+				if n := len(p.trackArena) - len(p.freeTracks); n != 0 {
+					t.Errorf("%s: %d of %d client tracks never freed", name, n, len(p.trackArena))
 				}
 				if p.kvInUse != 0 {
 					t.Errorf("%s: %d KV blocks leaked", name, p.kvInUse)

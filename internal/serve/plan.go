@@ -622,28 +622,14 @@ func planPolicy(req PlanRequest, slo SLO, c planCandidate, reqs []trace.Request,
 			return Plan{}, err
 		}
 	}
-	m, ok, err := attempt(pMin, dMin)
+	// The joint minimum is a memoized feasible pass, so this call only
+	// records its trace rung. bisectMin returns its upper bound or a
+	// point it evaluated as feasible, so (pMin, d) is the grown point or
+	// a feasible probe; the static decode bisection is bounded by that
+	// pass, and the colocated policies keep dMin = d.
+	m, _, err := attempt(pMin, dMin)
 	if err != nil {
 		return Plan{}, err
-	}
-	// The two one-dimensional searches interact weakly; if the joint
-	// minimum misses the SLO, step the pools back up until it holds.
-	for !ok {
-		if pMin < p {
-			pMin++
-		} else if dMin < d {
-			dMin++
-		} else {
-			break
-		}
-		m, ok, err = attempt(pMin, dMin)
-		if err != nil {
-			return Plan{}, err
-		}
-	}
-	if !ok {
-		return Plan{}, fmt.Errorf("serve: %s capacity search failed to converge for %s on %s",
-			c.pol, req.Model.Name, req.GPU.Name)
 	}
 
 	cfg := c.sizing(req, pMin, dMin)

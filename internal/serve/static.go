@@ -38,9 +38,9 @@ type staticSched struct {
 
 type prefillEngine struct {
 	instanceState
-	freeAt float64
-	batch  []*activeReq // reused across passes; empty when idle
-	re     *activeReq   // in-flight recompute pass (KV rebuild), nil otherwise
+	freeAt  float64
+	batch   []*activeReq // the in-flight pass, reused across passes; empty when idle
+	rebuild bool         // the pass is a batch-of-one KV rebuild from reprefillQ
 }
 
 func newStaticSched(cs *clusterSim, pool *poolSim) (*staticSched, error) {
@@ -77,9 +77,6 @@ func (sc *staticSched) outstanding() int {
 	outstanding := sc.batchCore.outstanding() + sc.prefillQ.Len() + sc.reprefillQ.Len()
 	for i := range sc.prefills {
 		outstanding += len(sc.prefills[i].batch)
-		if sc.prefills[i].re != nil {
-			outstanding++
-		}
 	}
 	return outstanding
 }
@@ -100,6 +97,13 @@ func (sc *staticSched) dispatch(now float64) {
 	}
 }
 
+// dispatchPrefill starts a pass on every idle live prefill engine while
+// work waits. Rebuild passes come first: a preempted sequence blocks a
+// decode slot's worth of progress until its KV is rebuilt, so rebuilds
+// outrank fresh prompts. Each runs as a batch of one (the KV must be
+// recontiguous before decode resumes); fresh prompts batch up to
+// MaxPrefillBatch.
+//
 //litegpu:hotpath
 func (sc *staticSched) dispatchPrefill(now float64) {
 	p := sc.pool
@@ -108,78 +112,66 @@ func (sc *staticSched) dispatchPrefill(now float64) {
 		if !e.up {
 			continue
 		}
-		// Recompute passes first: a preempted sequence blocks a decode
-		// slot's worth of progress until its KV is rebuilt, so rebuilds
-		// outrank fresh prompts. Each runs as a batch of one (the KV must
-		// be recontiguous before decode resumes).
-		for e.freeAt <= now && sc.reprefillQ.Len() > 0 {
-			a := sc.reprefillQ.PopFront()
-			if a.cancelled {
-				// The client timed out while the sequence waited for its
-				// KV rebuild: reclaim it instead of re-running prefill.
-				p.freeActive(a)
-				continue
+		for e.freeAt <= now {
+			rebuild := sc.reprefillQ.Len() > 0
+			q, n := &sc.prefillQ, p.cfg.MaxPrefillBatch
+			if rebuild {
+				q, n = &sc.reprefillQ, 1
 			}
-			dt, ok := sc.prefillCost.prefill(1, kvTokens(a))
-			if !ok {
-				// The grown sequence no longer fits even a batch-of-one
-				// pass: it can never resume.
-				p.dropOversized(a, nil, int32(i), now)
-				continue
+			if q.Len() == 0 {
+				break
 			}
-			if e.slow > 0 {
-				dt *= e.slow
-			}
-			e.re = a
-			e.freeAt = now + dt
-			e.pBusy += dt
-			if p.rec != nil {
-				p.rec.Request(obs.PrefillStart, now, int32(p.idx), int32(i), int64(a.req.ID), float64(kvTokens(a)))
-			}
-			e.doneEv = sc.cs.eng.ScheduleCall(e.freeAt, prioPrefill+e.prio, sc.prefillDoneH, uint64(i))
-		}
-		for e.freeAt <= now && sc.prefillQ.Len() > 0 {
-			if a := sc.prefillQ.At(0); a.cancelled {
-				// Purge cancelled prompts before staging a batch: their
-				// clients already gave up.
-				sc.prefillQ.PopFront()
+			if a := q.At(0); a.cancelled {
+				// Purge a cancelled head before staging a batch: its
+				// client already gave up.
+				q.PopFront()
 				p.freeActive(a)
 				continue
 			}
 			// Stage the candidate batch in the engine's reusable buffer,
-			// then shrink it until its KV footprint fits. The pool was
-			// validated to fit the model at the nominal prompt length,
-			// but an individual oversized prompt can still exceed
+			// then shrink it until its KV footprint fits. Every member is
+			// priced at kvTokens: a rebuild's prompt plus what it decoded
+			// before preemption, and for a prefillQ entry — a new
+			// submission, a failed pass's batch, or a handoff whose source
+			// died — nothing has decoded yet, so its prompt. The pool was
+			// validated to fit the model at the nominal prompt length, but
+			// an oversized prompt or a grown rebuild can still exceed
 			// capacity alone (n reaches 0): drop it rather than let it
 			// starve at the head of the queue forever.
-			n := min(p.cfg.MaxPrefillBatch, sc.prefillQ.Len())
-			e.batch = sc.prefillQ.CopyPrefix(e.batch[:0], n)
+			n = min(n, q.Len())
+			e.batch = q.CopyPrefix(e.batch[:0], n)
 			tokens := 0
 			for _, a := range e.batch {
-				tokens += a.req.PromptTokens
+				tokens += kvTokens(a)
 			}
 			dt, ok := 0.0, false
 			for ; n >= 1; n-- {
 				if dt, ok = sc.prefillCost.prefill(n, tokens); ok {
 					break
 				}
-				tokens -= e.batch[n-1].req.PromptTokens
+				tokens -= kvTokens(e.batch[n-1])
 			}
 			clearTail(e.batch, n)
 			e.batch = e.batch[:n]
 			if !ok {
-				p.dropOversized(sc.prefillQ.PopFront(), nil, int32(i), now)
+				p.dropOversized(q.PopFront(), nil, int32(i), now)
 				continue
 			}
-			sc.prefillQ.DiscardFront(n)
+			q.DiscardFront(n)
+			e.rebuild = rebuild
 			if e.slow > 0 {
 				dt *= e.slow
 			}
 			e.freeAt = now + dt
 			e.pBusy += dt
 			if p.rec != nil {
+				// Val: a rebuild's KV tokens, a fresh pass's batch size.
+				val := float64(n)
+				if rebuild {
+					val = float64(tokens)
+				}
 				for _, a := range e.batch {
-					p.rec.Request(obs.PrefillStart, now, int32(p.idx), int32(i), int64(a.req.ID), float64(n))
+					p.rec.Request(obs.PrefillStart, now, int32(p.idx), int32(i), int64(a.req.ID), val)
 				}
 			}
 			e.doneEv = sc.cs.eng.ScheduleCall(e.freeAt, prioPrefill+e.prio, sc.prefillDoneH, uint64(i))
@@ -196,63 +188,49 @@ func (sc *staticSched) onPrefillDone(now float64, arg uint64) {
 func (sc *staticSched) completePrefill(i int, now float64) {
 	e := &sc.prefills[i]
 	e.doneEv = 0
-	if a := e.re; a != nil {
-		e.re = nil
-		sc.finishReprefill(i, a, now)
-	}
 	for _, a := range e.batch {
-		sc.finishPrefillReq(i, a, now)
+		sc.finishPass(i, a, e.rebuild, now)
 	}
 	clearTail(e.batch, 0)
 	e.batch = e.batch[:0]
 	sc.cs.requestDispatch(sc.pool, now)
 }
 
-// finishPrefillReq moves one prefilled attempt toward decode. Without
+// finishPass moves one member of a finished pass toward decode. Without
 // a fabric (or when the chosen decode instance shares the prefill
 // engine's scale-up node) the handoff is instantaneous, exactly the
-// pre-netsim semantics: TTFT stamps here and the request joins the
-// decode queue. Across nodes, the KV cache — the model's full
-// KV-bytes-per-token times the prompt length — becomes a fabric
-// transfer, and the request only becomes decodable (and TTFT only
-// stamps) when the last byte lands.
+// pre-netsim semantics: a fresh prompt's TTFT stamps here and it joins
+// the back of the decode queue, while a rebuilt sequence, which served
+// its first token before preemption, rejoins at the head with no stamp.
+// Across nodes, the KV cache — the model's full KV-bytes-per-token
+// times the tokens it covers — becomes a fabric transfer (an xferKV, or
+// for a rebuild an xferSwap whose delivery lands in swapReturn), and the
+// attempt only becomes decodable (and TTFT only stamps) when the last
+// byte lands.
 //
 //litegpu:hotpath
-func (sc *staticSched) finishPrefillReq(i int, a *activeReq, now float64) {
+func (sc *staticSched) finishPass(i int, a *activeReq, rebuild bool, now float64) {
 	p := sc.pool
 	if a.cancelled {
-		// The client timed out while the prompt was mid-prefill: the
-		// pass's compute is sunk, but no KV ships and no TTFT stamps.
+		// The client timed out mid-pass: the pass's compute is sunk, but
+		// no KV ships and no TTFT stamps.
 		p.freeActive(a)
 		return
 	}
 	if p.rec != nil {
 		p.rec.Request(obs.PrefillEnd, now, int32(p.idx), int32(i), int64(a.req.ID), 0)
 	}
-	if !sc.handoff(i, a, xferKV, now) {
+	kind := xferKV
+	if rebuild {
+		kind = xferSwap
+	}
+	switch {
+	case sc.handoff(i, a, kind, now):
+	case rebuild:
+		sc.q.PushFront(a)
+	default:
 		p.recordTTFT(now-float64(a.req.Arrival), a.req.Class)
 		sc.q.PushBack(a)
-	}
-}
-
-// finishReprefill hands a recomputed KV cache back to decode: the same
-// node-bypass logic as finishPrefillReq, but the sequence already served
-// its first token, so no TTFT stamps, it rejoins at the head of the
-// decode queue, and the cross-node leg rides an xferSwap whose delivery
-// lands in swapReturn.
-//
-//litegpu:hotpath
-func (sc *staticSched) finishReprefill(i int, a *activeReq, now float64) {
-	p := sc.pool
-	if a.cancelled {
-		p.freeActive(a)
-		return
-	}
-	if p.rec != nil {
-		p.rec.Request(obs.PrefillEnd, now, int32(p.idx), int32(i), int64(a.req.ID), 0)
-	}
-	if !sc.handoff(i, a, xferSwap, now) {
-		sc.q.PushFront(a)
 	}
 }
 
@@ -267,23 +245,17 @@ func (sc *staticSched) handoff(i int, a *activeReq, kind int8, now float64) bool
 	if sc.cs.fab == nil {
 		return false
 	}
-	dst := sc.pickDecodeDst()
-	dstID := len(sc.prefills) + dst
-	if p.nodeOf[i] == p.nodeOf[dstID] {
+	dst := len(sc.prefills) + sc.pickDecodeDst()
+	if p.nodeOf[i] == p.nodeOf[dst] {
 		return false
 	}
-	idx := p.newXfer()
-	rec := &p.xfers[idx]
-	*rec = xferRec{
-		kind: kind, src: int32(i), dst: int32(dstID),
-		a: a, start: now,
-		bytes: p.kvXferBytes(kvTokens(a)),
-	}
-	rec.tid = sc.cs.fab.Start(p.epBase+i, p.epBase+dstID, rec.bytes,
-		prioTransfer+sc.engines[dst].prio, sc.cs.xferH, packArg(p.idx, int(idx)))
-	p.liveXfers = append(p.liveXfers, idx)
+	bytes := p.kvXferBytes(kvTokens(a))
+	sc.cs.startXfer(p, xferRec{
+		kind: kind, src: int32(i), dst: int32(dst),
+		a: a, start: now, bytes: bytes,
+	}, p.epBase+i, p.epBase+dst, dst)
 	if p.rec != nil {
-		p.rec.Request(obs.XferStart, now, int32(p.idx), int32(i), int64(a.req.ID), rec.bytes)
+		p.rec.Request(obs.XferStart, now, int32(p.idx), int32(i), int64(a.req.ID), bytes)
 	}
 	return true
 }
@@ -345,28 +317,22 @@ func (sc *staticSched) fail(id int, now float64, drop bool) {
 		return
 	}
 	e := &sc.prefills[id]
-	if a := e.re; a != nil {
-		// An in-flight recompute pass died with the engine: the rebuilt
-		// KV is lost, so the sequence re-enters the rebuild queue (or is
-		// abandoned).
-		e.re = nil
-		e.pBusy -= e.freeAt - now
-		p.failReq(a, int32(id), drop, now)
-		if !drop {
-			sc.reprefillQ.PushFront(a)
-		}
-	}
 	if len(e.batch) > 0 {
 		// The pass died before completing: un-count its unfinished busy
-		// tail and put the prompts back at the head of the queue (or
-		// abandon them).
+		// tail and put its members back at the head of the queue they
+		// came from (a rebuild's KV is lost, so it rebuilds again), or
+		// abandon them.
 		e.pBusy -= e.freeAt - now
 		for _, a := range e.batch {
 			p.failReq(a, int32(id), drop, now)
 		}
 		if !drop {
+			q := &sc.prefillQ
+			if e.rebuild {
+				q = &sc.reprefillQ
+			}
 			for i := len(e.batch) - 1; i >= 0; i-- {
-				sc.prefillQ.PushFront(e.batch[i])
+				q.PushFront(e.batch[i])
 			}
 		}
 		clearTail(e.batch, 0)
@@ -401,7 +367,7 @@ func (sc *staticSched) reclaimHandoff(rec *xferRec, idx int32, id int, now float
 	dstID := len(sc.prefills) + dst
 	if p.nodeOf[rec.src] == p.nodeOf[dstID] {
 		// The retarget landed inside the source's scale-up node: the same
-		// bypass finishPrefillReq applies — deliver immediately over the
+		// bypass finishPass applies — deliver immediately over the
 		// node interconnect instead of retransmitting on the fabric.
 		p.recordTTFT(now-float64(rec.a.req.Arrival), rec.a.req.Class)
 		sc.q.PushBack(rec.a)
