@@ -197,16 +197,14 @@ func (sc *staticSched) completePrefill(i int, now float64) {
 }
 
 // finishPass moves one member of a finished pass toward decode. Without
-// a fabric (or when the chosen decode instance shares the prefill
-// engine's scale-up node) the handoff is instantaneous, exactly the
-// pre-netsim semantics: a fresh prompt's TTFT stamps here and it joins
-// the back of the decode queue, while a rebuilt sequence, which served
-// its first token before preemption, rejoins at the head with no stamp.
-// Across nodes, the KV cache — the model's full KV-bytes-per-token
-// times the tokens it covers — becomes a fabric transfer (an xferKV, or
-// for a rebuild an xferSwap whose delivery lands in swapReturn), and the
-// attempt only becomes decodable (and TTFT only stamps) when the last
-// byte lands.
+// a fabric, or when the chosen decode instance shares the prefill
+// engine's scale-up node, the handoff is instantaneous: a fresh prompt's
+// TTFT stamps here and it joins the back of the decode queue, while a
+// rebuilt sequence, which served its first token before preemption,
+// rejoins at the head with no stamp. Across nodes the KV cache becomes a
+// fabric transfer (for a rebuild an xferSwap, whose delivery lands in
+// swapReturn), and the attempt becomes decodable, and a fresh prompt's
+// TTFT stamps, only when the last byte lands.
 //
 //litegpu:hotpath
 func (sc *staticSched) finishPass(i int, a *activeReq, rebuild bool, now float64) {
