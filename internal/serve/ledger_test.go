@@ -93,6 +93,8 @@ func ledgerCases(t *testing.T) []ledgerCase {
 	cases = append(cases, ledgerCase{name: "retry-two-pool", cluster: cc, reqs: reqs, horizon: horizon})
 	cc, reqs, horizon = oversizedCluster(t)
 	cases = append(cases, ledgerCase{name: "oversized-continuous", cluster: cc, reqs: reqs, horizon: horizon})
+	cc, reqs, horizon = fabricCluster(t)
+	cases = append(cases, ledgerCase{name: "fabric-two-pool", cluster: cc, reqs: reqs, horizon: horizon})
 	return cases
 }
 

@@ -276,10 +276,64 @@ func oversizedCluster(t *testing.T) (ClusterConfig, []trace.Request, units.Secon
 	return clusterOf(cfg), reqs, 90
 }
 
+// fabricCluster is two static Lite pools on a pluggable packet fabric,
+// with swapped KV held to 600 blocks and failures covered by one spare.
+// Every arrival rides an ingress transfer to its pool, every prefill
+// pass hands its KV across nodes, preempted sequences swap over the
+// fabric, and downed instances come back on the spare: the transfer,
+// swap and recovery events no other observed scenario records.
+func fabricCluster(t *testing.T) (ClusterConfig, []trace.Request, units.Seconds) {
+	t.Helper()
+	cfg := l70Config()
+	cfg.Scheduler = StaticDisaggregated
+	cfg.Network = pluggablePacket()
+	cfg.KV = kv.Config{Policy: kv.Swap, Blocks: 600}
+	cc := clusterOf(cfg, cfg)
+	cc.Failures = acceleratedFailures(1)
+	return cc, convTrace(t, 3.0, 11, 120), 120
+}
+
+// TestFabricClusterRecordsTransfers pins what fabricCluster is for: its
+// timeline must hold ingress transfers (on the frontend thread), static
+// KV handoffs (on an instance thread), their deliveries and the
+// enqueues that follow them, swap-outs, and spare takeovers.
+func TestFabricClusterRecordsTransfers(t *testing.T) {
+	cc, reqs, horizon := fabricCluster(t)
+	_, timeline, _ := runObserved(t, cc, reqs, horizon)
+	var doc struct {
+		TraceEvents []struct {
+			Name string
+			Tid  int
+		}
+	}
+	if err := json.Unmarshal([]byte(timeline), &doc); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, e := range doc.TraceEvents {
+		switch {
+		case e.Name == obs.XferStart.String() && e.Tid == 0:
+			seen["ingress "+e.Name] = true
+		case e.Name == obs.XferStart.String():
+			seen["handoff "+e.Name] = true
+		default:
+			seen[e.Name] = true
+		}
+	}
+	for _, want := range []string{
+		"ingress xfer_start", "handoff xfer_start", obs.XferDeliver.String(),
+		obs.Enqueue.String(), obs.KVSwapOut.String(), obs.InstanceUp.String(),
+	} {
+		if !seen[want] {
+			t.Errorf("the timeline holds no %s event; the scenario no longer exercises it", want)
+		}
+	}
+}
+
 // TestObserverExportGoldens hashes the exports of the chaos cluster
 // under every scheduler, of the two-pool retry cluster, whose retries
-// re-key sampled timelines through Adopt, and of a pool that drops
-// oversized prompts at admission.
+// re-key sampled timelines through Adopt, of a pool that drops
+// oversized prompts at admission, and of the two-pool fabric cluster.
 func TestObserverExportGoldens(t *testing.T) {
 	var b strings.Builder
 	hash := func(name, timeline, probes string) {
@@ -297,5 +351,8 @@ func TestObserverExportGoldens(t *testing.T) {
 	cc, reqs, horizon = oversizedCluster(t)
 	_, timeline, probes = runObserved(t, cc, reqs, horizon)
 	hash("oversized-continuous", timeline, probes)
+	cc, reqs, horizon = fabricCluster(t)
+	_, timeline, probes = runObserved(t, cc, reqs, horizon)
+	hash("fabric-two-pool", timeline, probes)
 	compareGoldens(t, observerGoldenFile, b.String())
 }
