@@ -431,15 +431,13 @@ func (c *batchCore) startStep(j int, now float64) {
 	e.stepState = stepState{stepEnd: now + dt, stepPfx: pDt, stepDec: dDt, stepPrefill: nPrefill, stepChunk: chunkTokens}
 	e.pBusy += pDt
 	e.dBusy += dDt
-	if p.rec != nil && nPrefill > 0 {
-		id := int32(c.base + j)
-		if c.chunk > 0 {
-			p.rec.Request(obs.PrefillStart, now, int32(p.idx), id, int64(e.pending.At(0).req.ID), float64(chunkTokens))
-		} else {
-			for i := 0; i < nPrefill; i++ {
-				p.rec.Request(obs.PrefillStart, now, int32(p.idx), id, int64(e.pending.At(i).req.ID), float64(nPrefill))
-			}
-		}
+	// Val: a chunk's tokens, a whole-prompt pass's batch size.
+	val := float64(nPrefill)
+	if c.chunk > 0 {
+		val = float64(chunkTokens)
+	}
+	for i := 0; i < nPrefill; i++ {
+		p.note(obs.PrefillStart, now, int32(c.base+j), e.pending.At(i).req.ID, val)
 	}
 	// Steps that emit tokens complete in the decode priority band; pure
 	// prefill passes complete in the prefill band, matching the static
@@ -536,9 +534,7 @@ func (c *batchCore) preempt(j int, victim *activeReq, now float64) {
 	p := c.pool
 	p.m.KVPreemptions++
 	tokens := kvTokens(victim)
-	if p.rec != nil {
-		p.rec.Request(obs.KVPreempt, now, int32(p.idx), int32(c.base+j), int64(victim.req.ID), float64(tokens))
-	}
+	p.note(obs.KVPreempt, now, int32(c.base+j), victim.req.ID, float64(tokens))
 	p.kvRelease(c.engines[j].al, victim, now)
 	if p.cfg.KV.Policy == kv.Swap {
 		c.startSwap(j, victim, now, tokens)
@@ -568,9 +564,7 @@ func (c *batchCore) startSwap(j int, a *activeReq, now float64, tokens int) {
 		kind: xferSwap, src: int32(id), dst: int32(id),
 		a: a, start: now, bytes: bytes,
 	}, p.epBase+id, 0, id)
-	if p.rec != nil {
-		p.rec.Request(obs.KVSwapOut, now, int32(p.idx), int32(id), int64(a.req.ID), bytes)
-	}
+	p.note(obs.KVSwapOut, now, int32(id), a.req.ID, bytes)
 }
 
 //litegpu:hotpath
@@ -620,8 +614,8 @@ func (c *batchCore) completeStep(j int, now float64) {
 			head.promptLeft = 0
 			e.pending.PopFront()
 			c.finishPrefill(j, head, now)
-		} else if p.rec != nil {
-			p.rec.Request(obs.Chunk, now, int32(p.idx), int32(c.base+j), int64(head.req.ID), float64(head.promptLeft))
+		} else {
+			p.note(obs.Chunk, now, int32(c.base+j), head.req.ID, float64(head.promptLeft))
 		}
 	} else {
 		for k := 0; k < e.stepPrefill; k++ {
@@ -647,9 +641,7 @@ func (c *batchCore) finishPrefill(j int, a *activeReq, now float64) {
 		p.freeActive(a)
 		return
 	}
-	if p.rec != nil {
-		p.rec.Request(obs.PrefillEnd, now, int32(p.idx), int32(c.base+j), int64(a.req.ID), 0)
-	}
+	p.note(obs.PrefillEnd, now, int32(c.base+j), a.req.ID, 0)
 	if !a.ttftDone {
 		a.ttftDone = true
 		p.recordTTFT(now-float64(a.req.Arrival), a.req.Class)

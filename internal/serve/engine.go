@@ -228,9 +228,9 @@ type poolSim struct {
 	scaleHi  int
 	scaleMin int
 
-	// rec is the cluster's observer, mirrored per pool so hook sites
-	// reach it without chasing the clusterSim; nil means observability
-	// off, and every hook is guarded on that nil.
+	// rec is the cluster's observer, mirrored per pool; nil means
+	// observability off. Every pool event reaches it through note or
+	// noteInstance, which hold the nil check.
 	rec *obs.Recorder
 
 	m          Metrics
@@ -392,9 +392,7 @@ func (p *poolSim) kvAdmit(al *kv.Allocator, a *activeReq, now float64) bool {
 	if d := al.InUse() - before; d != 0 {
 		p.kvAccount(now, d)
 	}
-	if p.rec != nil {
-		p.rec.Request(obs.KVAlloc, now, int32(p.idx), -1, int64(a.req.ID), float64(p.kvInUse))
-	}
+	p.note(obs.KVAlloc, now, -1, a.req.ID, float64(p.kvInUse))
 	return true
 }
 
@@ -409,9 +407,7 @@ func (p *poolSim) kvGrow(al *kv.Allocator, a *activeReq, now float64) bool {
 	}
 	if d := al.InUse() - before; d != 0 {
 		p.kvAccount(now, d)
-		if p.rec != nil {
-			p.rec.Request(obs.KVGrow, now, int32(p.idx), -1, int64(a.req.ID), float64(p.kvInUse))
-		}
+		p.note(obs.KVGrow, now, -1, a.req.ID, float64(p.kvInUse))
 	}
 	return true
 }
@@ -431,8 +427,28 @@ func (p *poolSim) kvRelease(al *kv.Allocator, a *activeReq, now float64) {
 	if d := al.InUse() - before; d != 0 {
 		p.kvAccount(now, d)
 	}
+	p.note(obs.KVRelease, now, -1, a.req.ID, float64(p.kvInUse))
+}
+
+// note records request-scoped event kind for request id at instance
+// inst of this pool (-1 for its frontend or queue), with the kind's
+// value. It and noteInstance are the only places that ask whether an
+// observer is attached: with none, an event costs one nil check.
+//
+//litegpu:hotpath
+func (p *poolSim) note(kind obs.Kind, now float64, inst int32, id int, val float64) {
 	if p.rec != nil {
-		p.rec.Request(obs.KVRelease, now, int32(p.idx), -1, int64(a.req.ID), float64(p.kvInUse))
+		p.rec.Request(kind, now, int32(p.idx), inst, int64(id), val)
+	}
+}
+
+// noteInstance records instance-scoped event kind at instance inst of
+// this pool (-1 for the pool as a whole), with the kind's value.
+//
+//litegpu:hotpath
+func (p *poolSim) noteInstance(kind obs.Kind, now float64, inst int32, val float64) {
+	if p.rec != nil {
+		p.rec.Cluster(kind, now, int32(p.idx), inst, val)
 	}
 }
 
@@ -490,9 +506,7 @@ func (p *poolSim) drop() {
 //
 //litegpu:hotpath
 func (p *poolSim) dropOversized(a *activeReq, al *kv.Allocator, inst int32, now float64) {
-	if p.rec != nil {
-		p.rec.Request(obs.Drop, now, int32(p.idx), inst, int64(a.req.ID), float64(a.req.PromptTokens))
-	}
+	p.note(obs.Drop, now, inst, a.req.ID, float64(a.req.PromptTokens))
 	p.kvRelease(al, a, now)
 	p.drop()
 	p.clientSettle(a)
@@ -510,9 +524,7 @@ func (p *poolSim) failReq(a *activeReq, inst int32, drop bool, now float64) {
 	if drop {
 		kind = obs.Drop
 	}
-	if p.rec != nil {
-		p.rec.Request(kind, now, int32(p.idx), inst, int64(a.req.ID), 0)
-	}
+	p.note(kind, now, inst, a.req.ID, 0)
 	if !drop {
 		p.m.Requeued++
 		return
@@ -545,9 +557,7 @@ func (p *poolSim) emitToken(a *activeReq, now float64) bool {
 	if !a.emitted {
 		a.emitted = true
 		a.firstAt = now
-		if p.rec != nil {
-			p.rec.Request(obs.FirstToken, now, int32(p.idx), -1, int64(a.req.ID), now-float64(a.req.Arrival))
-		}
+		p.note(obs.FirstToken, now, -1, a.req.ID, now-float64(a.req.Arrival))
 	}
 	if a.remaining > 0 {
 		return false
@@ -576,9 +586,7 @@ func (p *poolSim) emitToken(a *activeReq, now float64) bool {
 		p.tbtOK++
 	}
 	p.e2es.Append(now - float64(a.req.Arrival))
-	if p.rec != nil {
-		p.rec.Request(obs.Complete, now, int32(p.idx), -1, int64(a.req.ID), now-float64(a.req.Arrival))
-	}
+	p.note(obs.Complete, now, -1, a.req.ID, now-float64(a.req.Arrival))
 	return true
 }
 
@@ -839,9 +847,7 @@ func (s *clusterSim) onXfer(now float64, arg uint64) {
 	p.xferB.Append(rec.bytes)
 	p.netSec += dur
 	p.m.NetTransfers++
-	if p.rec != nil {
-		p.rec.Request(obs.XferDeliver, now, int32(p.idx), rec.dst, int64(a.req.ID), dur)
-	}
+	p.note(obs.XferDeliver, now, rec.dst, a.req.ID, dur)
 	switch {
 	case rec.kind == xferSwap:
 		// A preempted sequence's KV is back: no TTFT stamp (its first
@@ -858,9 +864,7 @@ func (s *clusterSim) onXfer(now float64, arg uint64) {
 		p.recordTTFT(now-float64(a.req.Arrival), a.req.Class)
 		p.core.q.PushBack(a)
 	default:
-		if p.rec != nil {
-			p.rec.Request(obs.Enqueue, now, int32(p.idx), -1, int64(a.req.ID), 0)
-		}
+		p.note(obs.Enqueue, now, -1, a.req.ID, 0)
 		p.sched.enqueue(a)
 	}
 	p.dropLive(int32(idx))
@@ -882,9 +886,7 @@ func (s *clusterSim) startIngress(p *poolSim, a *activeReq, now float64) {
 		kind: xferIngress, src: -1, dst: -1,
 		a: a, start: now, bytes: bytes,
 	}, 0, p.epBase+inst, inst)
-	if p.rec != nil {
-		p.rec.Request(obs.XferStart, now, int32(p.idx), -1, int64(a.req.ID), bytes)
-	}
+	p.note(obs.XferStart, now, -1, a.req.ID, bytes)
 }
 
 // startXfer starts rec on the fabric from endpoint from to endpoint to,
@@ -1118,9 +1120,7 @@ func (s *clusterSim) acceptArrival(p *poolSim, r trace.Request, now float64) {
 	if p.classesOn {
 		p.classAt(r.Class).Arrived++
 	}
-	if p.rec != nil {
-		p.rec.Request(obs.Arrival, now, int32(p.idx), -1, int64(r.ID), float64(r.PromptTokens))
-	}
+	p.note(obs.Arrival, now, -1, r.ID, float64(r.PromptTokens))
 	if p.shed(r, now) {
 		// A shed closed-loop client behaves like a timed-out one: it
 		// retries with backoff while it has budget, then gives up for
@@ -1151,9 +1151,7 @@ func (s *clusterSim) submit(p *poolSim, a *activeReq, now float64) {
 		s.startIngress(p, a, now)
 		return
 	}
-	if p.rec != nil {
-		p.rec.Request(obs.Enqueue, now, int32(p.idx), -1, int64(a.req.ID), 0)
-	}
+	p.note(obs.Enqueue, now, -1, a.req.ID, 0)
 	p.sched.enqueue(a)
 }
 
@@ -1238,9 +1236,7 @@ func (s *clusterSim) failInstance(p *poolSim, id int, now float64) {
 	st.up = false
 	st.downAt = now
 	p.m.FailureEvents++
-	if p.rec != nil {
-		p.rec.Cluster(obs.InstanceDown, now, int32(p.idx), int32(id), float64(st.gpus))
-	}
+	p.noteInstance(obs.InstanceDown, now, int32(id), float64(st.gpus))
 	if st.doneEv != 0 {
 		s.eng.Cancel(st.doneEv)
 		st.doneEv = 0
@@ -1286,9 +1282,7 @@ func (s *clusterSim) recoverInstance(p *poolSim, id int, now float64) {
 	st := p.insts[id]
 	st.up = true
 	st.downSec += now - st.downAt
-	if p.rec != nil {
-		p.rec.Cluster(obs.InstanceUp, now, int32(p.idx), int32(id), now-st.downAt)
-	}
+	p.noteInstance(obs.InstanceUp, now, int32(id), now-st.downAt)
 	s.scheduleFailure(p, id, now)
 	s.requestDispatch(p, now)
 }

@@ -500,9 +500,7 @@ func (p *poolSim) shed(r trace.Request, now float64) bool {
 	if p.classesOn {
 		p.classAt(r.Class).Shed++
 	}
-	if p.rec != nil {
-		p.rec.Request(obs.Shed, now, int32(p.idx), -1, int64(r.ID), float64(r.Class))
-	}
+	p.note(obs.Shed, now, -1, r.ID, float64(r.Class))
 	return true
 }
 
@@ -568,9 +566,7 @@ func (s *clusterSim) onDeadline(now float64, arg uint64) {
 	if p.classesOn {
 		p.classAt(tr.req.Class).TimedOut++
 	}
-	if p.rec != nil {
-		p.rec.Request(obs.Timeout, now, int32(p.idx), -1, int64(tr.req.ID), float64(tr.attempts))
-	}
+	p.note(obs.Timeout, now, -1, tr.req.ID, float64(tr.attempts))
 	if !s.cancelClientXfer(p, a) {
 		// The attempt is woven through a queue, batch, or ingress
 		// transfer: mark it for the choke points.
@@ -623,9 +619,7 @@ func (s *clusterSim) retryOrAbandon(p *poolSim, idx int, now float64) {
 	if p.classesOn {
 		p.classAt(tr.req.Class).Abandoned++
 	}
-	if p.rec != nil {
-		p.rec.Request(obs.Abandon, now, int32(p.idx), -1, int64(tr.req.ID), float64(tr.attempts))
-	}
+	p.note(obs.Abandon, now, -1, tr.req.ID, float64(tr.attempts))
 	p.freeTrack(int32(idx))
 }
 
@@ -650,9 +644,7 @@ func (s *clusterSim) scheduleRetry(p *poolSim, idx int, now float64, b ClientBeh
 	if b.Jitter > 0 {
 		backoff *= 1 + b.Jitter*p.clientRNG.Float64()
 	}
-	if p.rec != nil {
-		p.rec.Request(obs.Backoff, now, int32(p.idx), -1, int64(tr.req.ID), backoff)
-	}
+	p.note(obs.Backoff, now, -1, tr.req.ID, backoff)
 	s.eng.ScheduleCall(now+backoff, prioClient+p.prioBase, s.retryH, packArg(p.idx, idx))
 }
 
@@ -678,8 +670,8 @@ func (s *clusterSim) onRetry(now float64, arg uint64) {
 		// Retries extend the original submission's sampled timeline
 		// rather than re-entering the reservoir.
 		p.rec.Adopt(int64(oldID), int64(r.ID))
-		p.rec.Request(obs.Retry, now, int32(p.idx), -1, int64(r.ID), float64(tr.attempts))
 	}
+	p.note(obs.Retry, now, -1, r.ID, float64(tr.attempts))
 	if p.shed(r, now) {
 		s.retryOrAbandon(p, idx, now)
 		return
@@ -732,9 +724,7 @@ func (s *clusterSim) onScale(now float64, arg uint64) {
 				break
 			}
 			p.m.ScaleUps++
-			if p.rec != nil {
-				p.rec.Cluster(obs.ScaleUp, now, int32(p.idx), -1, load)
-			}
+			p.noteInstance(obs.ScaleUp, now, -1, load)
 		}
 	} else if load < a.lowWater() && live > p.scaleMin {
 		for n := a.step(); n > 0 && live > p.scaleMin; n-- {
@@ -743,9 +733,7 @@ func (s *clusterSim) onScale(now float64, arg uint64) {
 			}
 			p.m.ScaleDowns++
 			live--
-			if p.rec != nil {
-				p.rec.Cluster(obs.ScaleDown, now, int32(p.idx), -1, load)
-			}
+			p.noteInstance(obs.ScaleDown, now, -1, load)
 		}
 	}
 	s.eng.ScheduleCall(now+a.interval(), prioClient+p.prioBase+1, s.scaleH, arg)

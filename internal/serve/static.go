@@ -164,15 +164,13 @@ func (sc *staticSched) dispatchPrefill(now float64) {
 			}
 			e.freeAt = now + dt
 			e.pBusy += dt
-			if p.rec != nil {
-				// Val: a rebuild's KV tokens, a fresh pass's batch size.
-				val := float64(n)
-				if rebuild {
-					val = float64(tokens)
-				}
-				for _, a := range e.batch {
-					p.rec.Request(obs.PrefillStart, now, int32(p.idx), int32(i), int64(a.req.ID), val)
-				}
+			// Val: a rebuild's KV tokens, a fresh pass's batch size.
+			val := float64(n)
+			if rebuild {
+				val = float64(tokens)
+			}
+			for _, a := range e.batch {
+				p.note(obs.PrefillStart, now, int32(i), a.req.ID, val)
 			}
 			e.doneEv = sc.cs.eng.ScheduleCall(e.freeAt, prioPrefill+e.prio, sc.prefillDoneH, uint64(i))
 		}
@@ -215,9 +213,7 @@ func (sc *staticSched) finishPass(i int, a *activeReq, rebuild bool, now float64
 		p.freeActive(a)
 		return
 	}
-	if p.rec != nil {
-		p.rec.Request(obs.PrefillEnd, now, int32(p.idx), int32(i), int64(a.req.ID), 0)
-	}
+	p.note(obs.PrefillEnd, now, int32(i), a.req.ID, 0)
 	kind := xferKV
 	if rebuild {
 		kind = xferSwap
@@ -252,9 +248,7 @@ func (sc *staticSched) handoff(i int, a *activeReq, kind int8, now float64) bool
 		kind: kind, src: int32(i), dst: int32(dst),
 		a: a, start: now, bytes: bytes,
 	}, p.epBase+i, p.epBase+dst, dst)
-	if p.rec != nil {
-		p.rec.Request(obs.XferStart, now, int32(p.idx), int32(i), int64(a.req.ID), bytes)
-	}
+	p.note(obs.XferStart, now, int32(i), a.req.ID, bytes)
 	return true
 }
 
