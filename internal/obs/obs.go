@@ -26,20 +26,20 @@ const (
 	Arrival      Kind = iota // request reached the router; Val = prompt tokens
 	Shed                     // admission gate rejected it; Val = class
 	Enqueue                  // joined its pool's scheduler queue
-	PrefillStart             // prefill pass (or chunk run) began; Val = batch size
+	PrefillStart             // prefill pass or chunk began; Val = batch size, chunk tokens, or a static rebuild's KV tokens
 	PrefillEnd               // prompt fully prefilled
 	Chunk                    // one chunked-prefill chunk completed; Val = prompt tokens left
-	KVAlloc                  // KV blocks claimed at admission; Val = blocks in use (instance)
-	KVGrow                   // sequence grew into a fresh KV block; Val = blocks in use (instance)
+	KVAlloc                  // KV blocks claimed at admission; Inst = -1, Val = blocks in use across the pool
+	KVGrow                   // sequence grew into a fresh KV block; Inst = -1, Val = blocks in use across the pool
 	KVPreempt                // evicted from the batch on KV exhaustion; Val = tokens held
 	KVSwapOut                // preempted KV began its swap round-trip; Val = bytes
-	KVRelease                // KV blocks returned; Val = blocks in use (instance)
+	KVRelease                // KV blocks returned; Inst = -1, Val = blocks in use across the pool
 	XferStart                // fabric transfer launched; Val = bytes
 	XferDeliver              // fabric transfer delivered; Val = seconds in flight
 	Timeout                  // client deadline expired; Val = attempt index
 	Backoff                  // retry booked; Val = backoff seconds
-	Retry                    // resubmission entered the frontend; Val = new request id
-	Abandon                  // client gave up for good
+	Retry                    // resubmission entered the frontend under its new id; Val = attempt index
+	Abandon                  // client gave up for good; Val = attempt index
 	FirstToken               // first output token emitted; Val = TTFT seconds
 	Complete                 // generation finished; Val = E2E seconds
 	Requeue                  // in-flight work requeued off a dead instance; Val = 0
@@ -48,9 +48,9 @@ const (
 	// Instance-scoped kinds (always recorded; bounded by failure and
 	// autoscale event counts, not the trace length).
 	InstanceDown // instance failed; Val = GPUs lost
-	InstanceUp   // spare takeover completed
-	ScaleUp      // autoscaler unparked an instance
-	ScaleDown    // autoscaler parked an instance
+	InstanceUp   // spare takeover completed; Val = seconds the instance was down
+	ScaleUp      // autoscaler unparked an instance; Inst = -1, Val = outstanding work per live instance
+	ScaleDown    // autoscaler parked an instance; Inst = -1, Val = outstanding work per live instance
 )
 
 // kindNames renders Kind for exports; indexes match the constants.
