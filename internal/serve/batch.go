@@ -82,6 +82,10 @@ type batchCore struct {
 	// With a KV allocator a run ends before the first step whose growth
 	// claims a block (see runSteps).
 	runs bool
+	// starts counts the decode runs startStep began (one-step runs
+	// included) and cuts the runs cutRuns cut short: the work corpus
+	// pins both per scenario.
+	starts, cuts int
 
 	stepDoneH sim.Handler
 }
@@ -169,6 +173,7 @@ func (c *batchCore) cutRuns(limit int) {
 		e := &c.engines[j]
 		if e.runLeft > 0 && len(e.active)+e.pending.Len() < limit {
 			c.cs.eng.Cancel(e.doneEv)
+			c.cuts++
 			e.runLeft = 0
 			e.doneEv = c.cs.eng.ScheduleCall(e.stepEnd, prioDecode+e.prio, c.stepDoneH, uint64(j))
 		}
@@ -448,6 +453,7 @@ func (c *batchCore) startStep(j int, now float64) {
 	}
 	end := e.stepEnd
 	if c.runs && nPrefill == 0 {
+		c.starts++
 		e.runLeft = e.runSteps() - 1
 		for k := 0; k < e.runLeft; k++ {
 			end += dt

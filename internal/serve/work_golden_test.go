@@ -7,12 +7,14 @@ import (
 )
 
 // workGoldenFile pins the work the simulator does, beside the five
-// metric corpora that pin what it computes: one "<scenario>/events=<n>"
-// line per scenario of every golden list, n being the events the run's
-// calendar fired. The simulation is deterministic, so the count is an
-// exact integer, and a change that makes the simulator do less (or
-// more) work for the same Metrics shows in this file's regeneration
-// diff, scenario by scenario. Regenerate with:
+// metric corpora that pin what it computes: per scenario of every
+// golden list, one "<scenario>/events=<n>" line, n being the events the
+// run's calendar fired, one "<scenario>/runs=<n>" line counting the
+// decode runs its batch engines started, and one "<scenario>/cuts=<n>"
+// line counting the runs cut short after a dispatch pass. The
+// simulation is deterministic, so every count is an exact integer, and
+// a change that makes the simulator do less (or more) work for the same
+// Metrics shows in this file's regeneration diff, scenario by scenario. Regenerate with:
 //
 //	LITEGPU_UPDATE_GOLDENS=1 go test ./internal/serve -run Golden
 const workGoldenFile = "testdata/work_goldens.txt"
@@ -25,7 +27,7 @@ func goldenCorpora(t *testing.T) [][]goldenScenario {
 	}
 }
 
-// workReport runs every scenario once and renders its fired-event count.
+// workReport runs every scenario once and renders its work counts.
 func workReport(t *testing.T, corpora [][]goldenScenario) string {
 	t.Helper()
 	var b strings.Builder
@@ -44,13 +46,19 @@ func workReport(t *testing.T, corpora [][]goldenScenario) string {
 			if _, err := s.runFrom(&sliceSource{reqs: sc.reqs}); err != nil {
 				t.Fatalf("%s: %v", sc.name, err)
 			}
-			fmt.Fprintf(&b, "%s/events=%d\n", sc.name, s.eng.EventsFired())
+			starts, cuts := 0, 0
+			for _, p := range s.pools {
+				starts += p.core.starts
+				cuts += p.core.cuts
+			}
+			fmt.Fprintf(&b, "%s/events=%d\n%s/runs=%d\n%s/cuts=%d\n",
+				sc.name, s.eng.EventsFired(), sc.name, starts, sc.name, cuts)
 		}
 	}
 	return b.String()
 }
 
-// TestWorkGoldens pins every golden scenario's fired-event count.
+// TestWorkGoldens pins every golden scenario's work counts.
 func TestWorkGoldens(t *testing.T) {
 	compareGoldens(t, workGoldenFile, workReport(t, goldenCorpora(t)))
 }
