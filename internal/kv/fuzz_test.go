@@ -144,14 +144,37 @@ func (r *refAllocator) slack(id int) int {
 	return (len(s.shared)+s.private)*r.blockTokens - s.tokens
 }
 
-// extend grows a sequence by n tokens inside its blocks; it reports
-// false, changing nothing, where the growth would need a block.
+// extend grows a sequence by n tokens, taking the blocks it needs from
+// the free ones only; it reports false, changing nothing, where the
+// growth would need more blocks than are free.
 func (r *refAllocator) extend(id, n int) bool {
-	if n > r.slack(id) {
+	s := r.seqs[id]
+	need := (s.tokens+n+r.blockTokens-1)/r.blockTokens - len(s.shared) - s.private
+	if need > r.free {
 		return false
 	}
-	r.seqs[id].tokens += n
+	r.free -= need
+	s.private += need
+	s.tokens += n
 	return true
+}
+
+// fits reports whether alloc would succeed once claimed more blocks
+// have been taken from the free ones.
+func (r *refAllocator) fits(tokens int, prefixKey uint64, prefixTokens, claimed int) bool {
+	nb := (tokens + r.blockTokens - 1) / r.blockTokens
+	cacheable := 0
+	if r.prefix && prefixKey != 0 && prefixTokens > 0 {
+		cacheable = min(min(prefixTokens, tokens)/r.blockTokens, nb)
+	}
+	liveHits := 0
+	for i := 0; i < cacheable; i++ {
+		if ref, found := r.cache[blockKey(prefixKey, i)]; found && ref > 0 {
+			liveHits++
+		}
+	}
+	// An idle hit costs the idle block it reuses, like any other claim.
+	return nb-liveHits+claimed <= r.free+len(r.idle) && claimed <= r.free && len(r.seqs) < r.total
 }
 
 func (r *refAllocator) freeSeq(id int) {
@@ -173,7 +196,9 @@ func (r *refAllocator) freeSeq(id int) {
 // FuzzKVAllocator drives random alloc/grow/extend/free/reset sequences
 // through the real allocator and the naive reference in lockstep,
 // comparing every return value and the full block accounting after
-// every operation.
+// every operation. Each alloc is preceded by two fit queries, one with
+// nothing claimed, which must answer what the alloc then does, and one
+// with the op byte's high bits claimed from the free blocks.
 func FuzzKVAllocator(f *testing.F) {
 	f.Add([]byte{0, 0, 40, 1, 60, 0, 0, 10, 2, 8, 1, 0, 2, 5, 3, 0})
 	f.Add([]byte{1, 0, 255, 1, 255, 0, 100, 3, 200, 1, 1, 2, 30, 1, 0})
@@ -215,7 +240,15 @@ func FuzzKVAllocator(f *testing.F) {
 				tokens := 1 + int(data[1])
 				key := uint64(data[2] % 5)
 				ptoks := int(data[3])
+				claimed := int(data[0] / 8 % 8)
+				if got, want := a.Fits(tokens, key, ptoks, claimed), r.fits(tokens, key, ptoks, claimed); got != want {
+					t.Fatalf("fits(%d,%d,%d,%d) diverged: real %v, ref %v", tokens, key, ptoks, claimed, got, want)
+				}
+				fits := a.Fits(tokens, key, ptoks, 0)
 				id, hits, lookups, ok := a.Alloc(tokens, key, ptoks)
+				if fits != ok {
+					t.Fatalf("fits(%d,%d,%d,0) = %v, but alloc ok = %v", tokens, key, ptoks, fits, ok)
+				}
 				rid, rhits, rlookups, rok := r.alloc(tokens, key, ptoks)
 				if ok != rok || hits != rhits || lookups != rlookups {
 					t.Fatalf("alloc(%d,%d,%d) diverged: real (%d,%d,%v), ref (%d,%d,%v)",

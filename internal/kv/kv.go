@@ -302,6 +302,8 @@ func (a *Allocator) BlockTokens() int { return a.blockTokens }
 
 // FreeBlocks returns the count of uncached reclaimable blocks: the
 // reclaimed ones plus those never handed out.
+//
+//litegpu:hotpath
 func (a *Allocator) FreeBlocks() int { return len(a.free) + a.unused() }
 
 // unused returns the count of blocks never handed out since
@@ -567,6 +569,74 @@ func (a *Allocator) newSeq() (SeqID, bool) {
 
 // Operations -----------------------------------------------------------------
 
+// shape is the start of Alloc's first phase: the block count nb of a
+// sequence of tokens tokens, and how many of its leading blocks the
+// shared prefix makes cacheable.
+//
+//litegpu:hotpath
+func (a *Allocator) shape(tokens int, prefixKey uint64, prefixTokens int) (nb, cacheable int) {
+	if tokens <= 0 {
+		panic("kv: Alloc of a non-positive token count")
+	}
+	nb = (tokens + a.blockTokens - 1) / a.blockTokens
+	if a.prefix && prefixKey != 0 && prefixTokens > 0 {
+		cacheable = min(min(prefixTokens, tokens)/a.blockTokens, nb)
+	}
+	return nb, cacheable
+}
+
+// resident is the rest of Alloc's first phase, which changes no state
+// either: how many of a prefix's first cacheable blocks are resident
+// (hits), and how many of those sit idle. Claiming an idle hit consumes
+// idle capacity that eviction can then no longer reclaim.
+//
+//litegpu:hotpath
+func (a *Allocator) resident(prefixKey uint64, cacheable int) (hits, idleHits int) {
+	for i := 0; i < cacheable; i++ {
+		b := a.lookup(blockKey(prefixKey, i))
+		if b == nilBlock {
+			continue
+		}
+		hits++
+		if a.refs[b] == 0 {
+			idleHits++
+		}
+	}
+	return hits, idleHits
+}
+
+// reclaimable returns the blocks a claim may take: free, never used,
+// and idle cached ones.
+//
+//litegpu:hotpath
+func (a *Allocator) reclaimable() int { return len(a.free) + a.unused() + a.idleCount }
+
+// seqFree reports whether a sequence slot is left for an Alloc.
+//
+//litegpu:hotpath
+func (a *Allocator) seqFree() bool { return len(a.freeSeqs) > 0 || len(a.seqs) < a.total }
+
+// Fits reports whether Alloc(tokens, prefixKey, prefixTokens) would
+// succeed once claimed more blocks have been taken from FreeBlocks, as
+// growth that extends live sequences takes them (see Extend); claims
+// FreeBlocks cannot cover never fit. It runs Alloc's first phase and
+// changes no state; it looks the prefix up only when the answer hangs
+// on how many of its blocks are live hits, which cost no free block.
+//
+//litegpu:hotpath
+func (a *Allocator) Fits(tokens int, prefixKey uint64, prefixTokens, claimed int) bool {
+	nb, cacheable := a.shape(tokens, prefixKey, prefixTokens)
+	if !a.seqFree() || claimed > a.FreeBlocks() {
+		return false
+	}
+	short := nb + claimed - a.reclaimable()
+	if short <= 0 || short > cacheable {
+		return short <= 0
+	}
+	hits, idleHits := a.resident(prefixKey, cacheable)
+	return short <= hits-idleHits
+}
+
 // Alloc reserves blocks for a sequence of `tokens` tokens whose
 // leading prefixTokens tokens belong to the shared prefix identified
 // by prefixKey (0 = no shared prefix). With prefix caching enabled,
@@ -581,37 +651,10 @@ func (a *Allocator) newSeq() (SeqID, bool) {
 //
 //litegpu:hotpath
 func (a *Allocator) Alloc(tokens int, prefixKey uint64, prefixTokens int) (id SeqID, hits, lookups int, ok bool) {
-	if tokens <= 0 {
-		panic("kv: Alloc of a non-positive token count")
-	}
-	nb := (tokens + a.blockTokens - 1) / a.blockTokens
-	cacheable := 0
-	if a.prefix && prefixKey != 0 && prefixTokens > 0 {
-		if prefixTokens > tokens {
-			prefixTokens = tokens
-		}
-		cacheable = prefixTokens / a.blockTokens
-		if cacheable > nb {
-			cacheable = nb
-		}
-	}
-
-	// Phase 1: probe only. Count resident prefix blocks and how many of
-	// them sit in the idle list (claiming those consumes idle capacity
-	// that eviction can then no longer reclaim).
-	idleHits := 0
-	for i := 0; i < cacheable; i++ {
-		b := a.lookup(blockKey(prefixKey, i))
-		if b == nilBlock {
-			continue
-		}
-		hits++
-		if a.refs[b] == 0 {
-			idleHits++
-		}
-	}
+	nb, cacheable := a.shape(tokens, prefixKey, prefixTokens)
+	hits, idleHits := a.resident(prefixKey, cacheable)
 	lookups = cacheable
-	if nb-hits > len(a.free)+a.unused()+(a.idleCount-idleHits) {
+	if nb-hits > a.reclaimable()-idleHits {
 		return 0, hits, lookups, false
 	}
 
@@ -650,7 +693,7 @@ func (a *Allocator) Alloc(tokens int, prefixKey uint64, prefixTokens int) (id Se
 		}
 		b := a.obtain()
 		if b == nilBlock {
-			// Unreachable: phase 1 verified capacity and phase 2a only
+			// Unreachable: the first phase verified capacity and phase 2a only
 			// removed idle blocks it turned into (uncountable) hits.
 			panic("kv: capacity check violated")
 		}
@@ -705,9 +748,11 @@ func (a *Allocator) Slack(id SeqID) int {
 	return len(s.blocks)*a.blockTokens - s.tokens
 }
 
-// Extend grows a live sequence by n tokens inside the blocks it holds:
-// n Grows that each find room in the last block. It panics when n
-// exceeds the sequence's Slack, since that growth would need blocks.
+// Extend grows a live sequence by n tokens, as n Grows would, taking
+// a block from FreeBlocks at each block boundary; it never evicts an
+// idle cached block. It panics, changing nothing, on a negative n or
+// when the growth needs more blocks than FreeBlocks: a caller extends
+// only by growth it has already counted against the free blocks.
 //
 //litegpu:hotpath
 func (a *Allocator) Extend(id SeqID, n int) {
@@ -715,8 +760,17 @@ func (a *Allocator) Extend(id SeqID, n int) {
 	if !s.live {
 		panic("kv: Extend on a freed sequence")
 	}
-	if n < 0 || s.tokens+n > len(s.blocks)*a.blockTokens {
-		panic("kv: Extend past the sequence's blocks")
+	if n < 0 {
+		panic("kv: Extend by a negative token count")
+	}
+	claims := (s.tokens+n+a.blockTokens-1)/a.blockTokens - len(s.blocks)
+	if claims > a.FreeBlocks() {
+		panic("kv: Extend past the free blocks")
+	}
+	for ; claims > 0; claims-- {
+		b := a.obtain()
+		a.refs[b] = 1 // generated tokens are sequence-private, never cached
+		s.blocks = append(s.blocks, b)
 	}
 	s.tokens += n
 }

@@ -158,6 +158,7 @@ func TestFreedHandleOpsPanic(t *testing.T) {
 		"Grow":      func() { a.Grow(id) },
 		"Slack":     func() { a.Slack(id) },
 		"Extend":    func() { a.Extend(id, 0) },
+		"Extend+":   func() { a.Extend(id, 5) },
 		"SeqTokens": func() { a.SeqTokens(id) },
 		"SeqBlocks": func() { a.SeqBlocks(id) },
 	} {
@@ -173,8 +174,9 @@ func TestFreedHandleOpsPanic(t *testing.T) {
 }
 
 // TestExtendMatchesGrows checks Slack and Extend against Grow: for
-// every token count and every n up to the slack, Extend(n) leaves the
-// sequence and the block accounting exactly where n Grows do.
+// every token count and every n up to three blocks past the slack,
+// Extend(n) leaves the sequence and the block accounting exactly where
+// n Grows do, claiming free blocks as it goes.
 func TestExtendMatchesGrows(t *testing.T) {
 	const bt = 4
 	for tokens := 1; tokens <= 3*bt; tokens++ {
@@ -184,7 +186,7 @@ func TestExtendMatchesGrows(t *testing.T) {
 		if want := probe.SeqBlocks(id)*bt - tokens; slack != want {
 			t.Fatalf("%d tokens: Slack = %d, want %d", tokens, slack, want)
 		}
-		for n := 0; n <= slack; n++ {
+		for n := 0; n <= slack+3*bt; n++ {
 			grown, extended := NewAllocator(8, bt, false), NewAllocator(8, bt, false)
 			gid, _, _, _ := grown.Alloc(tokens, 0, 0)
 			eid, _, _, _ := extended.Alloc(tokens, 0, 0)
@@ -203,29 +205,64 @@ func TestExtendMatchesGrows(t *testing.T) {
 	}
 }
 
-// TestExtendPastBlocksPanics pins that Extend never claims a block: one
-// token past the slack, or a negative count, panics and leaves the
-// sequence as it was.
+// TestExtendPastBlocksPanics pins that Extend claims only free blocks:
+// growth that needs more blocks than FreeBlocks panics and leaves the
+// sequence as it was, even where an idle cached block could be evicted
+// for it, and so does a negative count.
 func TestExtendPastBlocksPanics(t *testing.T) {
-	a := NewAllocator(8, 4, false)
-	id, _, _, _ := a.Alloc(6, 0, 0) // 2 blocks, slack 2
-	for _, n := range []int{3, 100, -1} {
+	a := NewAllocator(4, 4, true)
+	cached, _, _, _ := a.Alloc(4, 7, 4) // block 0, cached under prefix 7
+	a.Free(cached)                      // block 0 idles
+	id, _, _, _ := a.Alloc(6, 0, 0)     // blocks 1 and 2, slack 2; block 3 free
+	for _, n := range []int{7, 100, -1} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("Extend(%d) with slack 2 did not panic", n)
+					t.Fatalf("Extend(%d) with slack 2 and one free block did not panic", n)
 				}
 			}()
 			a.Extend(id, n)
 		}()
-		if a.SeqTokens(id) != 6 || a.SeqBlocks(id) != 2 || a.InUse() != 2 {
-			t.Fatalf("Extend(%d) that panicked changed the sequence: %d tokens in %d blocks",
-				n, a.SeqTokens(id), a.SeqBlocks(id))
+		if a.SeqTokens(id) != 6 || a.SeqBlocks(id) != 2 || a.InUse() != 2 || a.IdleBlocks() != 1 {
+			t.Fatalf("Extend(%d) that panicked changed the allocator: %d tokens in %d blocks, %d idle",
+				n, a.SeqTokens(id), a.SeqBlocks(id), a.IdleBlocks())
 		}
 	}
-	a.Extend(id, 2)
-	if a.Slack(id) != 0 || a.SeqBlocks(id) != 2 {
-		t.Fatalf("Extend to the last block's end: slack %d, %d blocks", a.Slack(id), a.SeqBlocks(id))
+	a.Extend(id, 6)
+	if a.Slack(id) != 0 || a.SeqBlocks(id) != 3 || a.FreeBlocks() != 0 || a.IdleBlocks() != 1 {
+		t.Fatalf("Extend onto the last free block: slack %d, %d blocks, %d free, %d idle",
+			a.Slack(id), a.SeqBlocks(id), a.FreeBlocks(), a.IdleBlocks())
+	}
+}
+
+// TestFitsMatchesAlloc checks Fits against Alloc: with nothing claimed
+// it answers what Alloc then does, across prefix hits on live and idle
+// blocks and a full sequence table, and claimed blocks count against
+// the free blocks only.
+func TestFitsMatchesAlloc(t *testing.T) {
+	a := NewAllocator(6, 4, true)
+	steps := []struct {
+		tokens, ptoks int
+		key           uint64
+	}{
+		{8, 8, 1}, {8, 8, 1}, {12, 4, 2}, {16, 0, 0}, {4, 4, 2}, {8, 8, 1}, {4, 0, 0}, {4, 0, 0},
+	}
+	for i, st := range steps {
+		fits := a.Fits(st.tokens, st.key, st.ptoks, 0)
+		if _, _, _, ok := a.Alloc(st.tokens, st.key, st.ptoks); ok != fits {
+			t.Fatalf("step %d: Fits %v, Alloc %v", i, fits, ok)
+		}
+		if fits && i == 2 {
+			if a.Fits(4, 0, 0, a.FreeBlocks()) || !a.Fits(4, 0, 0, a.FreeBlocks()-1) {
+				t.Fatalf("step %d: claimed blocks miscounted with %d free", i, a.FreeBlocks())
+			}
+		}
+	}
+	full := NewAllocator(2, 4, true)
+	full.Alloc(4, 9, 4)
+	full.Alloc(4, 9, 4)
+	if full.Fits(4, 9, 4, 0) {
+		t.Fatal("Fits with every sequence slot live")
 	}
 }
 
@@ -413,7 +450,7 @@ func TestDeterministicReplay(t *testing.T) {
 }
 
 // TestSteadyStateAllocFree pins the zero-alloc contract: after warmup,
-// Alloc/Grow/Extend/Free cycles perform no heap allocations.
+// Alloc/Grow/Extend/Fits/Free cycles perform no heap allocations.
 func TestSteadyStateAllocFree(t *testing.T) {
 	a := NewAllocator(64, 16, true)
 	// Warm up every code path: cache fills, idle list cycles, table
@@ -432,6 +469,10 @@ func TestSteadyStateAllocFree(t *testing.T) {
 			a.Grow(id1)
 		}
 		a.Extend(id2, a.Slack(id2))
+		a.Extend(id2, 20)
+		if !a.Fits(30, 3, 16, 2) {
+			panic("no room for a 30-token sequence")
+		}
 		a.Free(id1)
 		a.Free(id2)
 	})

@@ -33,6 +33,12 @@ type batchEngine struct {
 	// whole generation (prefill working memory is covered by
 	// MaxFeasibleBatch validation).
 	al *kv.Allocator
+	// claimsBy[r] counts the members of the engine's decode run whose
+	// block slack after the run's first step is below r, for r in
+	// [0, BlockTokens]: a member of slack s claims a block at the run's
+	// boundaries s+1, s+1+BlockTokens, …, so claimsBy prices any prefix
+	// of the run in blocks (see claims). Sized once, with the allocator.
+	claimsBy []int
 }
 
 // stepState is an engine's in-flight step: its end time, its
@@ -43,7 +49,10 @@ type batchEngine struct {
 // the in-flight one (see startStep), runOwed the tokens its applied
 // boundaries emitted that its members' remaining counts do not show
 // yet, and runGrow the steps those boundaries started, whose KV growth
-// its members' sequences do not show yet (see payRun).
+// its members' sequences do not show yet (see payRun). claimNext is the
+// first boundary of the run, counted from 1, whose block claims the
+// pool's occupancy integral has not counted yet, and claimAt its time;
+// claimNext is 0 when the run owes no claim (see flushClaims).
 type stepState struct {
 	stepEnd     float64 // 0 when idle
 	stepPfx     float64
@@ -53,6 +62,8 @@ type stepState struct {
 	runLeft     int
 	runOwed     int
 	runGrow     int
+	claimNext   int
+	claimAt     float64
 }
 
 // batchCore is the batch engine every scheduler runs its decode-capable
@@ -79,8 +90,8 @@ type batchCore struct {
 	// but the engine's own clock and its members' KV blocks can change
 	// its next step — no client deadlines, no autoscaler, and no
 	// observer (probe rows carry the event count and the busy seconds).
-	// With a KV allocator a run ends before the first step whose growth
-	// claims a block (see runSteps).
+	// With a KV allocator a run ends before the first step whose block
+	// claims the engine's free blocks cannot cover (see runSteps).
 	runs bool
 	// starts counts the decode runs startStep began (one-step runs
 	// included) and cuts the runs cutRuns cut short: the work corpus
@@ -115,6 +126,7 @@ func (c *batchCore) init(cs *clusterSim, pool *poolSim, n, gpus int) error {
 		bt := cfg.KV.BlockTokensOrDefault()
 		for j := range c.engines {
 			c.engines[j].al = kv.NewAllocator(blocks, bt, cfg.KV.PrefixCache)
+			c.engines[j].claimsBy = make([]int, bt+1)
 		}
 	}
 	return nil
@@ -140,11 +152,12 @@ func (c *batchCore) idle(j int) bool {
 // leaves it idle when a step of the run ends exactly now, so the pass
 // restarts it in index order as it would any engine. When the queue
 // still holds work after the pass, every run whose engine has a free
-// slot is cut at the end of its in-flight step: its next step would
-// admit that work. Every push into the queue requests a pass at that
-// instant or is made by this pass, so the batch core cuts runs only
-// here; the static scheduler also cuts them after the pass for its
-// rebuild queue (see staticSched.dispatch).
+// slot and would take the queue's head at the end of its in-flight step
+// is cut there (see admits), and every run is cut if an idle engine
+// would take it (see idleTakes). Every push into the queue requests a
+// pass at that instant or is made by this pass, so the batch core cuts
+// runs only here; the static scheduler also cuts them after the pass
+// for its rebuild queue (see staticSched.dispatch).
 //
 //litegpu:hotpath
 func (c *batchCore) dispatch(now float64) {
@@ -158,26 +171,71 @@ func (c *batchCore) dispatch(now float64) {
 		}
 	}
 	if c.runs && c.q.Len() > 0 {
-		c.cutRuns(c.cap)
+		if head := c.q.At(0); c.idleTakes(head) {
+			c.cutRuns(math.MaxInt, nil)
+		} else {
+			c.cutRuns(c.cap, head)
+		}
 	}
 }
 
-// cutRuns cuts every decode run whose engine holds fewer than limit
-// requests at the end of its in-flight step: the step's completion
-// event moves there, and the engine's next step starts through the
-// dispatch pass that event requests, as a single step's would.
+// idleTakes reports whether an idle engine would take head at the next
+// dispatch pass. Only a growth preemption later in the pass can have
+// put head there after the engine's turn. Single steps hold that pass
+// at the first step end of any engine, so every run is then cut.
 //
 //litegpu:hotpath
-func (c *batchCore) cutRuns(limit int) {
+func (c *batchCore) idleTakes(head *activeReq) bool {
 	for j := range c.engines {
 		e := &c.engines[j]
-		if e.runLeft > 0 && len(e.active)+e.pending.Len() < limit {
+		if e.up && !e.parked && !e.draining && mathx.ExactEq(e.stepEnd, 0) &&
+			len(e.active)+e.pending.Len() < c.cap && c.admits(e, head) {
+			return true
+		}
+	}
+	return false
+}
+
+// cutRuns cuts every decode run whose engine holds fewer than limit
+// requests at the end of its in-flight step and, unless head is nil,
+// would take head there: the step's completion event moves there, and
+// the engine's next step starts through the dispatch pass that event
+// requests, as a single step's would. The run's claims past that step
+// lie at or after its end, and no flush reaches them before its
+// completion drops them.
+//
+//litegpu:hotpath
+func (c *batchCore) cutRuns(limit int, head *activeReq) {
+	for j := range c.engines {
+		e := &c.engines[j]
+		if e.runLeft > 0 && len(e.active)+e.pending.Len() < limit && (head == nil || c.admits(e, head)) {
 			c.cs.eng.Cancel(e.doneEv)
 			c.cuts++
 			e.runLeft = 0
 			e.doneEv = c.cs.eng.ScheduleCall(e.stepEnd, prioDecode+e.prio, c.stepDoneH, uint64(j))
 		}
 	}
+}
+
+// admits reports whether engine e, in a decode run, would take a off
+// the queue's head at the end of its in-flight step: admit it, or drop
+// it as a prompt no pass fits. Its blocks count as they will stand
+// then, after the claims of the run's steps so far. Until the run ends
+// only those claims change the engine's allocator, and they only take
+// blocks, so an engine that would not take a then would not take it at
+// any later boundary of the run either.
+//
+//litegpu:hotpath
+func (c *batchCore) admits(e *batchEngine, a *activeReq) bool {
+	if e.al == nil {
+		return true
+	}
+	if a.promptLeft > 0 {
+		if _, ok := c.cost.prefill(1, e.passTokens(a)); !ok {
+			return true
+		}
+	}
+	return kvFits(e.al, a, e.claims(e.runGrow))
 }
 
 // runTo applies engine j's run boundaries that lie before now. A step
@@ -193,7 +251,7 @@ func (c *batchCore) runTo(j int, now float64) {
 	}
 	if e.runLeft > 0 && mathx.ExactEq(e.stepEnd, now) {
 		c.runTokens(e)
-		c.payRun(e)
+		c.payRun(e, now)
 		c.cs.eng.Cancel(e.doneEv)
 		e.doneEv = 0
 		e.stepState = stepState{}
@@ -206,8 +264,17 @@ func (c *batchCore) runTo(j int, now float64) {
 // instant itself emitted its tokens if its own (decode band) event
 // preceded the stopping one, and started its next step if the
 // dispatch pass at that instant ran too: the only event at
-// prioDispatch is that pass, and only observer probes follow it.
+// prioDispatch is that pass, and only observer probes follow it. The
+// block claims of the steps those boundaries started are counted, so
+// the pool's occupancy integral is complete for finish to close.
 func (c *batchCore) endRuns(at float64, prio int) {
+	through := at
+	if prio >= prioDispatch {
+		through = math.Nextafter(at, math.Inf(1))
+	}
+	if p := c.pool; p.kvOwedAt < through {
+		p.flushClaims(through)
+	}
 	for j := range c.engines {
 		e := &c.engines[j]
 		for e.runLeft > 0 && e.stepEnd < at {
@@ -228,7 +295,8 @@ func (c *batchCore) endRuns(at float64, prio int) {
 // completion and the next step's start would have: every member emits
 // a token, and the next step is counted busy, timed by the same float
 // addition startStep makes, and owes its members one token of KV
-// growth, which fits in their last blocks (see startStep).
+// growth, whose block claims the engine's free blocks cover (see
+// runSteps).
 //
 //litegpu:hotpath
 func (c *batchCore) runStep(e *batchEngine) {
@@ -252,14 +320,17 @@ func (c *batchCore) runTokens(e *batchEngine) {
 
 // payRun takes the tokens a run's applied boundaries emitted off its
 // members' remaining counts, and extends their KV sequences by the
-// growth of the steps those boundaries started. Nothing reads either
-// while the run goes on, so this happens once, when the run ends: at
-// its completion, at a boundary that leaves the engine idle, and at a
-// failure, whose allocator reset discards the growth again. Nothing
-// reads them after the calendar stops either.
+// growth of the steps those boundaries started, claiming the blocks
+// that growth needs. Nothing reads either while the run goes on, so
+// this happens once, when the run ends at now: at its completion, at a
+// boundary that leaves the engine idle, and at a failure, whose
+// allocator reset discards the growth again. Those boundaries all lie
+// before now, so flushing the pool's claims first counts every block
+// the extension takes, and no further kvAccount follows. Nothing reads
+// them after the calendar stops either.
 //
 //litegpu:hotpath
-func (c *batchCore) payRun(e *batchEngine) {
+func (c *batchCore) payRun(e *batchEngine, now float64) {
 	if e.runOwed == 0 {
 		return
 	}
@@ -268,6 +339,9 @@ func (c *batchCore) payRun(e *batchEngine) {
 	}
 	e.runOwed = 0
 	if e.al != nil && e.runGrow > 0 {
+		if p := c.pool; p.kvOwedAt < now {
+			p.flushClaims(now)
+		}
 		for _, a := range e.active {
 			e.al.Extend(a.kvSeq, e.runGrow)
 		}
@@ -279,11 +353,17 @@ func (c *batchCore) payRun(e *batchEngine) {
 // one: the fewest tokens any member has left, so the run's last step is
 // the first that completes a request. A member that has not emitted its
 // first token yet keeps the step to one. With a KV allocator, whose
-// grow has already claimed the first step's tokens, every later step
-// must also grow each member inside its last block, so K is at most one
-// more than the smallest slack: the run ends just before the first step
-// whose growth claims a block, and that step starts through the
-// dispatch pass and grow, as a single step would.
+// grow has already claimed the first step's tokens, the steps after the
+// first claim blocks as claimsBy counts them, and K is at most one more
+// than the last boundary whose claims, with all before it, the free
+// blocks cover: the run ends just before the first step whose claims
+// memory cannot cover, and that step starts through the dispatch pass
+// and grow, which may evict or preempt, as a single step would. Idle
+// cached blocks do not count, since evicting one changes the LRU. K is
+// never below one more than the smallest slack, which claims nothing.
+// Nothing else touches the allocator of an engine in a run (admission
+// happens only on idle engines), so every claim the run makes finds a
+// free block, in the order single steps would take them.
 //
 //litegpu:hotpath
 func (e *batchEngine) runSteps() int {
@@ -294,12 +374,69 @@ func (e *batchEngine) runSteps() int {
 		}
 		k = min(k, a.remaining)
 	}
-	if e.al != nil {
-		for _, a := range e.active {
-			k = min(k, 1+e.al.Slack(a.kvSeq))
+	if e.al == nil || k == 1 {
+		return k
+	}
+	by := e.claimsBy
+	clear(by)
+	for _, a := range e.active {
+		by[e.al.Slack(a.kvSeq)+1]++
+	}
+	bt := len(by) - 1
+	for r := 1; r <= bt; r++ {
+		by[r] += by[r-1]
+	}
+	// Every BlockTokens boundaries each member claims one block, so the
+	// free blocks cover q whole cycles and, of the next, the boundaries
+	// before the first r with by[r] > rem (by[bt], the members, exceeds
+	// rem).
+	m, free := len(e.active), e.al.FreeBlocks()
+	q, rem := free/m, free%m
+	r := bt - 1
+	for by[r] > rem {
+		r--
+	}
+	return min(k, q*bt+r+1)
+}
+
+// claims returns how many blocks the members of e's decode run claim at
+// its boundaries 1 through b.
+//
+//litegpu:hotpath
+func (e *batchEngine) claims(b int) int {
+	bt := len(e.claimsBy) - 1
+	return b/bt*len(e.active) + e.claimsBy[b%bt]
+}
+
+// claimsAt returns how many blocks the members of e's decode run claim
+// at its boundary b.
+//
+//litegpu:hotpath
+func (e *batchEngine) claimsAt(b int) int {
+	r := (b - 1) % (len(e.claimsBy) - 1)
+	return e.claimsBy[r+1] - e.claimsBy[r]
+}
+
+// seekClaim moves e's claim cursor to the first of its run's
+// boundaries b, b+1, … at which members claim blocks, t being boundary
+// b's time; past the run's last boundary it clears the cursor.
+//
+//litegpu:hotpath
+func (e *batchEngine) seekClaim(b int, t float64) {
+	by := e.claimsBy
+	bt := len(by) - 1
+	r := (b - 1) % bt
+	for last := e.runGrow + e.runLeft; b <= last; b++ {
+		if by[r+1] > by[r] {
+			e.claimNext, e.claimAt = b, t
+			return
+		}
+		t += e.stepDec
+		if r++; r == bt {
+			r = 0
 		}
 	}
-	return k
+	e.claimNext = 0
 }
 
 // swapReturn puts a preempted sequence back at the head of the queue
@@ -377,9 +514,10 @@ func (c *batchCore) admit(e *batchEngine, now float64) {
 // run's last step, and the steps before it are applied lazily (runTo,
 // endRuns, completeStep) exactly as their own events would have been.
 // Nothing can change an engine's next step while it runs except its
-// queue gaining work, which dispatch answers by cutting the run, and
-// its members' growth claiming a block, which bounds the run's length
-// (runSteps).
+// queue gaining work it could take, which dispatch answers by cutting
+// the run, and its members' growth claiming blocks memory cannot cover,
+// which bounds the run's length (runSteps). The claims a run's later
+// steps make reach the pool's occupancy integral through flushClaims.
 //
 //litegpu:hotpath
 func (c *batchCore) startStep(j int, now float64) {
@@ -457,6 +595,11 @@ func (c *batchCore) startStep(j int, now float64) {
 		e.runLeft = e.runSteps() - 1
 		for k := 0; k < e.runLeft; k++ {
 			end += dt
+		}
+		if e.al != nil && e.runLeft > 0 {
+			if e.seekClaim(1, e.stepEnd); e.claimNext > 0 {
+				p.kvOwedAt = min(p.kvOwedAt, e.claimAt)
+			}
 		}
 	}
 	e.doneEv = c.cs.eng.ScheduleCall(end, prio, c.stepDoneH, uint64(j))
@@ -588,7 +731,7 @@ func (c *batchCore) completeStep(j int, now float64) {
 	for e.runLeft > 0 {
 		c.runStep(e)
 	}
-	c.payRun(e)
+	c.payRun(e, now)
 	e.doneEv = 0
 	if e.stepDec > 0 {
 		// Filter survivors in place; completed requests recycle. A batch
@@ -673,7 +816,7 @@ func (c *batchCore) finishPrefill(j int, a *activeReq, now float64) {
 func (c *batchCore) fail(j int, now float64, drop bool) {
 	e := &c.engines[j]
 	p := c.pool
-	c.payRun(e)
+	c.payRun(e, now)
 	e.stepState = stepState{}
 	if e.al != nil {
 		for _, a := range e.active {

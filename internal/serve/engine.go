@@ -199,11 +199,14 @@ type poolSim struct {
 	// kvBlockTokens caches the pool's block granularity so fabric
 	// transfer sizing can round payloads up to whole blocks; kvInUse /
 	// kvBlockSec / kvLastT implement the time-weighted occupancy
-	// integral across the pool's allocators.
+	// integral across the pool's allocators. kvOwedAt is the earliest
+	// block claim a decode run owes the integral (+Inf when none; see
+	// flushClaims). It may run early, never late.
 	kvBlockTokens int
 	kvInUse       int
 	kvBlockSec    float64
 	kvLastT       float64
+	kvOwedAt      float64
 	kvHits        int
 	kvLookups     int
 
@@ -351,10 +354,24 @@ func kvTokens(a *activeReq) int {
 }
 
 // kvAccount advances the pool's time-weighted block-occupancy integral
-// to now and applies a blocks-in-use delta.
+// to now and applies a blocks-in-use delta. The block claims decode
+// runs owe from before now are counted first, so every delta reaches
+// the integral in the order single steps would have applied it. Owed
+// claims at now itself wait: a single step claims in the dispatch pass,
+// after every other event at its instant.
 //
 //litegpu:hotpath
 func (p *poolSim) kvAccount(now float64, delta int) {
+	if p.kvOwedAt < now {
+		p.flushClaims(now)
+	}
+	p.kvAdd(now, delta)
+}
+
+// kvAdd is kvAccount without the flush.
+//
+//litegpu:hotpath
+func (p *poolSim) kvAdd(now float64, delta int) {
 	p.kvBlockSec += float64(p.kvInUse) * (now - p.kvLastT)
 	p.kvLastT = now
 	p.kvInUse += delta
@@ -375,12 +392,7 @@ func (p *poolSim) kvAdmit(al *kv.Allocator, a *activeReq, now float64) bool {
 	if a.kvSeq >= 0 {
 		return true
 	}
-	var key uint64
-	ptoks := 0
-	if a.req.PrefixTokens > 0 && a.req.PrefixID != 0 {
-		key = uint64(a.req.PrefixID)
-		ptoks = a.req.PrefixTokens
-	}
+	key, ptoks := kvPrefix(a)
 	before := al.InUse()
 	id, hits, lookups, ok := al.Alloc(kvTokens(a), key, ptoks)
 	if !ok {
@@ -394,6 +406,81 @@ func (p *poolSim) kvAdmit(al *kv.Allocator, a *activeReq, now float64) bool {
 	}
 	p.note(obs.KVAlloc, now, -1, a.req.ID, float64(p.kvInUse))
 	return true
+}
+
+// kvFits reports whether kvAdmit would admit a into al once claimed
+// more blocks have been taken from al's free blocks. It changes no
+// state.
+//
+//litegpu:hotpath
+func kvFits(al *kv.Allocator, a *activeReq, claimed int) bool {
+	if a.kvSeq >= 0 {
+		return true
+	}
+	key, ptoks := kvPrefix(a)
+	return al.Fits(kvTokens(a), key, ptoks, claimed)
+}
+
+// kvPrefix is the prefix-cache key and length a's admission declares:
+// zero for a request without a shared prefix.
+//
+//litegpu:hotpath
+func kvPrefix(a *activeReq) (key uint64, tokens int) {
+	if a.req.PrefixTokens > 0 && a.req.PrefixID != 0 {
+		return uint64(a.req.PrefixID), a.req.PrefixTokens
+	}
+	return 0, 0
+}
+
+// flushClaims counts every block claim the pool's decode runs owe from
+// before now: the blocks their members' growth took at interior
+// boundaries that single steps would have claimed in a dispatch pass.
+// Claims go to the occupancy integral and the peak in time order, all
+// the claims at one instant as one delta: the integral gains
+// inUse·0 = +0 from each after the first either way, and the peak of a
+// sum of positive steps is the peak after its last. Each run times its
+// boundaries with the chained additions runStep makes. An engine whose
+// claims come before any other engine's are counted in one stretch.
+//
+//litegpu:hotpath
+func (p *poolSim) flushClaims(now float64) {
+	es := p.core.engines
+	for {
+		// The earliest owed claim t, its engine, and the earliest claim
+		// any other engine owes.
+		first, t, next := 0, math.Inf(1), math.Inf(1)
+		for j := range es {
+			switch e := &es[j]; {
+			case e.claimNext == 0:
+			case e.claimAt < t:
+				first, t, next = j, e.claimAt, t
+			case e.claimAt < next:
+				next = e.claimAt
+			}
+		}
+		if !(t < now) {
+			p.kvOwedAt = t
+			return
+		}
+		if t < next {
+			// One engine owes every claim before next: count them.
+			e := &es[first]
+			for until := min(next, now); e.claimNext > 0 && e.claimAt < until; {
+				at := e.claimAt
+				p.kvAdd(at, e.claimsAt(e.claimNext))
+				e.seekClaim(e.claimNext+1, at+e.stepDec)
+			}
+			continue
+		}
+		n := 0
+		for j := range es {
+			if e := &es[j]; e.claimNext > 0 && mathx.ExactEq(e.claimAt, t) {
+				n += e.claimsAt(e.claimNext)
+				e.seekClaim(e.claimNext+1, t+e.stepDec)
+			}
+		}
+		p.kvAdd(t, n)
+	}
 }
 
 // kvGrow extends a's sequence by one token, claiming a fresh block at
@@ -712,6 +799,7 @@ func newClusterSim(cc ClusterConfig, horizon float64) (*clusterSim, error) {
 			flopsPerGPU: float64(cfg.GPU.FLOPS),
 
 			ttftMissLeft: math.MaxInt,
+			kvOwedAt:     math.Inf(1),
 		}
 		if cfg.KV.Enabled() {
 			p.kvBlockTokens = cfg.KV.BlockTokensOrDefault()

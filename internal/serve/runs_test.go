@@ -170,20 +170,117 @@ func TestDecodeRunsMatchSteps(t *testing.T) {
 }
 
 // kvRunCases adds TestDecodeRunsMatchSteps' cases for runs under paged
-// KV, where a run ends before the first step whose growth claims a
-// block and its members' sequences catch up on the growth it owes.
+// KV, which go on past block boundaries while the engine's free blocks
+// cover their claims, owe those claims to the pool's occupancy integral
+// until a flush counts them, and catch their members' sequences up on
+// the growth at their end.
 func kvRunCases(t *testing.T, twins func(string, ClusterConfig, []trace.Request, units.Seconds, func(*clusterSim))) {
 	t.Helper()
 	// A 30-token prompt fills its second block on the second decode
-	// step, so that step's run is one step long; every later run claims
-	// a block and lasts for its sixteen tokens.
+	// step. With HBM-derived blocks the run after the first step crosses
+	// every later boundary and lasts the generation; four blocks cover
+	// two claims, so the run ends before the third, whose step finds
+	// the allocator dry and drops the sole sequence.
 	boundary := smallConfig()
 	boundary.Scheduler = ContinuousBatching
 	boundary.KV = kv.Config{Policy: kv.Recompute}
 	boundaryReqs := []trace.Request{{ID: 0, PromptTokens: 30, OutputTokens: 50}}
-	twins("kv-run-of-one", clusterOf(boundary), boundaryReqs, 30, nil)
-	if got, want := decodeRunLengths(t, clusterOf(boundary), boundaryReqs), []int{1, 1, 16, 16, 16}; !slices.Equal(got, want) {
-		t.Errorf("kv-run-of-one: decode runs of %v steps, want %v", got, want)
+	twins("kv-run-crosses-blocks", clusterOf(boundary), boundaryReqs, 30, nil)
+	if got, want := decodeRunLengths(t, clusterOf(boundary), boundaryReqs), []int{1, 49}; !slices.Equal(got, want) {
+		t.Errorf("kv-run-crosses-blocks: decode runs of %v steps, want %v", got, want)
+	}
+	partly := boundary
+	partly.KV.Blocks = 4
+	twins("kv-run-partly-covered", clusterOf(partly), boundaryReqs, 30, nil)
+	if got, want := decodeRunLengths(t, clusterOf(partly), boundaryReqs), []int{1, 33}; !slices.Equal(got, want) {
+		t.Errorf("kv-run-partly-covered: decode runs of %v steps, want %v", got, want)
+	}
+
+	// Two sequences share six blocks: the run covers the two claims the
+	// free blocks hold, and the step after it preempts the newer one.
+	squeeze := boundary
+	squeeze.KV.Blocks = 6
+	pairReqs := []trace.Request{
+		{ID: 0, PromptTokens: 30, OutputTokens: 120},
+		{ID: 1, PromptTokens: 30, OutputTokens: 120},
+	}
+	twins("kv-preempt-after-covered-run", clusterOf(squeeze), pairReqs, 60, nil)
+	wantPreemptions(t, "kv-preempt-after-covered-run", clusterOf(squeeze), pairReqs, 60)
+
+	// A prompt no pass fits and no free blocks hold lands at the head of
+	// the queue while a long generation runs on the only instance: the
+	// run is cut so that its next step drops the prompt.
+	oversized := []trace.Request{
+		{ID: 0, PromptTokens: 512, OutputTokens: 3000},
+		{ID: 1, Arrival: 0.5, PromptTokens: 4_000_000, OutputTokens: 40},
+		{ID: 2, Arrival: 0.9, PromptTokens: 64, OutputTokens: 90},
+	}
+	lone := boundary
+	lone.Instances = 1
+	twins("kv-oversized-head-cut", clusterOf(lone), oversized, 30, nil)
+	if m, err := RunCluster(clusterOf(lone), oversized, 30); err != nil || m.Total.Dropped != 1 {
+		t.Errorf("kv-oversized-head-cut: %d dropped (err %v), want the oversized prompt dropped", m.Total.Dropped, err)
+	}
+
+	// Ample HBM-derived blocks under every scheduler, and prefix caching
+	// on a prefixed coding workload, ample and scarce.
+	convReqs := convTrace(t, 4.0, 5, 60)
+	for _, pol := range SchedulerPolicies() {
+		cfg := smallConfig()
+		cfg.Scheduler = pol
+		cfg.PrefillChunk = 256
+		cfg.KV = kv.Config{Policy: kv.Recompute}
+		twins("kv-ample-"+pol.String(), clusterOf(cfg), convReqs, 90, nil)
+	}
+	gen := trace.CodingWorkload(6, 13)
+	gen.PrefixTokens, gen.PrefixGroups = 512, 3
+	prefixReqs, err := gen.Generate(60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, blocks := range []int{0, 300} {
+		cfg := smallConfig()
+		cfg.Scheduler = ContinuousBatching
+		cfg.KV = kv.Config{Policy: kv.Recompute, PrefixCache: true, Blocks: blocks}
+		twins(fmt.Sprintf("kv-prefix-blocks-%d", blocks), clusterOf(cfg), prefixReqs, 90, nil)
+	}
+
+	// Failures, horizons and settles at a claim a run owes: a failure
+	// between the claim's boundary and the next, so the claim is owed
+	// when the allocator resets, and a horizon and settles exactly on
+	// the claim's boundary.
+	for _, pol := range []SchedulerPolicy{StaticDisaggregated, ContinuousBatching} {
+		cfg := smallConfig()
+		cfg.Scheduler = pol
+		cfg.KV = kv.Config{Policy: kv.Recompute}
+		cc := clusterOf(cfg)
+		id, claim, after := firstClaim(t, cc, convReqs)
+		name := pol.String()
+		twins("kv-fail-owing-claim-"+name, cc, convReqs, 120, func(s *clusterSim) { failAt(s, 0, id, (claim+after)/2) })
+		twins("kv-horizon-on-claim-"+name, cc, convReqs, units.Seconds(claim), nil)
+		for _, prio := range []int{prioPrefill, prioTransfer, prioProbe} {
+			twins(fmt.Sprintf("kv-settle-on-claim-%s-%x", name, prio), cc, convReqs, 120, func(s *clusterSim) {
+				s.eng.ScheduleCall(claim, prio, func(float64, uint64) { s.pools[0].settle() }, 0)
+			})
+		}
+	}
+
+	// Three engines start identical runs at one instant; the third's
+	// request completes on a boundary where the other two claim a block,
+	// so a release and two claims share that instant.
+	three := smallConfig()
+	three.Scheduler = ContinuousBatching
+	three.Instances = 3
+	three.MaxDecodeBatch = 1
+	three.KV = kv.Config{Policy: kv.Recompute}
+	threeReqs := []trace.Request{
+		{ID: 0, PromptTokens: 30, OutputTokens: 100},
+		{ID: 1, PromptTokens: 30, OutputTokens: 100},
+		{ID: 2, PromptTokens: 30, OutputTokens: 34},
+	}
+	twins("kv-claims-meet-release", clusterOf(three), threeReqs, 30, nil)
+	if !claimsMeetRelease(t, clusterOf(three), threeReqs) {
+		t.Error("kv-claims-meet-release: no release shares its instant with two engines' claims")
 	}
 
 	// Failures strike a KV run after an interior boundary, so growth is
@@ -247,6 +344,71 @@ func wantPreemptions(t *testing.T, name string, cc ClusterConfig, reqs []trace.R
 	if m, err := RunCluster(cc, reqs, horizon); err != nil || m.Total.KVPreemptions == 0 {
 		t.Errorf("%s: %d preemptions (err %v), want the case to preempt", name, m.Total.KVPreemptions, err)
 	}
+}
+
+// firstClaim steps a bare run of cc until an engine of its first pool
+// starts a decode run that claims a block at an interior boundary with
+// another boundary after it, and returns that engine's instance id, the
+// claim's time and the next boundary's.
+func firstClaim(t *testing.T, cc ClusterConfig, reqs []trace.Request) (id int, claim, next float64) {
+	t.Helper()
+	s, err := newClusterSim(cc, 1e9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := s.pools[0].core
+	s.start(&sliceSource{reqs: reqs})
+	for s.eng.Step() {
+		for j := range c.engines {
+			if e := &c.engines[j]; e.claimNext > 0 && e.claimNext < e.runGrow+e.runLeft {
+				return c.base + j, e.claimAt, e.claimAt + e.stepDec
+			}
+		}
+	}
+	t.Fatal("no decode run claims a block before its last boundary")
+	return 0, 0, 0
+}
+
+// claimsMeetRelease steps a bare run of cc over reqs and reports
+// whether some engine of its first pool goes idle at an instant on
+// which two other engines' runs have a boundary with a block claim.
+func claimsMeetRelease(t *testing.T, cc ClusterConfig, reqs []trace.Request) bool {
+	t.Helper()
+	s, err := newClusterSim(cc, 1e9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := s.pools[0].core
+	busy := make([]bool, len(c.engines))
+	s.start(&sliceSource{reqs: reqs})
+	for s.eng.Step() {
+		now := s.eng.Now()
+		for j := range c.engines {
+			idle := len(c.engines[j].active) == 0 && busy[j]
+			busy[j] = len(c.engines[j].active) > 0
+			if !idle {
+				continue
+			}
+			claiming := 0
+			for k := range c.engines {
+				e := c.engines[k] // a copy: walking its chain changes nothing
+				if e.runLeft == 0 {
+					continue
+				}
+				b := e.runGrow + 1
+				for ; e.stepEnd < now; b++ {
+					e.stepEnd += e.stepDec
+				}
+				if e.stepEnd == now && b <= e.runGrow+e.runLeft && e.claimsAt(b) > 0 {
+					claiming++
+				}
+			}
+			if claiming >= 2 {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // decodeRunLengths runs cc over reqs bare and returns the length of
@@ -319,6 +481,15 @@ func FuzzDecodeRuns(f *testing.F) {
 	f.Add(uint8(0), true, true, uint8(4), uint8(15), uint16(120), uint64(9), uint8(3), true, uint8(8))
 	// Static recompute victims that need the rebuild-queue cut.
 	f.Add(uint8(0), true, false, uint8(2), uint8(7), uint16(46), uint64(31), uint8(1), true, uint8(0))
+	// Runs that cross block boundaries: HBM-derived blocks under each
+	// scheduler, with failures, prefix caching and swap over a fabric.
+	f.Add(uint8(0), false, true, uint8(0), uint8(10), uint16(100), uint64(17), uint8(1), false, uint8(0))
+	f.Add(uint8(1), false, false, uint8(3), uint8(14), uint16(80), uint64(19), uint8(3), false, uint8(2))
+	f.Add(uint8(2), true, true, uint8(1), uint8(8), uint16(110), uint64(23), uint8(2), false, uint8(6))
+	// A growth preemption requeues a victim after an idle engine's turn
+	// in the pass, while the running engines cannot take it: every run
+	// must be cut so the next pass comes at the first step end.
+	f.Add(uint8(17), false, false, uint8(9), uint8(171), uint16(38), uint64(10), uint8(3), true, uint8(87))
 	f.Fuzz(func(t *testing.T, sched uint8, fabric, failures bool, cv, rate uint8, horizon uint16, seed uint64, kvMode uint8, scarce bool, blockTokens uint8) {
 		cfg := l70Config()
 		cfg.PrefillInstances = 2

@@ -93,7 +93,7 @@ func (sc *staticSched) dispatch(now float64) {
 	sc.dispatchPrefill(now)
 	sc.batchCore.dispatch(now)
 	if sc.runs && sc.reprefillQ.Len() > 0 {
-		sc.cutRuns(math.MaxInt)
+		sc.cutRuns(math.MaxInt, nil)
 	}
 }
 
