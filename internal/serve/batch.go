@@ -171,9 +171,12 @@ func (c *batchCore) dispatch(now float64) {
 		}
 	}
 	if c.runs && c.q.Len() > 0 {
-		if head := c.q.At(0); c.idleTakes(head) {
+		switch head := c.q.At(0); {
+		case c.engines[0].al == nil:
+			c.cutRuns(c.cap, nil)
+		case c.idleTakes(head):
 			c.cutRuns(math.MaxInt, nil)
-		} else {
+		default:
 			c.cutRuns(c.cap, head)
 		}
 	}
@@ -181,8 +184,10 @@ func (c *batchCore) dispatch(now float64) {
 
 // idleTakes reports whether an idle engine would take head at the next
 // dispatch pass. Only a growth preemption later in the pass can have
-// put head there after the engine's turn. Single steps hold that pass
-// at the first step end of any engine, so every run is then cut.
+// put head there after the engine's turn; without paged KV nothing
+// preempts, and every engine with a free slot would take head. Single
+// steps hold that pass at the first step end of any engine, so every
+// run is then cut.
 //
 //litegpu:hotpath
 func (c *batchCore) idleTakes(head *activeReq) bool {
@@ -217,19 +222,16 @@ func (c *batchCore) cutRuns(limit int, head *activeReq) {
 	}
 }
 
-// admits reports whether engine e, in a decode run, would take a off
-// the queue's head at the end of its in-flight step: admit it, or drop
-// it as a prompt no pass fits. Its blocks count as they will stand
-// then, after the claims of the run's steps so far. Until the run ends
-// only those claims change the engine's allocator, and they only take
-// blocks, so an engine that would not take a then would not take it at
-// any later boundary of the run either.
+// admits reports whether engine e, with paged KV and in a decode run,
+// would take a off the queue's head at the end of its in-flight step:
+// admit it, or drop it as a prompt no pass fits. Its blocks count as
+// they will stand then, after the claims of the run's steps so far.
+// Until the run ends only those claims change the engine's allocator,
+// and they only take blocks, so an engine that would not take a then
+// would not take it at any later boundary of the run either.
 //
 //litegpu:hotpath
 func (c *batchCore) admits(e *batchEngine, a *activeReq) bool {
-	if e.al == nil {
-		return true
-	}
 	if a.promptLeft > 0 {
 		if _, ok := c.cost.prefill(1, e.passTokens(a)); !ok {
 			return true
