@@ -569,7 +569,7 @@ func (a *Allocator) newSeq() (SeqID, bool) {
 
 // Operations -----------------------------------------------------------------
 
-// shape is the start of Alloc's first phase: the block count nb of a
+// shape is the start of Alloc's phase 1: the block count nb of a
 // sequence of tokens tokens, and how many of its leading blocks the
 // shared prefix makes cacheable.
 //
@@ -585,7 +585,7 @@ func (a *Allocator) shape(tokens int, prefixKey uint64, prefixTokens int) (nb, c
 	return nb, cacheable
 }
 
-// resident is the rest of Alloc's first phase, which changes no state
+// resident is the rest of Alloc's phase 1, which changes no state
 // either: how many of a prefix's first cacheable blocks are resident
 // (hits), and how many of those sit idle. Claiming an idle hit consumes
 // idle capacity that eviction can then no longer reclaim.
@@ -611,23 +611,18 @@ func (a *Allocator) resident(prefixKey uint64, cacheable int) (hits, idleHits in
 //litegpu:hotpath
 func (a *Allocator) reclaimable() int { return len(a.free) + a.unused() + a.idleCount }
 
-// seqFree reports whether a sequence slot is left for an Alloc.
-//
-//litegpu:hotpath
-func (a *Allocator) seqFree() bool { return len(a.freeSeqs) > 0 || len(a.seqs) < a.total }
-
 // Fits reports whether Alloc(tokens, prefixKey, prefixTokens) would
 // succeed once claimed more blocks have been taken from FreeBlocks, as
 // growth that extends live sequences takes them (see Extend); claims
-// FreeBlocks cannot cover never fit. It runs Alloc's first phase and
+// FreeBlocks cannot cover never fit. It runs Alloc's phase 1 and
 // changes no state; it looks the prefix up only when the answer hangs
 // on how many of its blocks are live hits, which cost no free block.
 //
 //litegpu:hotpath
 func (a *Allocator) Fits(tokens int, prefixKey uint64, prefixTokens, claimed int) bool {
 	nb, cacheable := a.shape(tokens, prefixKey, prefixTokens)
-	if !a.seqFree() || claimed > a.FreeBlocks() {
-		return false
+	if len(a.freeSeqs) == 0 && len(a.seqs) == a.total || claimed > a.FreeBlocks() {
+		return false // no sequence slot for newSeq, or claims it cannot cover
 	}
 	short := nb + claimed - a.reclaimable()
 	if short <= 0 || short > cacheable {
@@ -693,7 +688,7 @@ func (a *Allocator) Alloc(tokens int, prefixKey uint64, prefixTokens int) (id Se
 		}
 		b := a.obtain()
 		if b == nilBlock {
-			// Unreachable: the first phase verified capacity and phase 2a only
+			// Unreachable: phase 1 verified capacity and phase 2a only
 			// removed idle blocks it turned into (uncountable) hits.
 			panic("kv: capacity check violated")
 		}
