@@ -166,7 +166,7 @@ func (c *batchCore) dispatch(now float64) {
 		if e.runLeft > 0 {
 			c.runTo(j, now)
 		}
-		if e.up && !e.parked && mathx.ExactEq(e.stepEnd, 0) {
+		if e.ready() {
 			c.startStep(j, now)
 		}
 	}
@@ -193,8 +193,7 @@ func (c *batchCore) dispatch(now float64) {
 func (c *batchCore) idleTakes(head *activeReq) bool {
 	for j := range c.engines {
 		e := &c.engines[j]
-		if e.up && !e.parked && !e.draining && mathx.ExactEq(e.stepEnd, 0) &&
-			len(e.active)+e.pending.Len() < c.cap && c.admits(e, head) {
+		if e.ready() && !e.draining && c.hasSlot(e) && c.admits(e, head) {
 			return true
 		}
 	}
@@ -232,12 +231,35 @@ func (c *batchCore) cutRuns(limit int, head *activeReq) {
 //
 //litegpu:hotpath
 func (c *batchCore) admits(e *batchEngine, a *activeReq) bool {
-	if a.promptLeft > 0 {
-		if _, ok := c.cost.prefill(1, e.passTokens(a)); !ok {
-			return true
-		}
+	return c.oversized(e, a) || kvFits(e.al, a, e.claims(e.runGrow))
+}
+
+// ready reports whether the dispatch pass starts a step on e: it is up,
+// not parked, and between steps. A draining engine starts steps but
+// admits nothing.
+//
+//litegpu:hotpath
+func (e *batchEngine) ready() bool {
+	return e.up && !e.parked && mathx.ExactEq(e.stepEnd, 0)
+}
+
+// hasSlot reports whether e's batch has room for one more request.
+//
+//litegpu:hotpath
+func (c *batchCore) hasSlot(e *batchEngine) bool {
+	return len(e.active)+e.pending.Len() < c.cap
+}
+
+// oversized reports whether a's next prefill pass on e can never fit,
+// even alone: admission drops such a prompt instead of queueing it.
+//
+//litegpu:hotpath
+func (c *batchCore) oversized(e *batchEngine, a *activeReq) bool {
+	if a.promptLeft <= 0 {
+		return false
 	}
-	return kvFits(e.al, a, e.claims(e.runGrow))
+	_, ok := c.cost.prefill(1, e.passTokens(a))
+	return !ok
 }
 
 // runTo applies engine j's run boundaries that lie before now. A step
@@ -473,7 +495,7 @@ func (e *batchEngine) passTokens(a *activeReq) int {
 //litegpu:hotpath
 func (c *batchCore) admit(e *batchEngine, now float64) {
 	p := c.pool
-	for len(e.active)+e.pending.Len() < c.cap && c.q.Len() > 0 {
+	for c.hasSlot(e) && c.q.Len() > 0 {
 		a := c.q.At(0)
 		if a.cancelled {
 			// The client gave up while the request queued: reclaim it
@@ -482,12 +504,10 @@ func (c *batchCore) admit(e *batchEngine, now float64) {
 			p.freeActive(a)
 			continue
 		}
-		if a.promptLeft > 0 {
-			if _, ok := c.cost.prefill(1, e.passTokens(a)); !ok {
-				c.q.PopFront()
-				p.dropOversized(a, nil, -1, now)
-				continue
-			}
+		if c.oversized(e, a) {
+			c.q.PopFront()
+			p.dropOversized(a, nil, -1, now)
+			continue
 		}
 		if e.al != nil && !p.kvAdmit(e.al, a, now) {
 			break // head-of-line waits for blocks to free

@@ -439,38 +439,21 @@ func kvPrefix(a *activeReq) (key uint64, tokens int) {
 // the claims at one instant as one delta: the integral gains
 // inUse·0 = +0 from each after the first either way, and the peak of a
 // sum of positive steps is the peak after its last. Each run times its
-// boundaries with the chained additions runStep makes. An engine whose
-// claims come before any other engine's are counted in one stretch.
+// boundaries with the chained additions runStep makes.
 //
 //litegpu:hotpath
 func (p *poolSim) flushClaims(now float64) {
 	es := p.core.engines
 	for {
-		// The earliest owed claim t, its engine, and the earliest claim
-		// any other engine owes.
-		first, t, next := 0, math.Inf(1), math.Inf(1)
+		t := math.Inf(1)
 		for j := range es {
-			switch e := &es[j]; {
-			case e.claimNext == 0:
-			case e.claimAt < t:
-				first, t, next = j, e.claimAt, t
-			case e.claimAt < next:
-				next = e.claimAt
+			if e := &es[j]; e.claimNext > 0 && e.claimAt < t {
+				t = e.claimAt
 			}
 		}
 		if !(t < now) {
 			p.kvOwedAt = t
 			return
-		}
-		if t < next {
-			// One engine owes every claim before next: count them.
-			e := &es[first]
-			for until := min(next, now); e.claimNext > 0 && e.claimAt < until; {
-				at := e.claimAt
-				p.kvAdd(at, e.claimsAt(e.claimNext))
-				e.seekClaim(e.claimNext+1, at+e.stepDec)
-			}
-			continue
 		}
 		n := 0
 		for j := range es {
