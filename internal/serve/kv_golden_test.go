@@ -68,6 +68,11 @@ func kvGoldenScenarios(t *testing.T) []goldenScenario {
 	// same fabric, and chunked prefill under scarce swap memory with
 	// frequent, quickly repaired failures and a slow fabric path, so dead
 	// instances reset their HBM while swaps are still in flight.
+	// Swap preemptions with no fabric: the round trip is free and the
+	// sequence requeues at once.
+	swapNoFab := l70Config()
+	swapNoFab.KV = kv.Config{Policy: kv.Swap, Blocks: 600}
+
 	contSwapFab := swapFab
 	contSwapFab.Scheduler = ContinuousBatching
 	chunkSwap := chunk
@@ -90,6 +95,7 @@ func kvGoldenScenarios(t *testing.T) []goldenScenario {
 		{name: "kv-scarce-fail-nodrain", cluster: failCluster, reqs: convTrace(t, 8.0, 11, 150), horizon: 150},
 		{name: "kv-continuous-swap-fabric-conv", cluster: clusterOf(contSwapFab), reqs: convTrace(t, 4.0, 11, 120), horizon: 240},
 		{name: "kv-chunked256-swap-fail-nodrain", cluster: chunkFail, reqs: convTrace(t, 8.0, 11, 150), horizon: 150},
+		{name: "kv-swap-nofabric-conv", cluster: clusterOf(swapNoFab), reqs: convTrace(t, 4.0, 11, 120), horizon: 240},
 	}, kvExitScenarios(t)...)
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"litegpu/internal/hw"
 	"litegpu/internal/inference"
+	"litegpu/internal/mathx"
 	"litegpu/internal/model"
 	"litegpu/internal/trace"
 	"litegpu/internal/units"
@@ -273,9 +274,10 @@ func TestTransferDstFailureRetargetSameNode(t *testing.T) {
 	if m.NetTransfers != 0 {
 		t.Fatalf("NetTransfers = %d; the retargeted handoff must bypass the fabric inside the node", m.NetTransfers)
 	}
-	// Delivery happened at the failure instant, not 6000 s later.
-	if m.TTFT.Max >= 6000 {
-		t.Fatalf("TTFT %v: same-node retarget paid the fabric anyway", m.TTFT.Max)
+	// Delivery happened at the failure instant that retargeted the
+	// handoff, not 6000 s later: the first token ships at t = 3000.
+	if !mathx.ExactEq(m.TTFT.Max, 3000) {
+		t.Fatalf("TTFT %v, want exactly 3000: the same-node retarget must deliver at the failure", m.TTFT.Max)
 	}
 }
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"testing"
 
+	"litegpu/internal/hw"
 	"litegpu/internal/kv"
 	"litegpu/internal/straggler"
 	"litegpu/internal/trace"
@@ -181,6 +182,11 @@ func overloadGoldenScenarios(t *testing.T) []goldenScenario {
 	swapTimeout.KV = kv.Config{Policy: kv.Swap, Blocks: 600}
 	swapTimeout.Client = ClientConfig{Default: ClientBehavior{Timeout: 3, Retries: 1, BackoffBase: 1}}
 
+	// mergeCluster's H100 and Lite pools: while the Lite pool's
+	// autoscaler holds every live decode engine parked or draining, a KV
+	// handoff falls back to a parked live one.
+	merge := mergeCluster(1, hw.H100(), hw.Lite())
+
 	return []goldenScenario{
 		{name: "ol-closed-loop-conv", cluster: clusterOf(closed), reqs: convTrace(t, 90, 7, 120), horizon: 240},
 		{name: "ol-shed-priority", cluster: clusterOf(shedPrio), reqs: tenants, horizon: 240},
@@ -196,6 +202,7 @@ func overloadGoldenScenarios(t *testing.T) []goldenScenario {
 		{name: "ol-autoscale-drain", cluster: clusterOf(drain), reqs: codingTrace(t, 24, 13, 120), horizon: 300},
 		{name: "ol-handoff-timeout", cluster: clusterOf(handoffTimeout), reqs: codingTrace(t, 2, 11, 60), horizon: 200},
 		{name: "ol-swap-timeout", cluster: clusterOf(swapTimeout), reqs: codingTrace(t, 4, 11, 60), horizon: 200},
+		{name: "ol-merge-h100-lite", cluster: merge, reqs: mergeTrace(t, 1), horizon: 120},
 	}
 }
 

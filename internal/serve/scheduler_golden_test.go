@@ -7,6 +7,7 @@ import (
 	"litegpu/internal/hw"
 	"litegpu/internal/inference"
 	"litegpu/internal/model"
+	"litegpu/internal/trace"
 )
 
 // schedulerGoldenFile extends the byte-identity corpus to the colocated
@@ -77,6 +78,15 @@ func schedulerGoldenScenarios(t *testing.T) []goldenScenario {
 		}
 		return cc
 	}
+	// Two 600,000-token prompts do not fit one prefill pass together, so
+	// the colocated pass shrinks to its head; the short prompt waits.
+	shrink := smallConfig()
+	shrink.Scheduler = ContinuousBatching
+	shrinkReqs := []trace.Request{
+		{ID: 0, PromptTokens: 600000, OutputTokens: 4},
+		{ID: 1, PromptTokens: 600000, OutputTokens: 4},
+		{ID: 2, PromptTokens: 64, OutputTokens: 4},
+	}
 	return []goldenScenario{
 		{name: "continuous-small-coding", cluster: clusterOf(cont), reqs: codingTrace(t, 1.0, 7, 200), horizon: 400},
 		{name: "chunked256-small-coding", cluster: clusterOf(chunk), reqs: codingTrace(t, 1.0, 7, 200), horizon: 400},
@@ -89,6 +99,7 @@ func schedulerGoldenScenarios(t *testing.T) []goldenScenario {
 		{name: "continuous-fail-spared", cluster: fail(cont, 1, RequeueOnFailure), reqs: convTrace(t, 4.0, 11, 300), horizon: 300},
 		{name: "chunked-fail-requeue", cluster: fail(chunk, 0, RequeueOnFailure), reqs: convTrace(t, 4.0, 11, 300), horizon: 300},
 		{name: "chunked-fail-drop", cluster: fail(chunk, 1, DropOnFailure), reqs: convTrace(t, 4.0, 11, 300), horizon: 300},
+		{name: "continuous-pass-shrink", cluster: clusterOf(shrink), reqs: shrinkReqs, horizon: 2000},
 	}
 }
 
