@@ -9,11 +9,12 @@ import (
 	"litegpu/internal/sim"
 )
 
-// batchEngine is one decode-capable instance: a TP group iterating over
-// a batch of decoding sequences, with an optional queue of admitted
-// prompts still to prefill. The static policy's decode engines never
-// admit a prompt, so their pending queue stays empty and every step is
-// a decode step; a colocated engine runs both phases.
+// batchEngine is one instance of a pool: a TP group iterating over a
+// batch of decoding sequences, with a queue of prompts still to
+// prefill. A colocated engine runs both phases. The static policy's
+// decode engines never admit a prompt, so their pending queue stays
+// empty and every step is a decode step; its prefill engines never
+// decode, and hold their in-flight whole-prompt pass in pending.
 type batchEngine struct {
 	instanceState
 	// The in-flight step; zero when idle.
@@ -28,7 +29,7 @@ type batchEngine struct {
 	// al is the instance's paged KV allocator; nil with Config.KV off.
 	// Admitted-but-pending requests hold a full prompt reservation — a
 	// colocated instance prefills into the same HBM its decode cache
-	// lives in. The static prefill engines hold none: the simulation
+	// lives in. The static prefill engines have none: the simulation
 	// models decode-side HBM, where the cache lives for a sequence's
 	// whole generation (prefill working memory is covered by
 	// MaxFeasibleBatch validation).
@@ -39,6 +40,9 @@ type batchEngine struct {
 	// boundaries s+1, s+1+BlockTokens, …, so claimsBy prices any prefix
 	// of the run in blocks (see claims). Sized once, with the allocator.
 	claimsBy []int
+	// rebuild marks a static prefill engine's pass as a batch-of-one KV
+	// rebuild from the rebuild queue.
+	rebuild bool
 }
 
 // stepState is an engine's in-flight step: its end time, its
@@ -66,21 +70,26 @@ type stepState struct {
 	claimAt     float64
 }
 
-// batchCore is the batch engine every scheduler runs its decode-capable
-// instances on. It owns the engines' active sets, their paged KV
-// allocators, growth with LIFO preemption, swap and recompute routing,
-// token emission, HBM teardown on failure, and reclamation of in-flight
-// transfers touching a dead instance. Per-policy differences are data it
-// is built with (the chunk size) plus the pool scheduler's rebuild and
-// reclaimHandoff, where work leaving the core goes.
+// batchCore is the batch engine every scheduler runs its instances on.
+// Its engines are the pool's instance table: instance id j is engine j.
+// The first np are the static policy's prefill engines, whose passes
+// the scheduler stages (see staticSched.stage); the core books, ends and
+// tears down their steps but never admits to or steps them itself. It
+// owns the other engines' active sets, their paged KV allocators,
+// growth with LIFO preemption, swap and recompute routing, token
+// emission, HBM teardown on failure, and reclamation of in-flight
+// transfers touching a dead instance. Per-policy differences are data
+// it is built with (the chunk size, np) plus the pool scheduler's
+// prefilled, rebuild and reclaimHandoff, where work leaving the core
+// goes.
 type batchCore struct {
 	cs   *clusterSim
 	pool *poolSim
 
 	engines []batchEngine
+	np      int               // prefill-only engines at the front of engines
 	q       deque[*activeReq] // requests waiting for a batch slot
 	cap     int               // max active+pending per engine
-	base    int               // instance id of engines[0]
 	// chunk is the ChunkedPrefill chunk size, fusing one chunk of the
 	// head pending prompt into every step; 0 runs whole-prompt prefill
 	// passes that stall the engine's decodes.
@@ -101,17 +110,21 @@ type batchCore struct {
 	stepDoneH sim.Handler
 }
 
-// init builds n engines of gpus GPUs each and hands them to the pool,
-// whose next instance ids they take. The batch cap is MaxDecodeBatch,
-// further capped at the largest decode batch the step-cost table can
-// price — with paged KV on too, where free blocks gate admission below
-// that cap.
-func (c *batchCore) init(cs *clusterSim, pool *poolSim, n, gpus int) error {
+// init builds the pool's instance table: np prefill-only engines of
+// pgpus GPUs each, then n engines of gpus GPUs each. The batch cap is
+// MaxDecodeBatch, further capped at the largest decode batch the
+// step-cost table can price — with paged KV on too, where free blocks
+// gate admission below that cap. Only the last n engines get a KV
+// allocator.
+func (c *batchCore) init(cs *clusterSim, pool *poolSim, np, pgpus, n, gpus int) error {
 	cfg := pool.cfg
-	c.cs, c.pool, c.base = cs, pool, len(pool.insts)
-	c.engines = make([]batchEngine, n)
+	c.cs, c.pool, c.np = cs, pool, np
+	c.engines = make([]batchEngine, np+n)
 	for j := range c.engines {
-		pool.addInstance(&c.engines[j].instanceState, gpus)
+		c.engines[j].gpus = gpus
+		if j < np {
+			c.engines[j].gpus = pgpus
+		}
 	}
 	pool.core = c
 	c.cost = newStepCost(cfg, gpus)
@@ -124,7 +137,7 @@ func (c *batchCore) init(cs *clusterSim, pool *poolSim, n, gpus int) error {
 			return err
 		}
 		bt := cfg.KV.BlockTokensOrDefault()
-		for j := range c.engines {
+		for j := np; j < len(c.engines); j++ {
 			c.engines[j].al = kv.NewAllocator(blocks, bt, cfg.KV.PrefixCache)
 			c.engines[j].claimsBy = make([]int, bt+1)
 		}
@@ -147,10 +160,11 @@ func (c *batchCore) idle(j int) bool {
 	return mathx.ExactEq(e.stepEnd, 0) && len(e.active) == 0 && e.pending.Len() == 0
 }
 
-// dispatch starts a step on every idle engine, in index order. An
-// engine in a decode run is first brought up to now (runTo), which
-// leaves it idle when a step of the run ends exactly now, so the pass
-// restarts it in index order as it would any engine. When the queue
+// dispatch starts a step on every idle engine past the prefill-only
+// ones, in index order. An engine in a decode run is first brought up
+// to now (runTo), which leaves it idle when a step of the run ends
+// exactly now, so the pass restarts it in index order as it would any
+// engine. When the queue
 // still holds work after the pass, every run whose engine has a free
 // slot and would take the queue's head at the end of its in-flight step
 // is cut there (see admits), and every run is cut if an idle engine
@@ -161,7 +175,7 @@ func (c *batchCore) idle(j int) bool {
 //
 //litegpu:hotpath
 func (c *batchCore) dispatch(now float64) {
-	for j := range c.engines {
+	for j := c.np; j < len(c.engines); j++ {
 		e := &c.engines[j]
 		if e.runLeft > 0 {
 			c.runTo(j, now)
@@ -172,7 +186,7 @@ func (c *batchCore) dispatch(now float64) {
 	}
 	if c.runs && c.q.Len() > 0 {
 		switch head := c.q.At(0); {
-		case c.engines[0].al == nil:
+		case c.engines[c.np].al == nil:
 			c.cutRuns(c.cap, nil)
 		case c.idleTakes(head):
 			c.cutRuns(math.MaxInt, nil)
@@ -191,7 +205,7 @@ func (c *batchCore) dispatch(now float64) {
 //
 //litegpu:hotpath
 func (c *batchCore) idleTakes(head *activeReq) bool {
-	for j := range c.engines {
+	for j := c.np; j < len(c.engines); j++ {
 		e := &c.engines[j]
 		if e.ready() && !e.draining && c.hasSlot(e) && c.admits(e, head) {
 			return true
@@ -231,7 +245,7 @@ func (c *batchCore) cutRuns(limit int, head *activeReq) {
 //
 //litegpu:hotpath
 func (c *batchCore) admits(e *batchEngine, a *activeReq) bool {
-	return c.oversized(e, a) || kvFits(e.al, a, e.claims(e.runGrow))
+	return c.oversized(a) || kvFits(e.al, a, e.claims(e.runGrow))
 }
 
 // ready reports whether the dispatch pass starts a step on e: it is up,
@@ -250,16 +264,38 @@ func (c *batchCore) hasSlot(e *batchEngine) bool {
 	return len(e.active)+e.pending.Len() < c.cap
 }
 
-// oversized reports whether a's next prefill pass on e can never fit,
-// even alone: admission drops such a prompt instead of queueing it.
+// oversized reports whether a's next prefill pass can never fit, even
+// alone: admission drops such a prompt instead of queueing it. A pass
+// is priced at the whole context it rebuilds (see fitPass); a chunked
+// prompt's chunks are never longer.
 //
 //litegpu:hotpath
-func (c *batchCore) oversized(e *batchEngine, a *activeReq) bool {
+func (c *batchCore) oversized(a *activeReq) bool {
 	if a.promptLeft <= 0 {
 		return false
 	}
-	_, ok := c.cost.prefill(1, e.passTokens(a))
+	_, ok := c.cost.prefill(1, kvTokens(a))
 	return !ok
+}
+
+// fitPass prices a whole-prompt prefill pass over the first n members
+// of q, each at kvTokens — its prompt plus, for a KV rebuild, what it
+// decoded before preemption — and shrinks n until the pass fits. It
+// returns n == 0 when not even the head fits alone.
+//
+//litegpu:hotpath
+func fitPass(cost *stepCost, q *deque[*activeReq], n int) (float64, int) {
+	tokens := 0
+	for i := 0; i < n; i++ {
+		tokens += kvTokens(q.At(i))
+	}
+	for ; n >= 1; n-- {
+		if dt, ok := cost.prefill(n, tokens); ok {
+			return dt, n
+		}
+		tokens -= kvTokens(q.At(n - 1))
+	}
+	return 0, 0
 }
 
 // runTo applies engine j's run boundaries that lie before now. A step
@@ -473,18 +509,6 @@ func (c *batchCore) swapReturn(a *activeReq) {
 	c.q.PushFront(a)
 }
 
-// passTokens is the prompt length a's next prefill pass on e covers:
-// with paged KV a recompute victim rebuilds its whole context, prompt
-// plus generated tokens.
-//
-//litegpu:hotpath
-func (e *batchEngine) passTokens(a *activeReq) int {
-	if e.al != nil {
-		return a.promptLeft
-	}
-	return a.req.PromptTokens
-}
-
 // admit refills the engine's batch slots from the queue — the
 // continuous-batching move: every iteration boundary, capacity freed by
 // finished requests is handed to waiting ones. With paged KV the head
@@ -504,7 +528,7 @@ func (c *batchCore) admit(e *batchEngine, now float64) {
 			p.freeActive(a)
 			continue
 		}
-		if c.oversized(e, a) {
+		if c.oversized(a) {
 			c.q.PopFront()
 			p.dropOversized(a, nil, -1, now)
 			continue
@@ -530,16 +554,6 @@ func (c *batchCore) admit(e *batchEngine, now float64) {
 // chunked engine fuses one prompt chunk with the decode step so both
 // phases progress together. A draining engine admits nothing — it
 // finishes its in-flight work and parks.
-//
-// A decode-only step becomes a run of runSteps steps when c.runs
-// allows it: the calendar gets one completion event, at the end of the
-// run's last step, and the steps before it are applied lazily (runTo,
-// endRuns, completeStep) exactly as their own events would have been.
-// Nothing can change an engine's next step while it runs except its
-// queue gaining work it could take, which dispatch answers by cutting
-// the run, and its members' growth claiming blocks memory cannot cover,
-// which bounds the run's length (runSteps). The claims a run's later
-// steps make reach the pool's occupancy integral through flushClaims.
 //
 //litegpu:hotpath
 func (c *batchCore) startStep(j int, now float64) {
@@ -575,7 +589,7 @@ func (c *batchCore) startStep(j int, now float64) {
 			dDt = c.cost.decode(len(e.active))
 		}
 	case e.pending.Len() > 0:
-		pDt, nPrefill = c.prefillPass(e)
+		pDt, nPrefill = fitPass(&c.cost, &e.pending, min(p.cfg.MaxPrefillBatch, e.pending.Len()))
 	case len(e.active) > 0:
 		dDt = c.cost.decode(len(e.active))
 	}
@@ -585,28 +599,50 @@ func (c *batchCore) startStep(j int, now float64) {
 		pDt *= e.slow
 		dDt *= e.slow
 	}
-	dt := pDt + dDt
-	if dt <= 0 {
+	if pDt+dDt <= 0 {
 		if e.draining && len(e.active) == 0 && e.pending.Len() == 0 {
 			p.parkInstance(&e.instanceState, now)
 		}
 		e.stepEnd = 0
 		return
 	}
-	e.stepState = stepState{stepEnd: now + dt, stepPfx: pDt, stepDec: dDt, stepPrefill: nPrefill, stepChunk: chunkTokens}
-	e.pBusy += pDt
-	e.dBusy += dDt
 	// Val: a chunk's tokens, a whole-prompt pass's batch size.
 	val := float64(nPrefill)
 	if c.chunk > 0 {
 		val = float64(chunkTokens)
 	}
 	for i := 0; i < nPrefill; i++ {
-		p.note(obs.PrefillStart, now, int32(c.base+j), e.pending.At(i).req.ID, val)
+		p.note(obs.PrefillStart, now, int32(j), e.pending.At(i).req.ID, val)
 	}
-	// Steps that emit tokens complete in the decode priority band; pure
-	// prefill passes complete in the prefill band, matching the static
-	// policy's same-timestamp phase order.
+	c.begin(j, now, pDt, dDt, nPrefill, chunkTokens)
+}
+
+// begin books engine j's step from now, of pDt prefill and dDt decode
+// seconds (any straggler stretch applied), whose prefill part completes
+// nPrefill pending entries or processes chunk tokens of the head one:
+// its state, its busy split, and its completion event. Steps that emit
+// tokens complete in the decode priority band; pure prefill passes
+// complete in the prefill band, so at one instant every pass ends
+// before any decode step.
+//
+// A decode-only step becomes a run of runSteps steps when c.runs allows
+// it: the calendar gets one completion event, at the end of the run's
+// last step, and the steps before it are applied lazily (runTo,
+// endRuns, completeStep) exactly as their own events would have been.
+// Nothing can change an engine's next step while it runs except its
+// queue gaining work it could take, which dispatch answers by cutting
+// the run, and its members' growth claiming blocks memory cannot cover,
+// which bounds the run's length (runSteps). The claims a run's later
+// steps make reach the pool's occupancy integral through flushClaims.
+//
+//litegpu:hotpath
+func (c *batchCore) begin(j int, now, pDt, dDt float64, nPrefill, chunk int) {
+	e := &c.engines[j]
+	p := c.pool
+	dt := pDt + dDt
+	e.stepState = stepState{stepEnd: now + dt, stepPfx: pDt, stepDec: dDt, stepPrefill: nPrefill, stepChunk: chunk}
+	e.pBusy += pDt
+	e.dBusy += dDt
 	prio := prioDecode + e.prio
 	if mathx.ExactEq(dDt, 0) {
 		prio = prioPrefill + e.prio
@@ -625,27 +661,6 @@ func (c *batchCore) startStep(j int, now float64) {
 		}
 	}
 	e.doneEv = c.cs.eng.ScheduleCall(end, prio, c.stepDoneH, uint64(j))
-}
-
-// prefillPass prices a whole-prompt pass over the head of the pending
-// queue: up to MaxPrefillBatch prompts, shrunk until their combined
-// footprint fits. Admission dropped prompts that cannot fit alone, so a
-// pass of at least one always fits.
-//
-//litegpu:hotpath
-func (c *batchCore) prefillPass(e *batchEngine) (float64, int) {
-	n := min(c.pool.cfg.MaxPrefillBatch, e.pending.Len())
-	tokens := 0
-	for i := 0; i < n; i++ {
-		tokens += e.passTokens(e.pending.At(i))
-	}
-	for ; n >= 1; n-- {
-		if dt, ok := c.cost.prefill(n, tokens); ok {
-			return dt, n
-		}
-		tokens -= e.passTokens(e.pending.At(n - 1))
-	}
-	return 0, 0
 }
 
 // grow claims the block growth for the token each active sequence emits
@@ -688,7 +703,7 @@ func (c *batchCore) grow(j int, now float64) {
 			return
 		}
 		// Sole occupant that cannot grow: it can never finish.
-		p.dropOversized(a, e.al, int32(c.base+j), now)
+		p.dropOversized(a, e.al, int32(j), now)
 		e.active[0] = nil
 		e.active = e.active[:0]
 		return
@@ -705,7 +720,7 @@ func (c *batchCore) preempt(j int, victim *activeReq, now float64) {
 	p := c.pool
 	p.m.KVPreemptions++
 	tokens := kvTokens(victim)
-	p.note(obs.KVPreempt, now, int32(c.base+j), victim.req.ID, float64(tokens))
+	p.note(obs.KVPreempt, now, int32(j), victim.req.ID, float64(tokens))
 	p.kvRelease(c.engines[j].al, victim, now)
 	if p.cfg.KV.Policy == kv.Swap {
 		c.startSwap(j, victim, now, tokens)
@@ -729,13 +744,12 @@ func (c *batchCore) startSwap(j int, a *activeReq, now float64, tokens int) {
 		c.swapReturn(a)
 		return
 	}
-	id := c.base + j
 	bytes := 2 * p.kvXferBytes(tokens)
 	c.cs.startXfer(p, xferRec{
-		kind: xferSwap, src: int32(id), dst: int32(id),
+		kind: xferSwap, src: int32(j), dst: int32(j),
 		a: a, start: now, bytes: bytes,
-	}, p.epBase+id, 0, id)
-	p.note(obs.KVSwapOut, now, int32(id), a.req.ID, bytes)
+	}, p.epBase+j, 0, j)
+	p.note(obs.KVSwapOut, now, int32(j), a.req.ID, bytes)
 }
 
 //litegpu:hotpath
@@ -744,7 +758,8 @@ func (c *batchCore) onStepDone(now float64, arg uint64) {
 }
 
 // completeStep ends engine j's step, or its run's last step, whose
-// earlier boundaries are applied first.
+// earlier boundaries are applied first. Every prompt the step finishes
+// prefilling goes to the scheduler (see scheduler.prefilled).
 //
 //litegpu:hotpath
 func (c *batchCore) completeStep(j int, now float64) {
@@ -784,58 +799,33 @@ func (c *batchCore) completeStep(j int, now float64) {
 		if head.promptLeft <= 0 {
 			head.promptLeft = 0
 			e.pending.PopFront()
-			c.finishPrefill(j, head, now)
+			p.sched.prefilled(j, head, now)
 		} else {
-			p.note(obs.Chunk, now, int32(c.base+j), head.req.ID, float64(head.promptLeft))
+			p.note(obs.Chunk, now, int32(j), head.req.ID, float64(head.promptLeft))
 		}
 	} else {
 		for k := 0; k < e.stepPrefill; k++ {
 			a := e.pending.PopFront()
 			a.promptLeft = 0
-			c.finishPrefill(j, a, now)
+			p.sched.prefilled(j, a, now)
 		}
 	}
 	e.stepState = stepState{}
 	c.cs.requestDispatch(p, now)
 }
 
-// finishPrefill moves a fully prefilled request into engine j's decode
-// batch, recording its TTFT sample exactly once no matter how many
-// requeues preceded it — unless its client timed out mid-prefill.
-//
-//litegpu:hotpath
-func (c *batchCore) finishPrefill(j int, a *activeReq, now float64) {
-	e := &c.engines[j]
-	p := c.pool
-	if a.cancelled {
-		p.kvRelease(e.al, a, now)
-		p.freeActive(a)
-		return
-	}
-	p.note(obs.PrefillEnd, now, int32(c.base+j), a.req.ID, 0)
-	if !a.ttftDone {
-		a.ttftDone = true
-		p.recordTTFT(now-float64(a.req.Arrival), a.req.Class)
-	}
-	if !a.admitted {
-		a.admitted = true
-		a.decodeAt = now
-	}
-	e.active = append(e.active, a)
-}
-
 // fail tears down engine j after its instance died, once the scheduler
 // has un-counted the aborted step's busy tail: the HBM died with it, so
 // every resident sequence, every pending reservation, and the shared
 // prefix cache are gone, and the engine's work goes back to the head of
-// the queue — or is abandoned under DropOnFailure. Requeued requests
+// q, the queue it came from — or is abandoned under DropOnFailure. Requeued requests
 // re-admit from scratch on a live engine. Chunk progress is only ever
 // applied at step completion, so an in-flight chunk is simply lost:
 // requeued prompts resume from their last completed chunk with no token
 // duplicated or skipped.
 //
 //litegpu:hotpath
-func (c *batchCore) fail(j int, now float64, drop bool) {
+func (c *batchCore) fail(j int, now float64, drop bool, q *deque[*activeReq]) {
 	e := &c.engines[j]
 	p := c.pool
 	c.payRun(e, now)
@@ -852,7 +842,7 @@ func (c *batchCore) fail(j int, now float64, drop bool) {
 		}
 		e.al.Reset()
 	}
-	id := int32(c.base + j)
+	id := int32(j)
 	for i := 0; i < e.pending.Len(); i++ {
 		a := e.pending.At(i)
 		p.failReq(a, id, drop, now)
@@ -865,16 +855,16 @@ func (c *batchCore) fail(j int, now float64, drop bool) {
 		// active..., old queue...] order: push active first, then
 		// pending, each back-to-front.
 		for i := len(e.active) - 1; i >= 0; i-- {
-			c.q.PushFront(e.active[i])
+			q.PushFront(e.active[i])
 		}
 		for i := e.pending.Len() - 1; i >= 0; i-- {
-			c.q.PushFront(e.pending.At(i))
+			q.PushFront(e.pending.At(i))
 		}
 	}
 	e.pending.DiscardFront(e.pending.Len())
 	clearTail(e.active, 0)
 	e.active = e.active[:0]
-	c.failXfers(c.base+j, now, drop)
+	c.failXfers(j, now, drop)
 }
 
 // failXfers reclaims in-flight transfers touching dead instance id. A

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"litegpu/internal/inference"
+	"litegpu/internal/obs"
 )
 
 // defaultPrefillChunk is the Sarathi-style chunk size (prompt tokens)
@@ -45,7 +46,7 @@ func newColocSched(cs *clusterSim, pool *poolSim) (*colocSched, error) {
 			c.chunk = defaultPrefillChunk
 		}
 	}
-	if err := c.init(cs, pool, n, g); err != nil {
+	if err := c.init(cs, pool, 0, 0, n, g); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -79,7 +80,32 @@ func (c *colocSched) fail(id int, now float64, drop bool) {
 		e.pBusy -= e.stepPfx * frac
 		e.dBusy -= e.stepDec * frac
 	}
-	c.batchCore.fail(id, now, drop)
+	c.batchCore.fail(id, now, drop, &c.q)
+}
+
+// prefilled moves a fully prefilled request into engine j's decode
+// batch, recording its TTFT sample exactly once no matter how many
+// requeues preceded it — unless its client timed out mid-prefill.
+//
+//litegpu:hotpath
+func (c *colocSched) prefilled(j int, a *activeReq, now float64) {
+	e := &c.engines[j]
+	p := c.pool
+	if a.cancelled {
+		p.kvRelease(e.al, a, now)
+		p.freeActive(a)
+		return
+	}
+	p.note(obs.PrefillEnd, now, int32(j), a.req.ID, 0)
+	if !a.ttftDone {
+		a.ttftDone = true
+		p.recordTTFT(now-float64(a.req.Arrival), a.req.Class)
+	}
+	if !a.admitted {
+		a.admitted = true
+		a.decodeAt = now
+	}
+	e.active = append(e.active, a)
 }
 
 // reclaimHandoff is unreachable: colocated instances run both phases,

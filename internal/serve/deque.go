@@ -58,17 +58,6 @@ func (d *deque[T]) PopFront() T {
 	return v
 }
 
-// CopyPrefix appends the first n elements (front first) to dst and
-// returns it, without removing them.
-//
-//litegpu:hotpath
-func (d *deque[T]) CopyPrefix(dst []T, n int) []T {
-	for i := 0; i < n; i++ {
-		dst = append(dst, d.At(i))
-	}
-	return dst
-}
-
 // DiscardFront removes the first n elements, zeroing their slots.
 //
 //litegpu:hotpath

@@ -155,11 +155,10 @@ type poolSim struct {
 	cfg   Config
 	sched scheduler
 
-	// insts lists every instance's failure-facing state in instance-id
-	// order, as the scheduler builds its engines (see addInstance); core
-	// is the batch core the scheduler runs its decode-capable engines on.
-	insts []*instanceState
-	core  *batchCore
+	// core is the batch core the scheduler runs its instances on; its
+	// engines are the pool's instance table, in instance-id order (see
+	// inst).
+	core *batchCore
 
 	// afrPerGPU and flopsPerGPU weight this pool's instances in
 	// cluster-total reliability aggregates: failure odds scale with
@@ -261,18 +260,20 @@ type poolSim struct {
 	settledAt    float64
 }
 
-// addInstance appends st, an engine of gpus GPUs, to the pool's
-// instance table under the next instance id.
-func (p *poolSim) addInstance(st *instanceState, gpus int) {
-	st.gpus = gpus
-	p.insts = append(p.insts, st)
+// inst returns instance id's failure-facing state: the instance ids
+// are the batch core's engine indices.
+//
+//litegpu:hotpath
+func (p *poolSim) inst(id int) *instanceState {
+	return &p.core.engines[id].instanceState
 }
 
 // busy returns the pool's accumulated (prefill, decode) busy seconds,
 // summed in instance-id order so metric assembly stays
 // byte-deterministic.
 func (p *poolSim) busy() (prefill, decode float64) {
-	for _, st := range p.insts {
+	for id := range p.core.engines {
+		st := p.inst(id)
 		prefill += st.pBusy
 		decode += st.dBusy
 	}
@@ -808,7 +809,8 @@ func newClusterSim(cc ClusterConfig, horizon float64) (*clusterSim, error) {
 			return nil, err
 		}
 		perGPURate := fp.AFR(cfg.GPU) / float64(failure.Year) * scale
-		for id, st := range p.insts {
+		for id := range p.core.engines {
+			st := p.inst(id)
 			st.up = true
 			st.prio = p.prioBase + id
 			if cfg.Straggler.Enabled() {
@@ -829,9 +831,8 @@ func newClusterSim(cc ClusterConfig, horizon float64) (*clusterSim, error) {
 			}
 			// Instances above the floor start parked; the control loop
 			// unparks them under load.
-			for _, st := range p.insts[lo+p.scaleMin : hi] {
-				st.parked = true
-				st.parkedAt = 0
+			for id := lo + p.scaleMin; id < hi; id++ {
+				p.inst(id).parked = true
 			}
 		}
 		s.pools = append(s.pools, p)
@@ -860,9 +861,9 @@ func (s *clusterSim) buildFabric() error {
 	var routerBW float64
 	for _, p := range s.pools {
 		p.epBase = len(ports)
-		p.nodeOf = make([]int32, len(p.insts))
-		for id, st := range p.insts {
-			g := st.gpus
+		p.nodeOf = make([]int32, len(p.core.engines))
+		for id := range p.core.engines {
+			g := p.inst(id).gpus
 			if nodeUsed > 0 && nodeUsed+g > nodeGPUs {
 				nodeID, nodeUsed = nodeID+1, 0
 			}
@@ -928,7 +929,7 @@ func (s *clusterSim) onXfer(now float64, arg uint64) {
 		// The client gave up while the attempt's ingress was on the
 		// wire: ingress is reclaimed here, at delivery. A KV handoff
 		// never arrives cancelled: cancelClientXfer cancels in-flight
-		// handoffs at the deadline, and finishPass checks the mark
+		// handoffs at the deadline, and prefilled checks the mark
 		// before it starts one.
 		p.freeActive(a)
 	case rec.kind == xferKV:
@@ -950,7 +951,7 @@ func (s *clusterSim) onXfer(now float64, arg uint64) {
 //
 //litegpu:hotpath
 func (s *clusterSim) startIngress(p *poolSim, a *activeReq, now float64) {
-	inst := p.ingressRR % len(p.insts)
+	inst := p.ingressRR % len(p.core.engines)
 	p.ingressRR++
 	bytes := float64(a.req.PromptTokens) * ingressBytesPerToken
 	s.startXfer(p, xferRec{
@@ -970,7 +971,7 @@ func (s *clusterSim) startIngress(p *poolSim, a *activeReq, now float64) {
 func (s *clusterSim) startXfer(p *poolSim, rec xferRec, from, to, at int) {
 	idx := p.newXfer()
 	rec.tid = s.fab.Start(from, to, rec.bytes,
-		prioTransfer+p.insts[at].prio, s.xferH, packArg(p.idx, int(idx)))
+		prioTransfer+p.inst(at).prio, s.xferH, packArg(p.idx, int(idx)))
 	p.xfers[idx] = rec
 	if rec.kind != xferIngress {
 		p.liveXfers = append(p.liveXfers, idx)
@@ -1056,7 +1057,7 @@ func (s *clusterSim) start(src RequestSource) {
 	// Failure processes.
 	if s.cc.Failures.Enabled {
 		for _, p := range s.pools {
-			for id := range p.insts {
+			for id := range p.core.engines {
 				s.scheduleFailure(p, id, 0)
 			}
 		}
@@ -1090,8 +1091,8 @@ func (s *clusterSim) onProbe(now float64, _ uint64) {
 	fired := s.eng.EventsFired()
 	for _, p := range s.pools {
 		live, parked := 0, 0
-		for _, st := range p.insts {
-			switch {
+		for id := range p.core.engines {
+			switch st := p.inst(id); {
 			case st.parked:
 				parked++
 			case st.up:
@@ -1163,8 +1164,8 @@ func (s *clusterSim) route() *poolSim {
 	for _, cand := range s.pools {
 		outstanding := cand.sched.outstanding()
 		live := 0
-		for _, st := range cand.insts {
-			if st.up && !st.parked {
+		for id := range cand.core.engines {
+			if st := cand.inst(id); st.up && !st.parked {
 				live++
 			}
 		}
@@ -1266,7 +1267,7 @@ func (s *clusterSim) dispatch(now float64, _ uint64) {
 // --- failure machinery -------------------------------------------------
 
 func (s *clusterSim) scheduleFailure(p *poolSim, id int, now float64) {
-	st := p.insts[id]
+	st := p.inst(id)
 	if st.failRNG == nil {
 		return
 	}
@@ -1300,7 +1301,7 @@ func (s *clusterSim) onRecover(now float64, arg uint64) {
 //
 //litegpu:hotpath
 func (s *clusterSim) failInstance(p *poolSim, id int, now float64) {
-	st := p.insts[id]
+	st := p.inst(id)
 	if !st.up {
 		return // stale event; down instances carry no failure clock
 	}
@@ -1344,13 +1345,13 @@ func (s *clusterSim) repairDone(p *poolSim, now float64) {
 
 //litegpu:hotpath
 func (s *clusterSim) scheduleRecovery(p *poolSim, id int, now float64) {
-	st := p.insts[id]
+	st := p.inst(id)
 	s.eng.ScheduleCall(now+s.failRecovery, prioFailure+st.prio, s.recoverH, packArg(p.idx, id))
 }
 
 //litegpu:hotpath
 func (s *clusterSim) recoverInstance(p *poolSim, id int, now float64) {
-	st := p.insts[id]
+	st := p.inst(id)
 	st.up = true
 	st.downSec += now - st.downAt
 	p.noteInstance(obs.InstanceUp, now, int32(id), now-st.downAt)
@@ -1417,7 +1418,8 @@ func (s *clusterSim) assemble() ClusterMetrics {
 		// and capacity are both proportional to GPU count.
 		poolGPUs := p.cfg.TotalGPUs()
 		var poolDown, poolBlast float64
-		for _, st := range p.insts {
+		for id := range p.core.engines {
+			st := p.inst(id)
 			down := st.downSec
 			if !st.up {
 				down += h - st.downAt
@@ -1438,8 +1440,8 @@ func (s *clusterSim) assemble() ClusterMetrics {
 		// neither as failure-prone nor as capable as one H100.
 		downFLOPSec += poolDown * p.flopsPerGPU
 		totalFLOPs += float64(poolGPUs) * p.flopsPerGPU
-		for _, st := range p.insts {
-			g := float64(st.gpus)
+		for id := range p.core.engines {
+			g := float64(p.inst(id).gpus)
 			rateW := g * p.afrPerGPU
 			totalRate += rateW
 			blastLoss += rateW * g * p.flopsPerGPU // ÷ totalFLOPs below
@@ -1502,13 +1504,14 @@ func finish(h float64, scratch []float64, pools []*poolSim) Metrics {
 			m.KVMeanBlocks += (p.kvBlockSec + float64(p.kvInUse)*(h-p.kvLastT)) / h
 			if p.scaleOn {
 				parked := 0.0
-				for _, st := range p.insts[p.scaleLo:p.scaleHi] {
+				for id := p.scaleLo; id < p.scaleHi; id++ {
+					st := p.inst(id)
 					parked += st.parkedSec
 					if st.parked {
 						parked += h - st.parkedAt
 					}
 				}
-				m.MeanLiveInstances += float64(len(p.insts)) - parked/h
+				m.MeanLiveInstances += float64(len(p.core.engines)) - parked/h
 			}
 		}
 	}

@@ -708,8 +708,8 @@ func (s *clusterSim) onScale(now float64, arg uint64) {
 	p := s.pools[pi]
 	a := p.cfg.Autoscale
 	live := 0
-	for _, st := range p.insts[p.scaleLo:p.scaleHi] {
-		if !st.parked && !st.draining {
+	for id := p.scaleLo; id < p.scaleHi; id++ {
+		if st := p.inst(id); !st.parked && !st.draining {
 			live++
 		}
 	}
@@ -746,14 +746,14 @@ func (s *clusterSim) onScale(now float64, arg uint64) {
 //
 //litegpu:hotpath
 func (s *clusterSim) scaleUpOne(p *poolSim, now float64) bool {
-	for _, st := range p.insts[p.scaleLo:p.scaleHi] {
-		if st.draining {
+	for id := p.scaleLo; id < p.scaleHi; id++ {
+		if st := p.inst(id); st.draining {
 			st.draining = false
 			return true
 		}
 	}
 	for id := p.scaleLo; id < p.scaleHi; id++ {
-		st := p.insts[id]
+		st := p.inst(id)
 		if st.parked && !st.warming {
 			st.warming = true
 			s.eng.ScheduleCall(now+p.cfg.Autoscale.warmUp(), prioClient+p.prioBase+1,
@@ -772,11 +772,11 @@ func (s *clusterSim) scaleUpOne(p *poolSim, now float64) bool {
 //litegpu:hotpath
 func (s *clusterSim) scaleDownOne(p *poolSim, now float64) bool {
 	for id := p.scaleHi - 1; id >= p.scaleLo; id-- {
-		st := p.insts[id]
+		st := p.inst(id)
 		if st.parked || st.draining {
 			continue
 		}
-		if p.core.idle(id - p.core.base) {
+		if p.core.idle(id) {
 			p.parkInstance(st, now)
 		} else {
 			st.draining = true
@@ -794,7 +794,7 @@ func (s *clusterSim) scaleDownOne(p *poolSim, now float64) bool {
 func (s *clusterSim) onWarm(now float64, arg uint64) {
 	pi, id := unpackArg(arg)
 	p := s.pools[pi]
-	st := p.insts[id]
+	st := p.inst(id)
 	st.warming = false
 	if !st.up || !st.parked {
 		return

@@ -308,7 +308,7 @@ func TestWarmupAbortsWhenInstanceDies(t *testing.T) {
 	p := s.pools[0]
 	parked := -1
 	for id := p.scaleLo; id < p.scaleHi; id++ {
-		if p.insts[id].parked {
+		if p.inst(id).parked {
 			parked = id
 			break
 		}
@@ -319,7 +319,7 @@ func TestWarmupAbortsWhenInstanceDies(t *testing.T) {
 	if !s.scaleUpOne(p, 0) {
 		t.Fatal("scale-up found no target")
 	}
-	st := p.insts[parked]
+	st := p.inst(parked)
 	if !st.warming {
 		t.Fatal("scale-up did not start a warm-up")
 	}

@@ -61,7 +61,7 @@ func firstRun(t *testing.T, cc ClusterConfig, reqs []trace.Request) (id int, b1,
 	for s.eng.Step() {
 		for j := range c.engines {
 			if e := &c.engines[j]; e.runLeft >= 2 {
-				return c.base + j, e.stepEnd, e.stepEnd + e.stepDec
+				return j, e.stepEnd, e.stepEnd + e.stepDec
 			}
 		}
 	}
@@ -361,7 +361,7 @@ func firstClaim(t *testing.T, cc ClusterConfig, reqs []trace.Request) (id int, c
 	for s.eng.Step() {
 		for j := range c.engines {
 			if e := &c.engines[j]; e.claimNext > 0 && e.claimNext < e.runGrow+e.runLeft {
-				return c.base + j, e.claimAt, e.claimAt + e.stepDec
+				return j, e.claimAt, e.claimAt + e.stepDec
 			}
 		}
 	}

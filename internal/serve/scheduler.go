@@ -71,12 +71,12 @@ func (s SchedulerPolicy) Colocated() bool {
 
 // scheduler is one pool's serving discipline on the shared event
 // engine: only what differs by policy. The pool owns the rest — the
-// instance table (poolSim.insts, laid out by Config, each instance
-// carrying its own busy seconds), the batch core every policy runs its
-// decode-capable engines on (poolSim.core), the request ledger every
-// exit passes through (dropOversized, failReq, retryOrAbandon), spares
-// and metric assembly. Implementations must be deterministic: same
-// inputs, byte-identical Metrics.
+// batch core every policy runs its instances on (poolSim.core), whose
+// engines, laid out by Config and each carrying its own busy seconds,
+// are the pool's instance table; the request ledger every exit passes
+// through (dropOversized, failReq, retryOrAbandon), spares and metric
+// assembly. Implementations must be deterministic: same inputs,
+// byte-identical Metrics.
 type scheduler interface {
 	// enqueue accepts a submitted attempt.
 	enqueue(a *activeReq)
@@ -94,6 +94,10 @@ type scheduler interface {
 	// outstanding returns queued plus in-flight request count — the
 	// router's load figure.
 	outstanding() int
+	// prefilled takes a request whose prompt engine j has just finished
+	// prefilling, in a whole-prompt pass or a chunked prompt's last
+	// chunk, toward decode.
+	prefilled(j int, a *activeReq, now float64)
 	// rebuild queues a preempted sequence whose KV was discarded
 	// (Recompute policy) for a prefill pass over its whole context.
 	rebuild(a *activeReq)
