@@ -64,15 +64,15 @@ func kvGoldenScenarios(t *testing.T) []goldenScenario {
 	failCluster := clusterOf(pressed)
 	failCluster.Failures = acceleratedFailures(0)
 
-	// The colocated counterparts: continuous batching swapping over the
-	// same fabric, and chunked prefill under scarce swap memory with
-	// frequent, quickly repaired failures and a slow fabric path, so dead
-	// instances reset their HBM while swaps are still in flight.
 	// Swap preemptions with no fabric: the round trip is free and the
 	// sequence requeues at once.
 	swapNoFab := l70Config()
 	swapNoFab.KV = kv.Config{Policy: kv.Swap, Blocks: 600}
 
+	// The colocated counterparts: continuous batching swapping over the
+	// same fabric, and chunked prefill under scarce swap memory with
+	// frequent, quickly repaired failures and a slow fabric path, so dead
+	// instances reset their HBM while swaps are still in flight.
 	contSwapFab := swapFab
 	contSwapFab.Scheduler = ContinuousBatching
 	chunkSwap := chunk
